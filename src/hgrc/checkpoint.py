@@ -3,14 +3,19 @@
 Layout: magic ``HGRC``, one version byte, an 8-byte little-endian unsigned
 manifest length, the JSON manifest (config, schema, code vocabulary,
 normalization stats, parameter name/shape/offset table, training log), then
-every parameter array as raw little-endian float64 in C order, concatenated
-in manifest order.  Round trips are bit-exact: loading a saved checkpoint
-and evaluating reproduces the pre-save evaluation to the last bit.
+the model's flat parameter buffer as raw little-endian float64, whose arrays
+lie in layout order (``model.param_layout``), each in C order.  The table's
+offsets count bytes.  A load requires the table to equal the layout that
+the stored config implies (same names, shapes and contiguous offsets, in
+order) and the blob to be exactly the buffer's size, then reads the blob in
+one piece.  Round trips are bit-exact: loading a saved checkpoint and
+evaluating reproduces the pre-save evaluation to the last bit.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict
 
@@ -19,7 +24,6 @@ import numpy as np
 from . import model as model_mod
 from .data import NormStats
 from .errors import CheckpointError, CheckpointVersionError
-from .numeric import Rng
 from .train import Checkpoint, TrainConfig
 
 MAGIC = b"HGRC"
@@ -27,17 +31,12 @@ VERSION = 1
 _HEADER = struct.Struct("<4sBQ")
 
 
-def save_checkpoint(ckpt: Checkpoint, path) -> str:
-    named = ckpt.params.named_arrays()
-    entries = []
-    blobs = []
-    offset = 0
-    for name, arr in named.items():
-        raw = np.ascontiguousarray(arr, dtype="<f8").tobytes()
-        entries.append({"name": name, "shape": list(arr.shape), "offset": offset})
-        blobs.append(raw)
-        offset += len(raw)
+def _param_table(layout) -> list[dict]:
+    return [{"name": name, "shape": list(shape), "offset": 8 * offset}
+            for name, shape, offset in layout]
 
+
+def save_checkpoint(ckpt: Checkpoint, path) -> str:
     stats = ckpt.norm_stats
     manifest = {
         "config": asdict(ckpt.config),
@@ -48,7 +47,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> str:
             "std": None if stats.std is None else [float(x) for x in stats.std],
             "warnings": list(stats.warnings),
         },
-        "params": entries,
+        "params": _param_table(ckpt.params.layout),
         "training_log": ckpt.training_log,
         "best_epoch": ckpt.best_epoch,
     }
@@ -56,20 +55,42 @@ def save_checkpoint(ckpt: Checkpoint, path) -> str:
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, VERSION, len(manifest_bytes)))
         fh.write(manifest_bytes)
-        for raw in blobs:
-            fh.write(raw)
+        fh.write(ckpt.params.flat.astype("<f8").tobytes())
     return str(path)
 
 
 def _config_from_dict(raw: dict) -> TrainConfig:
-    raw = dict(raw)
-    for key in ("split_ratios", "ffn_hidden"):
-        if key in raw:
-            raw[key] = tuple(raw[key])
     try:
         return TrainConfig(**raw)
     except TypeError as exc:
         raise CheckpointError(f"checkpoint config does not match TrainConfig: {exc}")
+
+
+def _table_mismatch(entries, expected: list[dict], blob_bytes: int) -> str:
+    """Why a manifest's parameter table differs from the layout's table."""
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        return "malformed parameter table"
+    names = [want["name"] for want in expected]
+    for i, (entry, want) in enumerate(zip(entries, expected)):
+        if entry == want:
+            continue
+        name = entry.get("name")
+        if name not in names:
+            return f"unexpected parameter {name!r}"
+        if name != want["name"]:
+            return f"parameter {i} is {name!r}, expected {want['name']!r}"
+        if entry.get("shape") != want["shape"]:
+            return f"parameter {name!r} has shape {entry.get('shape')}, expected {want['shape']}"
+        start = entry.get("offset")
+        if isinstance(start, int) and (start < 0 or
+                                       start + 8 * math.prod(want["shape"]) > blob_bytes):
+            return f"parameter {name!r} extends past end of file"
+        if start != want["offset"]:
+            return f"parameter {name!r} starts at byte {start!r}, expected {want['offset']}"
+        return f"parameter {name!r} has entry {entry}, expected {want}"
+    if len(entries) < len(expected):
+        return f"missing parameters {names[len(entries):]}"
+    return f"unexpected parameter {entries[len(expected)].get('name')!r}"
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -109,36 +130,16 @@ def load_checkpoint(path) -> Checkpoint:
     )
 
     cfg = config.model_config(len(schema), len(code_vocab))
-    params = model_mod.init_params(cfg, Rng(0))
-    template = params.named_arrays()
-    names_seen = set()
-    blob = data[body_start:]
-    expected_bytes = 0
-    for entry in entries:
-        name = entry["name"]
-        if name not in template:
-            raise CheckpointError(f"{path}: unexpected parameter {name!r}")
-        if name in names_seen:
-            raise CheckpointError(f"{path}: duplicate parameter {name!r}")
-        names_seen.add(name)
-        arr = template[name]
-        shape = tuple(entry["shape"])
-        if shape != arr.shape:
-            raise CheckpointError(
-                f"{path}: parameter {name!r} has shape {shape}, expected {arr.shape}")
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        start = int(entry["offset"])
-        end = start + count * 8
-        if start < 0 or end > len(blob):
-            raise CheckpointError(f"{path}: parameter {name!r} extends past end of file")
-        arr[...] = np.frombuffer(blob, dtype="<f8", count=count, offset=start).reshape(shape)
-        expected_bytes += count * 8
-    if names_seen != set(template):
-        missing = sorted(set(template) - names_seen)
-        raise CheckpointError(f"{path}: missing parameters {missing}")
-    if expected_bytes != len(blob):
+    expected = _param_table(model_mod.param_layout(cfg))
+    blob_bytes = len(data) - body_start
+    if entries != expected:
+        raise CheckpointError(f"{path}: {_table_mismatch(entries, expected, blob_bytes)}")
+    expected_bytes = 8 * sum(math.prod(e["shape"]) for e in expected)
+    if blob_bytes != expected_bytes:
         raise CheckpointError(
-            f"{path}: parameter blob is {len(blob)} bytes, manifest expects {expected_bytes}")
+            f"{path}: parameter blob is {blob_bytes} bytes, manifest expects {expected_bytes}")
+    blob = np.frombuffer(data, dtype="<f8", offset=body_start)
+    params = model_mod.ModelParams(cfg, blob.astype(np.float64))
 
     return Checkpoint(
         config=config,

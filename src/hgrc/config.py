@@ -14,9 +14,6 @@ from .errors import ConfigError
 from .synthetic import SyntheticSpec
 from .train import TrainConfig
 
-_TUPLE_FIELDS = {"split_ratios", "ffn_hidden"}
-
-
 @dataclass(frozen=True)
 class PathsConfig:
     """Default file locations; command-line flags override these."""
@@ -45,11 +42,7 @@ def _build_section(cls, raw: dict, section: str):
     for key in raw:
         if key not in known:
             raise ConfigError(f"unknown key {section}.{key!r} in config")
-    converted = {
-        key: tuple(value) if key in _TUPLE_FIELDS and isinstance(value, list) else value
-        for key, value in raw.items()
-    }
-    return cls(**converted)
+    return cls(**raw)
 
 
 def parse_app_config(document: dict) -> AppConfig:

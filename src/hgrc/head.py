@@ -19,8 +19,6 @@ function (required by the finite-difference checks).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-
 import numpy as np
 
 from .errors import ConfigError, ShapeError
@@ -32,83 +30,37 @@ LOSS_GATINGS = ("per_patient", "scalar")
 PREDICT_MODES = ("beta", "mean")
 
 
-@dataclass
-class FfnParams:
-    """One member: input q -> hidden1 -> hidden2 -> 2 logits."""
+def init_ensemble_params(members: list[dict[str, Array]], attn: dict[str, Array],
+                         rng: Rng) -> None:
+    """Fill the arrays in place: Glorot hidden layers and attention map, zero
+    biases, zero output layers.
 
-    w1: Array
-    b1: Array
-    w2: Array
-    b2: Array
-    wy: Array
-    by: Array
-
-    def arrays(self) -> dict[str, Array]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-
-@dataclass
-class EnsembleParams:
-    """L member networks plus the attention map q -> L."""
-
-    members: list[FfnParams]
-    w_beta: Array
-    b_beta: Array
-
-    @property
-    def n_members(self) -> int:
-        return len(self.members)
-
-
-def init_ffn_params(input_width: int, hidden: tuple[int, int], rng: Rng) -> FfnParams:
-    """Glorot hidden layers, zero biases, zero output layer.
-
-    The zero output layer makes every initial probability pair (0.5, 0.5),
-    so the first training loss is exactly ln 2 per patient.
+    A member maps w1 (q, h1), b1, w2 (h1, h2), b2, wy (h2, 2), by; ``attn``
+    maps w_beta (q, L) and b_beta (L,).  The zero output layer makes every
+    initial probability pair (0.5, 0.5), so the first training loss is
+    exactly ln 2 per patient.
     """
-    h1, h2 = hidden
-    s1, s2 = rng.split(2)
-    return FfnParams(
-        w1=glorot_init(input_width, h1, s1),
-        b1=np.zeros(h1),
-        w2=glorot_init(h1, h2, s2),
-        b2=np.zeros(h2),
-        wy=np.zeros((h2, 2)),
-        by=np.zeros(2),
-    )
+    if not members:
+        raise ConfigError("ensemble needs at least one member, got 0")
+    streams = rng.split(len(members) + 1)
+    for m, stream in zip(members, streams):
+        for name, s in zip(("w1", "w2"), stream.split(2)):
+            m[name][...] = glorot_init(*m[name].shape, s)
+        for name in ("b1", "b2", "wy", "by"):
+            m[name][...] = 0.0
+    attn["w_beta"][...] = glorot_init(*attn["w_beta"].shape, streams[-1])
+    attn["b_beta"][...] = 0.0
 
 
-def init_ensemble_params(input_width: int, hidden: tuple[int, int], n_members: int,
-                         rng: Rng) -> EnsembleParams:
-    if n_members < 1:
-        raise ConfigError(f"ensemble needs at least one member, got {n_members}")
-    streams = rng.split(n_members + 1)
-    members = [init_ffn_params(input_width, hidden, streams[i]) for i in range(n_members)]
-    return EnsembleParams(
-        members=members,
-        w_beta=glorot_init(input_width, n_members, streams[-1]),
-        b_beta=np.zeros(n_members),
-    )
-
-
-def zero_ensemble_grads(ens: EnsembleParams) -> EnsembleParams:
-    return EnsembleParams(
-        members=[FfnParams(**{k: np.zeros_like(v) for k, v in m.arrays().items()})
-                 for m in ens.members],
-        w_beta=np.zeros_like(ens.w_beta),
-        b_beta=np.zeros_like(ens.b_beta),
-    )
-
-
-def make_dropout_masks(n_rows: int, ens: EnsembleParams, rate: float, rng: Rng):
+def make_dropout_masks(n_rows: int, members: list[dict[str, Array]], rate: float, rng: Rng):
     """One inverted-dropout mask per hidden layer per member."""
-    streams = rng.split(ens.n_members)
+    streams = rng.split(len(members))
     masks = []
-    for member, stream in zip(ens.members, streams):
+    for member, stream in zip(members, streams):
         s1, s2 = stream.split(2)
         masks.append((
-            dropout_mask((n_rows, member.w1.shape[1]), rate, s1),
-            dropout_mask((n_rows, member.w2.shape[1]), rate, s2),
+            dropout_mask((n_rows, member["w1"].shape[1]), rate, s1),
+            dropout_mask((n_rows, member["w2"].shape[1]), rate, s2),
         ))
     return masks
 
@@ -116,43 +68,45 @@ def make_dropout_masks(n_rows: int, ens: EnsembleParams, rate: float, rng: Rng):
 # ---------------------------------------------------------------- forward
 
 
-def _member_forward(x: Array, m: FfnParams, kind: str, mask_pair):
-    pre1 = x @ m.w1 + m.b1
+def _member_forward(x: Array, m: dict[str, Array], kind: str, mask_pair):
+    pre1 = x @ m["w1"] + m["b1"]
     h1 = activation(pre1, kind)
     h1d = h1 * mask_pair[0] if mask_pair is not None else h1
-    pre2 = h1d @ m.w2 + m.b2
+    pre2 = h1d @ m["w2"] + m["b2"]
     h2 = activation(pre2, kind)
     h2d = h2 * mask_pair[1] if mask_pair is not None else h2
-    logits = h2d @ m.wy + m.by
+    logits = h2d @ m["wy"] + m["by"]
     probs = softmax(logits, axis=1)
     return probs, (x, pre1, h1d, pre2, h2d, probs, mask_pair)
 
 
-def ffn_forward(x: Array, member: FfnParams, kind: str = "relu", mask_pair=None) -> Array:
+def ffn_forward(x: Array, member: dict[str, Array], kind: str = "relu",
+                mask_pair=None) -> Array:
     """Probability pairs (N, 2); rows sum to 1."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != member.w1.shape[0]:
-        raise ShapeError(f"ffn input {x.shape}, expected (N, {member.w1.shape[0]})")
+    if x.ndim != 2 or x.shape[1] != member["w1"].shape[0]:
+        raise ShapeError(f"ffn input {x.shape}, expected (N, {member['w1'].shape[0]})")
     probs, _ = _member_forward(x, member, kind, mask_pair)
     return probs
 
 
-def attention_weights(x: Array, ens: EnsembleParams) -> Array:
+def attention_weights(x: Array, attn: dict[str, Array]) -> Array:
     """Per-patient softmax over member logits, shape (N, L)."""
     x = np.asarray(x, dtype=np.float64)
-    return softmax(x @ ens.w_beta + ens.b_beta, axis=1)
+    return softmax(x @ attn["w_beta"] + attn["b_beta"], axis=1)
 
 
-def head_forward(x: Array, ens: EnsembleParams, kind: str = "relu", masks=None):
+def head_forward(x: Array, members: list[dict[str, Array]], attn: dict[str, Array],
+                 kind: str = "relu", masks=None):
     """All member probabilities plus attention weights; returns cache too."""
     x = np.asarray(x, dtype=np.float64)
     member_probs = []
     member_caches = []
-    for i, m in enumerate(ens.members):
+    for i, m in enumerate(members):
         probs, cache = _member_forward(x, m, kind, masks[i] if masks is not None else None)
         member_probs.append(probs)
         member_caches.append(cache)
-    beta = attention_weights(x, ens)
+    beta = attention_weights(x, attn)
     return member_probs, beta, (x, member_caches, beta, kind)
 
 
@@ -214,21 +168,22 @@ def ensemble_predict(member_probs: list[Array], beta: Array, mode: str = "beta")
 # ----------------------------------------------------------------- backward
 
 
-def _member_backward(d_logits: Array, cache, m: FfnParams, kind: str, grads: FfnParams):
+def _member_backward(d_logits: Array, cache, m: dict[str, Array], kind: str,
+                     grads: dict[str, Array]):
     x, pre1, h1d, pre2, h2d, probs, mask_pair = cache
-    grads.wy += h2d.T @ d_logits
-    grads.by += d_logits.sum(axis=0)
-    d_h2d = d_logits @ m.wy.T
+    grads["wy"] += h2d.T @ d_logits
+    grads["by"] += d_logits.sum(axis=0)
+    d_h2d = d_logits @ m["wy"].T
     d_h2 = d_h2d * mask_pair[1] if mask_pair is not None else d_h2d
     d_pre2 = d_h2 * activation_grad(pre2, kind)
-    grads.w2 += h1d.T @ d_pre2
-    grads.b2 += d_pre2.sum(axis=0)
-    d_h1d = d_pre2 @ m.w2.T
+    grads["w2"] += h1d.T @ d_pre2
+    grads["b2"] += d_pre2.sum(axis=0)
+    d_h1d = d_pre2 @ m["w2"].T
     d_h1 = d_h1d * mask_pair[0] if mask_pair is not None else d_h1d
     d_pre1 = d_h1 * activation_grad(pre1, kind)
-    grads.w1 += x.T @ d_pre1
-    grads.b1 += d_pre1.sum(axis=0)
-    return d_pre1 @ m.w1.T
+    grads["w1"] += x.T @ d_pre1
+    grads["b1"] += d_pre1.sum(axis=0)
+    return d_pre1 @ m["w1"].T
 
 
 def _loss_prob_grad(probs: Array, labels: Array, d_loss_per_patient: Array) -> Array:
@@ -246,8 +201,12 @@ def _loss_prob_grad(probs: Array, labels: Array, d_loss_per_patient: Array) -> A
     return np.stack([-d_logit1, d_logit1], axis=1)
 
 
-def head_backward(cache, labels: Array, ens: EnsembleParams, gating: str = "per_patient"):
-    """Gradients of total_loss; returns (d_x, EnsembleParams of gradients).
+def head_backward(cache, labels: Array, members: list[dict[str, Array]],
+                  attn: dict[str, Array], grads, gating: str = "per_patient") -> Array:
+    """Gradients of total_loss; returns d_x.
+
+    The parameter gradients are added into ``grads``, a (members, attn)
+    pair of zeroed arrays keyed like the parameters.
 
     The gating splits the loss gradient two ways: into each member's
     per-patient cross-entropy (scaled by its beta) and into beta itself
@@ -272,15 +231,15 @@ def head_backward(cache, labels: Array, ens: EnsembleParams, gating: str = "per_
     else:
         raise ConfigError(f"loss gating must be one of {LOSS_GATINGS}, got {gating!r}")
 
-    grads = zero_ensemble_grads(ens)
+    member_grads, attn_grads = grads
     d_x = np.zeros_like(x)
-    for i, (m, m_cache, m_grads) in enumerate(zip(ens.members, member_caches, grads.members)):
+    for i, (m, m_cache, m_grads) in enumerate(zip(members, member_caches, member_grads)):
         d_logits = _loss_prob_grad(member_probs[i], labels_f, d_losses[:, i])
         d_x += _member_backward(d_logits, m_cache, m, kind, m_grads)
 
     inner = (d_beta * beta).sum(axis=1, keepdims=True)
     d_attn_logits = beta * (d_beta - inner)
-    grads.w_beta += x.T @ d_attn_logits
-    grads.b_beta += d_attn_logits.sum(axis=0)
-    d_x += d_attn_logits @ ens.w_beta.T
-    return d_x, grads
+    attn_grads["w_beta"] += x.T @ d_attn_logits
+    attn_grads["b_beta"] += d_attn_logits.sum(axis=0)
+    d_x += d_attn_logits @ attn["w_beta"].T
+    return d_x

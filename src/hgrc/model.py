@@ -14,18 +14,24 @@ pass chains the hand-derived gradients of each stage.  Two ablation knobs
 exist for controlled comparisons: hconv_layers=0 removes the hypergraph
 stack, use_similarity=False forces an empty adjacency so aggregation sees
 self-loops only.
+
+Parameters live in one contiguous float64 buffer (ModelParams.flat).  The
+layout, built from the ModelConfig by param_layout, lists every trainable
+array's name, shape and offset; each array is a named view into the
+buffer.  Gradients share the layout, so one Adam call updates the whole
+model, and the checkpoint stores the buffer as a single blob in layout
+order.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import encoder, head, hypergraph, simgraph
-from .encoder import GruParams
 from .errors import ConfigError, ShapeError
-from .head import EnsembleParams
 from .numeric import Array, Rng, glorot_init
 
 SIMILARITY_MODES = ("scaled_dot", "cosine")
@@ -84,31 +90,68 @@ class ModelConfig:
         return self.hidden_size + self.n_codes
 
 
-@dataclass
-class ModelParams:
-    """Every trainable array; also reused as the gradient container."""
+def param_layout(config: ModelConfig) -> tuple[tuple[str, tuple[int, ...], int], ...]:
+    """(name, shape, offset) of every trainable array, in buffer order.
 
-    gru: GruParams
-    thetas: list[Array]
-    zeta: Array  # shape () scalar
-    phi: Array
-    ensemble: EnsembleParams
+    Offsets count float64 elements and run contiguously from 0.  This is
+    also the checkpoint's parameter table, so names and order are fixed.
+    """
+    d, m, w, q = config.hidden_size, config.n_variables, config.fused_width, config.phi_width
+    h1, h2 = config.ffn_hidden
+    shapes = [(f"gru.{kind}_{gate}", shape) for gate in "zrh"
+              for kind, shape in (("w", (d, m)), ("u", (d, d)), ("b", (d,)))]
+    shapes += [(f"theta.{i}", (w, w)) for i in range(config.hconv_layers)]
+    shapes += [("zeta", ()), ("phi", (w, q))]
+    for i in range(config.n_members):
+        shapes += [(f"ffn{i}.w1", (q, h1)), (f"ffn{i}.b1", (h1,)), (f"ffn{i}.w2", (h1, h2)),
+                   (f"ffn{i}.b2", (h2,)), (f"ffn{i}.wy", (h2, 2)), (f"ffn{i}.by", (2,))]
+    shapes += [("attn.w_beta", (q, config.n_members)), ("attn.b_beta", (config.n_members,))]
+    layout = []
+    offset = 0
+    for name, shape in shapes:
+        layout.append((name, shape, offset))
+        offset += math.prod(shape)
+    return tuple(layout)
+
+
+class ModelParams:
+    """Every trainable array as a named view into one flat float64 buffer.
+
+    Gradients use the same class, so an optimizer can update ``flat`` in
+    one call.  Writing through any view writes ``flat`` and vice versa; the
+    layer functions receive the views grouped as plain dicts and lists.
+    """
+
+    def __init__(self, config: ModelConfig, flat: Array | None = None):
+        self.config = config
+        self.layout = param_layout(config)
+        size = sum(math.prod(shape) for _, shape, _ in self.layout)
+        self.flat = np.zeros(size) if flat is None else flat
+        if self.flat.shape != (size,) or self.flat.dtype != np.float64:
+            raise ShapeError(f"parameter buffer is {self.flat.dtype}{self.flat.shape}, "
+                             f"expected float64({size},)")
+        self._views = {name: self.flat[offset:offset + math.prod(shape)].reshape(shape)
+                       for name, shape, offset in self.layout}
+        groups: dict[str, dict[str, Array]] = {}
+        for name, view in self._views.items():
+            prefix, _, rest = name.partition(".")
+            groups.setdefault(prefix, {})[rest] = view
+        self.gru = groups["gru"]
+        self.thetas = list(groups.get("theta", {}).values())
+        self.zeta = self._views["zeta"]  # shape () scalar
+        self.phi = self._views["phi"]
+        self.members = [groups[f"ffn{i}"] for i in range(config.n_members)]
+        self.attn = groups["attn"]
 
     def named_arrays(self) -> dict[str, Array]:
-        """Flat name -> array view in a fixed, documented order."""
-        out: dict[str, Array] = {}
-        for name, arr in self.gru.arrays().items():
-            out[f"gru.{name}"] = arr
-        for i, theta in enumerate(self.thetas):
-            out[f"theta.{i}"] = theta
-        out["zeta"] = self.zeta
-        out["phi"] = self.phi
-        for i, m in enumerate(self.ensemble.members):
-            for name, arr in m.arrays().items():
-                out[f"ffn{i}.{name}"] = arr
-        out["attn.w_beta"] = self.ensemble.w_beta
-        out["attn.b_beta"] = self.ensemble.b_beta
-        return out
+        """Flat name -> array view, in layout order."""
+        return dict(self._views)
+
+    def copy(self) -> "ModelParams":
+        return ModelParams(self.config, self.flat.copy())
+
+    def zeros_like(self) -> "ModelParams":
+        return ModelParams(self.config)
 
 
 @dataclass
@@ -132,32 +175,20 @@ class Batch:
 def init_params(config: ModelConfig, rng: Rng) -> ModelParams:
     """Glorot weights and zero biases; FFN output layers start at zero."""
     gru_rng, theta_rng, phi_rng, head_rng = rng.split(4)
-    width = config.fused_width
-    theta_streams = theta_rng.split(config.hconv_layers) if config.hconv_layers else []
-    return ModelParams(
-        gru=encoder.init_gru_params(config.n_variables, config.hidden_size, gru_rng),
-        thetas=[glorot_init(width, width, s) for s in theta_streams],
-        zeta=np.array(config.zeta_init),
-        phi=glorot_init(width, config.phi_width, phi_rng),
-        ensemble=head.init_ensemble_params(config.phi_width, config.ffn_hidden,
-                                           config.n_members, head_rng),
-    )
-
-
-def zero_grads(params: ModelParams) -> ModelParams:
-    return ModelParams(
-        gru=encoder.zero_gru_grads(params.gru),
-        thetas=[np.zeros_like(t) for t in params.thetas],
-        zeta=np.zeros(()),
-        phi=np.zeros_like(params.phi),
-        ensemble=head.zero_ensemble_grads(params.ensemble),
-    )
+    params = ModelParams(config)
+    encoder.init_gru_params(params.gru, gru_rng)
+    for theta, stream in zip(params.thetas, theta_rng.split(len(params.thetas))):
+        theta[...] = glorot_init(*theta.shape, stream)
+    params.zeta[...] = config.zeta_init
+    params.phi[...] = glorot_init(*params.phi.shape, phi_rng)
+    head.init_ensemble_params(params.members, params.attn, head_rng)
+    return params
 
 
 def make_dropout_masks(config: ModelConfig, params: ModelParams, n_rows: int, rng: Rng):
     if config.dropout == 0.0:
         return None
-    return head.make_dropout_masks(n_rows, params.ensemble, config.dropout, rng)
+    return head.make_dropout_masks(n_rows, params.members, config.dropout, rng)
 
 
 # ---------------------------------------------------------------- forward
@@ -185,7 +216,8 @@ def _forward(params: ModelParams, batch: Batch, config: ModelConfig, mode: str, 
         a_prime = simgraph.threshold(a, float(params.zeta), config.temperature, mode)
 
     x_star, gcn_cache = simgraph.gcn_aggregate(z, a_prime, params.phi, kind)
-    member_probs, beta, head_cache = head.head_forward(x_star, params.ensemble, kind, masks)
+    member_probs, beta, head_cache = head.head_forward(x_star, params.members, params.attn,
+                                                        kind, masks)
     stages = {"gru": h, "hconv": z, "aggregated": x_star}
     cache = (gru_cache, hconv_cache, z, sim_cache, a_prime, gcn_cache, head_cache)
     return member_probs, beta, stages, cache
@@ -204,14 +236,16 @@ def backward(params: ModelParams, batch: Batch, config: ModelConfig, cache) -> M
     """Gradient of forward_train's loss for every trainable array."""
     gru_cache, hconv_cache, z, sim_cache, a_prime, gcn_cache, head_cache = cache
     kind = config.activation
+    grads = params.zeros_like()
 
-    d_xstar, ens_grads = head.head_backward(head_cache, batch.labels, params.ensemble,
-                                            config.loss_gating)
+    d_xstar = head.head_backward(head_cache, batch.labels, params.members, params.attn,
+                                 (grads.members, grads.attn), config.loss_gating)
     d_z, d_a_tilde, d_phi = simgraph.gcn_aggregate_backward(d_xstar, gcn_cache, params.phi)
+    grads.phi[...] = d_phi
 
-    d_zeta = 0.0
     if config.use_similarity:
         d_a, d_zeta = simgraph.threshold_backward(d_a_tilde, a_prime, config.temperature)
+        grads.zeta[...] = d_zeta
         if config.similarity_mode == "cosine":
             d_z = d_z + simgraph.cosine_similarity_backward(d_a, sim_cache)
         else:
@@ -219,18 +253,14 @@ def backward(params: ModelParams, batch: Batch, config: ModelConfig, cache) -> M
 
     if params.thetas:
         d_fused, d_thetas = hypergraph.hconv_stack_backward(d_z, hconv_cache, params.thetas, kind)
+        for g, d in zip(grads.thetas, d_thetas):
+            g[...] = d
     else:
-        d_fused, d_thetas = d_z, []
+        d_fused = d_z
 
     d_h = d_fused[:, :config.hidden_size]
-    gru_grads, _ = encoder.encode_batch_backward(d_h, gru_cache, params.gru)
-    return ModelParams(
-        gru=gru_grads,
-        thetas=d_thetas,
-        zeta=np.array(d_zeta),
-        phi=d_phi,
-        ensemble=ens_grads,
-    )
+    encoder.encode_batch_backward(d_h, gru_cache, params.gru, grads.gru)
+    return grads
 
 
 @dataclass

@@ -8,8 +8,8 @@ metrics.  Logs deliberately contain no wall-clock times.
 
 Each epoch shuffles the training patients, cuts contiguous batches (a
 trailing batch of size 1 is merged into its predecessor, because the
-patient graphs degenerate at one node), and applies Adam to every trainable
-array after the hand-derived backward pass.  After each epoch the model is
+patient graphs degenerate at one node), and applies one Adam step to the
+flat parameter buffer after the hand-derived backward pass.  After each epoch the model is
 scored on the validation split in evaluation mode; the best validation
 AUROC snapshot is kept and training stops early after `patience`
 non-improving epochs.
@@ -17,7 +17,6 @@ non-improving epochs.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 
@@ -60,6 +59,10 @@ class TrainConfig:
     use_similarity: bool = True
 
     def __post_init__(self):
+        # JSON config files and checkpoint manifests carry these as lists
+        for name in ("split_ratios", "ffn_hidden"):
+            if isinstance(getattr(self, name), list):
+                object.__setattr__(self, name, tuple(getattr(self, name)))
         if self.window_hours not in VALID_WINDOWS:
             raise ConfigError(f"window_hours must be one of {VALID_WINDOWS}, got {self.window_hours}")
         if self.batch_size < 2:
@@ -82,7 +85,7 @@ class TrainConfig:
             hidden_size=self.hidden_size,
             hconv_layers=self.hconv_layers,
             phi_width=self.phi_width,
-            ffn_hidden=tuple(self.ffn_hidden),
+            ffn_hidden=self.ffn_hidden,
             n_members=self.n_members,
             zeta_init=self.zeta_init,
             temperature=self.temperature,
@@ -186,10 +189,7 @@ def train(config: TrainConfig, train_cohort: Cohort, val_cohort: Cohort,
     cfg = config.model_config(len(train_cohort.schema), len(train_cohort.code_vocab))
     _, init_rng, loop_rng = derive_rng_streams(config.seed)
     params = model_mod.init_params(cfg, init_rng)
-    adam_states = {
-        name: AdamState.zeros(arr.shape, learning_rate=config.learning_rate)
-        for name, arr in params.named_arrays().items()
-    }
+    adam_state = AdamState.zeros(params.flat.shape, learning_rate=config.learning_rate)
 
     series, icd, labels = _cohort_arrays(train_cohort)
     val_series, val_icd, val_labels = _cohort_arrays(val_cohort)
@@ -219,10 +219,8 @@ def train(config: TrainConfig, train_cohort: Cohort, val_cohort: Cohort,
             if not math.isfinite(loss):
                 raise TrainingError(f"non-finite loss {loss} at epoch {epoch}, batch {b + 1}")
             grads = model_mod.backward(params, batch, cfg, cache)
-            grad_arrays = grads.named_arrays()
-            for name, p in params.named_arrays().items():
-                new_p, adam_states[name] = adam_step(p, grad_arrays[name], adam_states[name])
-                p[...] = new_p
+            new_flat, adam_state = adam_step(params.flat, grads.flat, adam_state)
+            params.flat[...] = new_flat  # in place, so every named view stays valid
             batch_losses.append(loss)
 
         val_scores, _ = _predict(params, cfg, val_series, val_icd, val_labels)
@@ -239,7 +237,7 @@ def train(config: TrainConfig, train_cohort: Cohort, val_cohort: Cohort,
 
         if val_report.auroc > best_auroc:
             best_auroc = val_report.auroc
-            best_params = copy.deepcopy(params)
+            best_params = params.copy()
             best_epoch = epoch
             since_best = 0
         else:

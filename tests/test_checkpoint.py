@@ -162,6 +162,54 @@ def test_out_of_bounds_offset_rejected(tmp_path):
         load_checkpoint(write_tampered(tmp_path, mutate))
 
 
+def test_overlapping_parameters_rejected(tmp_path):
+    # two entries over the same bytes would load w_r as a copy of w_z
+    def mutate(d):
+        def edit(m):
+            table = {e["name"]: e for e in m["params"]}
+            table["gru.w_r"]["offset"] = table["gru.w_z"]["offset"]
+            return m
+        return edit_manifest(d, edit)
+    with pytest.raises(CheckpointError, match="'gru.w_r' starts at byte 0"):
+        load_checkpoint(write_tampered(tmp_path, mutate))
+
+
+def test_reordered_parameters_rejected(tmp_path):
+    def mutate(d):
+        def edit(m):
+            m["params"][0], m["params"][1] = m["params"][1], m["params"][0]
+            return m
+        return edit_manifest(d, edit)
+    with pytest.raises(CheckpointError, match="expected 'gru.w_z'"):
+        load_checkpoint(write_tampered(tmp_path, mutate))
+
+
+def test_duplicate_parameter_rejected(tmp_path):
+    def mutate(d):
+        def edit(m):
+            m["params"][1] = dict(m["params"][0])
+            return m
+        return edit_manifest(d, edit)
+    with pytest.raises(CheckpointError, match="gru.w_z"):
+        load_checkpoint(write_tampered(tmp_path, mutate))
+
+
+@pytest.mark.parametrize("edit", [
+    lambda m: m["params"][0].pop("offset"),
+    lambda m: m["params"][0].update(offset="0"),
+    lambda m: m["params"][3].update(spare=1),
+    lambda m: m.update(params={"gru.w_z": 0}),
+], ids=["missing_offset", "string_offset", "extra_key", "table_not_a_list"])
+def test_malformed_parameter_table_rejected(tmp_path, edit):
+    def mutate(d):
+        def apply(m):
+            edit(m)
+            return m
+        return edit_manifest(d, apply)
+    with pytest.raises(CheckpointError):
+        load_checkpoint(write_tampered(tmp_path, mutate))
+
+
 def test_unknown_config_key_rejected(tmp_path):
     def mutate(d):
         def edit(m):

@@ -3,19 +3,27 @@
 import numpy as np
 import pytest
 
-from hgrc.encoder import (GruParams, encode_batch, encode_batch_backward,
-                          encode_sequence, fuse, fuse_batch, gru_cell,
-                          init_gru_params, zero_gru_grads)
+from hgrc.encoder import (encode_batch, encode_batch_backward, encode_sequence, fuse,
+                          fuse_batch, gru_cell, init_gru_params)
 from hgrc.errors import ShapeError
 from hgrc.numeric import Rng, finite_diff_check
 
 
 def scalar_params():
-    return GruParams(
+    return dict(
         w_z=np.array([[0.5]]), u_z=np.array([[-0.3]]), b_z=np.array([0.1]),
         w_r=np.array([[0.2]]), u_r=np.array([[0.4]]), b_r=np.array([-0.2]),
         w_h=np.array([[0.7]]), u_h=np.array([[0.6]]), b_h=np.array([0.05]),
     )
+
+
+def gru_params(input_size, hidden_size, rng):
+    """Initialised GRU parameters for M inputs and d hidden units."""
+    shapes = {"w": (hidden_size, input_size), "u": (hidden_size, hidden_size),
+              "b": (hidden_size,)}
+    p = {f"{kind}_{gate}": np.full(shapes[kind], np.nan) for gate in "zrh" for kind in "wub"}
+    init_gru_params(p, rng)
+    return p
 
 
 def test_gru_cell_single_step_hand_values():
@@ -32,7 +40,7 @@ def test_encode_sequence_two_steps_hand_values():
 
 
 def test_initial_state_is_zero_and_zero_params_keep_it_zero():
-    p = GruParams(*(np.zeros_like(a) for a in scalar_params().arrays().values()))
+    p = {name: np.zeros_like(a) for name, a in scalar_params().items()}
     series = Rng(0).normal(size=(4, 1, 6))
     h, _ = encode_batch(series, p)
     # h = (1 - z) h + z tanh(0) stays exactly 0 from h_0 = 0
@@ -40,14 +48,14 @@ def test_initial_state_is_zero_and_zero_params_keep_it_zero():
 
 
 def test_hidden_state_is_bounded():
-    p = init_gru_params(3, 5, Rng(1))
+    p = gru_params(3, 5, Rng(1))
     series = Rng(2).normal(scale=50.0, size=(7, 3, 20))
     h, _ = encode_batch(series, p)
     assert np.all(np.abs(h) <= 1.0)
 
 
 def test_encode_batch_matches_per_patient_encoding():
-    p = init_gru_params(2, 4, Rng(3))
+    p = gru_params(2, 4, Rng(3))
     series = Rng(4).normal(size=(5, 2, 6))
     batch_h, _ = encode_batch(series, p)
     for i in range(5):
@@ -55,7 +63,7 @@ def test_encode_batch_matches_per_patient_encoding():
 
 
 def test_encode_batch_input_validation():
-    p = init_gru_params(2, 3, Rng(0))
+    p = gru_params(2, 3, Rng(0))
     with pytest.raises(ShapeError):
         encode_batch(np.zeros((4, 2)), p)
     with pytest.raises(ShapeError):
@@ -69,23 +77,22 @@ def test_encode_batch_input_validation():
 
 
 def test_bptt_gradients_match_finite_differences():
-    p = init_gru_params(2, 3, Rng(10))
+    p = gru_params(2, 3, Rng(10))
     series = Rng(11).normal(size=(4, 2, 5))
     proj = Rng(12).normal(size=(4, 3))  # random loss projection
 
     def loss(arrays):
-        q = GruParams(**arrays)
-        h, _ = encode_batch(series, q)
+        h, _ = encode_batch(series, arrays)
         return float((h * proj).sum())
 
     h, cache = encode_batch(series, p)
     grads, _ = encode_batch_backward(proj, cache, p)
-    err = finite_diff_check(loss, p.arrays(), grads.arrays())
+    err = finite_diff_check(loss, p, grads)
     assert err < 1e-6
 
 
 def test_bptt_series_gradient_matches_finite_differences():
-    p = init_gru_params(2, 3, Rng(20))
+    p = gru_params(2, 3, Rng(20))
     series = Rng(21).normal(size=(3, 2, 4))
     proj = Rng(22).normal(size=(3, 3))
 
@@ -100,26 +107,29 @@ def test_bptt_series_gradient_matches_finite_differences():
 
 
 def test_zero_upstream_gradient_gives_zero_grads():
-    p = init_gru_params(2, 3, Rng(30))
+    p = gru_params(2, 3, Rng(30))
     series = Rng(31).normal(size=(4, 2, 5))
     _, cache = encode_batch(series, p)
     grads, d_series = encode_batch_backward(np.zeros((4, 3)), cache, p)
-    for arr in grads.arrays().values():
+    for arr in grads.values():
         assert np.array_equal(arr, np.zeros_like(arr))
     assert np.array_equal(d_series, np.zeros_like(series))
 
 
 def test_init_gru_params_shapes_and_zero_biases():
-    p = init_gru_params(7, 4, Rng(0))
-    assert p.hidden_size == 4 and p.input_size == 7
+    p = gru_params(7, 4, Rng(0))
+    limit = np.sqrt(6.0 / 11.0)
     for name in ("w_z", "w_r", "w_h"):
-        assert getattr(p, name).shape == (4, 7)
+        assert p[name].shape == (4, 7)
+        assert np.all(np.abs(p[name]) <= limit) and np.all(p[name] != 0.0)
     for name in ("u_z", "u_r", "u_h"):
-        assert getattr(p, name).shape == (4, 4)
+        assert p[name].shape == (4, 4)
+        assert np.all(np.isfinite(p[name])) and np.all(p[name] != 0.0)
     for name in ("b_z", "b_r", "b_h"):
-        assert np.array_equal(getattr(p, name), np.zeros(4))
-    z = zero_gru_grads(p)
-    assert all(np.all(a == 0.0) for a in z.arrays().values())
+        assert np.array_equal(p[name], np.zeros(4))
+    # one stream per weight: no two matrices share their draws
+    assert not np.array_equal(p["w_z"], p["w_r"])
+    assert not np.array_equal(p["u_z"], p["u_h"])
 
 
 def test_fuse_concatenates_hidden_then_codes():

@@ -6,15 +6,28 @@ import numpy as np
 import pytest
 
 from hgrc.errors import ConfigError, ShapeError
-from hgrc.head import (EnsembleParams, attention_weights, ensemble_predict, ffn_forward,
-                       head_backward, head_forward, init_ensemble_params, make_dropout_masks,
-                       member_loss, per_patient_losses, total_loss)
+from hgrc.head import (attention_weights, ensemble_predict, ffn_forward, head_backward,
+                       head_forward, init_ensemble_params, make_dropout_masks, member_loss,
+                       per_patient_losses, total_loss)
 from hgrc.numeric import Rng, finite_diff_check
+
+
+def ensemble_params(width, hidden, n_members, rng):
+    """Initialised (members, attn) for input width q, hidden (h1, h2), L members."""
+    h1, h2 = hidden
+    shapes = {"w1": (width, h1), "b1": (h1,), "w2": (h1, h2), "b2": (h2,),
+              "wy": (h2, 2), "by": (2,)}
+    members = [{name: np.full(shape, np.nan) for name, shape in shapes.items()}
+               for _ in range(n_members)]
+    attn = {"w_beta": np.full((width, n_members), np.nan),
+            "b_beta": np.full(n_members, np.nan)}
+    init_ensemble_params(members, attn, rng)
+    return members, attn
 
 
 def nudged_ensemble(seed, width=3, hidden=(4, 3), members=2, scale=0.3):
     """Ensemble away from the zero-output saddle so every gradient is live."""
-    ens = init_ensemble_params(width, hidden, members, Rng(seed))
+    ens = ensemble_params(width, hidden, members, Rng(seed))
     nudge = Rng(seed + 1000)
     for arr in ensemble_arrays(ens).values():
         arr += nudge.normal(scale=scale, size=arr.shape)
@@ -22,35 +35,38 @@ def nudged_ensemble(seed, width=3, hidden=(4, 3), members=2, scale=0.3):
 
 
 def ensemble_arrays(ens):
+    members, attn = ens
     out = {}
-    for i, m in enumerate(ens.members):
-        for name, arr in m.arrays().items():
+    for i, m in enumerate(members):
+        for name, arr in m.items():
             out[f"m{i}.{name}"] = arr
-    out["w_beta"] = ens.w_beta
-    out["b_beta"] = ens.b_beta
+    out["w_beta"] = attn["w_beta"]
+    out["b_beta"] = attn["b_beta"]
     return out
 
 
-def grads_arrays(grads):
-    return ensemble_arrays(grads)
+def zeros_like(ens):
+    members, attn = ens
+    return ([{name: np.zeros_like(arr) for name, arr in m.items()} for m in members],
+            {name: np.zeros_like(arr) for name, arr in attn.items()})
 
 
 # ------------------------------------------------------------------- init
 
 
 def test_initial_member_probabilities_are_exactly_half():
-    ens = init_ensemble_params(5, (4, 3), 3, Rng(0))
+    members, _ = ensemble_params(5, (4, 3), 3, Rng(0))
     x = Rng(1).normal(size=(7, 5))
-    for m in ens.members:
+    for m in members:
         probs = ffn_forward(x, m)
         # zero output layer -> logits (0, 0) -> softmax (0.5, 0.5)
         assert np.array_equal(probs, np.full((7, 2), 0.5))
 
 
 def test_initial_total_loss_is_ln_two():
-    ens = init_ensemble_params(4, (3, 3), 2, Rng(2))
+    ens = ensemble_params(4, (3, 3), 2, Rng(2))
     x = Rng(3).normal(size=(6, 4))
-    member_probs, beta, _ = head_forward(x, ens)
+    member_probs, beta, _ = head_forward(x, *ens)
     labels = np.array([0, 1, 1, 0, 1, 0])
     for gating in ("per_patient", "scalar"):
         loss = total_loss(member_probs, beta, labels, gating)
@@ -59,14 +75,17 @@ def test_initial_total_loss_is_ln_two():
 
 def test_init_validation_and_shapes():
     with pytest.raises(ConfigError):
-        init_ensemble_params(3, (2, 2), 0, Rng(0))
-    ens = init_ensemble_params(3, (5, 4), 2, Rng(0))
-    assert ens.n_members == 2
-    assert ens.w_beta.shape == (3, 2)
-    m = ens.members[0]
-    assert m.w1.shape == (3, 5) and m.w2.shape == (5, 4) and m.wy.shape == (4, 2)
-    assert np.array_equal(m.wy, np.zeros((4, 2)))
-    assert np.array_equal(m.by, np.zeros(2))
+        ensemble_params(3, (2, 2), 0, Rng(0))
+    members, attn = ensemble_params(3, (5, 4), 2, Rng(0))
+    assert len(members) == 2
+    assert attn["w_beta"].shape == (3, 2)
+    assert np.array_equal(attn["b_beta"], np.zeros(2))
+    m = members[0]
+    assert m["w1"].shape == (3, 5) and m["w2"].shape == (5, 4) and m["wy"].shape == (4, 2)
+    assert np.array_equal(m["wy"], np.zeros((4, 2)))
+    assert np.array_equal(m["by"], np.zeros(2))
+    # every array is written: no fill value survives the initialisation
+    assert all(np.all(np.isfinite(a)) for a in ensemble_arrays((members, attn)).values())
 
 
 # ------------------------------------------------------------------ losses
@@ -149,7 +168,7 @@ def test_ensemble_predict_validation():
 def test_attention_weights_are_row_distributions():
     ens = nudged_ensemble(40)
     x = Rng(41).normal(size=(9, 3))
-    beta = attention_weights(x, ens)
+    beta = attention_weights(x, ens[1])
     assert beta.shape == (9, 2)
     assert np.all(beta > 0.0)
     assert np.allclose(beta.sum(axis=1), 1.0, rtol=0, atol=1e-12)
@@ -159,12 +178,12 @@ def test_attention_weights_are_row_distributions():
 
 
 def test_dropout_masks_shapes_and_determinism():
-    ens = init_ensemble_params(3, (4, 5), 2, Rng(0))
-    masks = make_dropout_masks(6, ens, 0.5, Rng(7))
+    members, _ = ensemble_params(3, (4, 5), 2, Rng(0))
+    masks = make_dropout_masks(6, members, 0.5, Rng(7))
     assert len(masks) == 2
     assert masks[0][0].shape == (6, 4)
     assert masks[0][1].shape == (6, 5)
-    again = make_dropout_masks(6, ens, 0.5, Rng(7))
+    again = make_dropout_masks(6, members, 0.5, Rng(7))
     for (a1, a2), (b1, b2) in zip(masks, again):
         assert np.array_equal(a1, b1) and np.array_equal(a2, b2)
     values = np.unique(np.concatenate([m.ravel() for pair in masks for m in pair]))
@@ -174,9 +193,9 @@ def test_dropout_masks_shapes_and_determinism():
 def test_dropout_masks_change_the_forward():
     ens = nudged_ensemble(50)
     x = Rng(51).normal(size=(8, 3))
-    masks = make_dropout_masks(8, ens, 0.5, Rng(52))
-    probs_m, _, _ = head_forward(x, ens, masks=masks)
-    probs, _, _ = head_forward(x, ens)
+    masks = make_dropout_masks(8, ens[0], 0.5, Rng(52))
+    probs_m, _, _ = head_forward(x, *ens, masks=masks)
+    probs, _, _ = head_forward(x, *ens)
     assert not all(np.array_equal(a, b) for a, b in zip(probs_m, probs))
 
 
@@ -191,12 +210,13 @@ def test_head_backward_matches_finite_differences(gating):
 
     def loss(_arrays):
         # the checker perturbs the ensemble's arrays in place
-        member_probs, beta, _ = head_forward(x, ens, kind="tanh")
+        member_probs, beta, _ = head_forward(x, *ens, kind="tanh")
         return float(total_loss(member_probs, beta, labels, gating))
 
-    _, _, cache = head_forward(x, ens, kind="tanh")
-    _, grads = head_backward(cache, labels, ens, gating)
-    err = finite_diff_check(loss, ensemble_arrays(ens), grads_arrays(grads))
+    _, _, cache = head_forward(x, *ens, kind="tanh")
+    grads = zeros_like(ens)
+    head_backward(cache, labels, *ens, grads, gating)
+    err = finite_diff_check(loss, ensemble_arrays(ens), ensemble_arrays(grads))
     assert err < 1e-6
 
 
@@ -206,11 +226,11 @@ def test_head_backward_input_gradient_matches_finite_differences():
     x = Rng(71).normal(size=(3, 3))
 
     def loss(arrays):
-        member_probs, beta, _ = head_forward(arrays["x"], ens, kind="tanh")
+        member_probs, beta, _ = head_forward(arrays["x"], *ens, kind="tanh")
         return float(total_loss(member_probs, beta, labels, "per_patient"))
 
-    _, _, cache = head_forward(x, ens, kind="tanh")
-    d_x, _ = head_backward(cache, labels, ens, "per_patient")
+    _, _, cache = head_forward(x, *ens, kind="tanh")
+    d_x = head_backward(cache, labels, *ens, zeros_like(ens), "per_patient")
     assert finite_diff_check(loss, {"x": x}, {"x": d_x}) < 1e-6
 
 
@@ -218,13 +238,14 @@ def test_head_backward_respects_dropout_masks():
     ens = nudged_ensemble(80)
     x = Rng(81).normal(size=(4, 3))
     labels = np.array([0, 1, 0, 1])
-    masks = make_dropout_masks(4, ens, 0.5, Rng(82))
+    masks = make_dropout_masks(4, ens[0], 0.5, Rng(82))
 
     def loss(_arrays):
-        member_probs, beta, _ = head_forward(x, ens, kind="tanh", masks=masks)
+        member_probs, beta, _ = head_forward(x, *ens, kind="tanh", masks=masks)
         return float(total_loss(member_probs, beta, labels, "per_patient"))
 
-    _, _, cache = head_forward(x, ens, kind="tanh", masks=masks)
-    _, grads = head_backward(cache, labels, ens, "per_patient")
-    err = finite_diff_check(loss, ensemble_arrays(ens), grads_arrays(grads))
+    _, _, cache = head_forward(x, *ens, kind="tanh", masks=masks)
+    grads = zeros_like(ens)
+    head_backward(cache, labels, *ens, grads, "per_patient")
+    err = finite_diff_check(loss, ensemble_arrays(ens), ensemble_arrays(grads))
     assert err < 1e-6

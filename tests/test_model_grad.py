@@ -10,7 +10,7 @@ import pytest
 
 from hgrc.errors import ConfigError
 from hgrc.model import (Batch, ModelConfig, backward, forward_eval, forward_train,
-                        init_params, make_dropout_masks, zero_grads)
+                        init_params, make_dropout_masks)
 from hgrc.numeric import Rng, finite_diff_check
 
 TINY = dict(n_variables=2, window_hours=48, n_codes=4, hidden_size=3,
@@ -93,8 +93,9 @@ def analytic_series_grad(params, batch, cfg):
     from hgrc import encoder, head, hypergraph, simgraph
     _, cache = forward_train(params, batch, cfg)
     gru_cache, hconv_cache, z, sim_cache, a_prime, gcn_cache, head_cache = cache
-    d_xstar, _ = head.head_backward(head_cache, batch.labels, params.ensemble,
-                                    cfg.loss_gating)
+    grads = params.zeros_like()
+    d_xstar = head.head_backward(head_cache, batch.labels, params.members, params.attn,
+                                 (grads.members, grads.attn), cfg.loss_gating)
     d_z, d_a_tilde, _ = simgraph.gcn_aggregate_backward(d_xstar, gcn_cache, params.phi)
     if cfg.use_similarity:
         d_a, _ = simgraph.threshold_backward(d_a_tilde, a_prime, cfg.temperature)
@@ -121,8 +122,7 @@ def test_backward_shapes_match_parameters():
     assert named_p.keys() == named_g.keys()
     for name in named_p:
         assert named_p[name].shape == named_g[name].shape
-    zeros = zero_grads(params)
-    assert zeros.named_arrays().keys() == named_p.keys()
+    assert grads.layout == params.layout and grads.flat.shape == params.flat.shape
 
 
 def test_forward_train_is_deterministic():

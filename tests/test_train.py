@@ -175,6 +175,15 @@ def test_train_config_validation():
         TrainConfig(decision_threshold=1.0)
 
 
+def test_train_config_coerces_lists_to_tuples():
+    # JSON config files and checkpoint manifests carry these fields as lists
+    from_lists = TrainConfig(ffn_hidden=[4, 3], split_ratios=[0.6, 0.2, 0.2])
+    from_tuples = TrainConfig(ffn_hidden=(4, 3), split_ratios=(0.6, 0.2, 0.2))
+    assert from_lists == from_tuples
+    assert hash(from_lists) == hash(from_tuples)
+    assert from_lists.model_config(2, 3).ffn_hidden == (4, 3)
+
+
 # ------------------------------------------------------------ evaluation
 
 
