@@ -1,8 +1,9 @@
 """Binary checkpoint format.
 
 Layout: magic ``HGRC``, one version byte, an 8-byte little-endian unsigned
-manifest length, the JSON manifest (config, schema, code vocabulary,
-normalization stats, parameter name/shape/offset table, training log), then
+manifest length, the JSON manifest (config with the architecture nested
+under ``model``, schema, code vocabulary, normalization stats, parameter
+name/shape/offset table, training log), then
 the model's flat parameter buffer as raw little-endian float64, whose arrays
 lie in layout order (``model.param_layout``), each in C order.  The table's
 offsets count bytes.  A load requires the table to equal the layout that
@@ -23,11 +24,11 @@ import numpy as np
 
 from . import model as model_mod
 from .data import NormStats
-from .errors import CheckpointError, CheckpointVersionError
+from .errors import CheckpointError, CheckpointVersionError, ConfigError
 from .train import Checkpoint, TrainConfig
 
 MAGIC = b"HGRC"
-VERSION = 1
+VERSION = 2  # 2: the architecture nested in the config as ``model``
 _HEADER = struct.Struct("<4sBQ")
 
 
@@ -62,7 +63,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> str:
 def _config_from_dict(raw: dict) -> TrainConfig:
     try:
         return TrainConfig(**raw)
-    except TypeError as exc:
+    except (TypeError, ConfigError) as exc:
         raise CheckpointError(f"checkpoint config does not match TrainConfig: {exc}")
 
 
@@ -116,18 +117,20 @@ def load_checkpoint(path) -> Checkpoint:
         schema = tuple(manifest["schema"])
         code_vocab = tuple(manifest["code_vocab"])
         stats_raw = manifest["norm_stats"]
+        norm_stats = NormStats(
+            schema=schema,
+            mean=np.asarray(stats_raw["mean"], dtype=np.float64),
+            std=None if stats_raw["std"] is None
+            else np.asarray(stats_raw["std"], dtype=np.float64),
+            warnings=tuple(stats_raw.get("warnings", ())),
+        )
         entries = manifest["params"]
         training_log = manifest["training_log"]
         best_epoch = int(manifest["best_epoch"])
     except KeyError as exc:
         raise CheckpointError(f"{path}: manifest missing field {exc}")
-
-    norm_stats = NormStats(
-        schema=schema,
-        mean=np.asarray(stats_raw["mean"], dtype=np.float64),
-        std=None if stats_raw["std"] is None else np.asarray(stats_raw["std"], dtype=np.float64),
-        warnings=tuple(stats_raw.get("warnings", ())),
-    )
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: malformed manifest: {exc}")
 
     cfg = config.model_config(len(schema), len(code_vocab))
     expected = _param_table(model_mod.param_layout(cfg))

@@ -220,7 +220,7 @@ def cmd_embed(args) -> int:
     out = args.out or cfg.paths.out
     if out is None:
         raise ConfigError("no output path given (use --out or paths.out)")
-    path = export_embeddings(ckpt, cohort, args.stage, out)
+    path = export_embeddings(ckpt, cohort, args.stage, out, args.eval_batch_size)
     _emit({"file": path, "stage": args.stage, "split": args.split,
            "n_patients": len(cohort)})
     return 0

@@ -1,8 +1,9 @@
 """Application config: one JSON document covering training, synthesis, paths.
 
 Every field is optional and defaults to the trained-model values, so a bare
-``train --data-dir ...`` runs the standard configuration.  Unknown keys are
-rejected by name rather than silently ignored.
+``train --data-dir ...`` runs the standard configuration.  The architecture
+sits under ``train.model``.  Unknown keys are rejected by name rather than
+silently ignored, and so are the model's input widths, which the data sets.
 """
 
 from __future__ import annotations
@@ -11,8 +12,13 @@ import json
 from dataclasses import asdict, dataclass, fields
 
 from .errors import ConfigError
+from .model import ModelConfig
 from .synthetic import SyntheticSpec
 from .train import TrainConfig
+
+# ModelConfig fields that train() takes from the data's schema and vocabulary
+DATA_WIDTHS = ("n_variables", "n_codes")
+
 
 @dataclass(frozen=True)
 class PathsConfig:
@@ -35,14 +41,23 @@ class AppConfig:
         return cls(train=TrainConfig(), synthetic=SyntheticSpec(), paths=PathsConfig())
 
 
-def _build_section(cls, raw: dict, section: str):
+def _build_section(cls, raw: dict, section: str, from_data=()):
     if not isinstance(raw, dict):
         raise ConfigError(f"config section {section!r} must be an object")
     known = {f.name for f in fields(cls)}
     for key in raw:
+        if key in from_data:
+            raise ConfigError(f"{section}.{key} is set from the data and cannot be configured")
         if key not in known:
             raise ConfigError(f"unknown key {section}.{key!r} in config")
     return cls(**raw)
+
+
+def _build_train(raw: dict) -> TrainConfig:
+    if isinstance(raw, dict) and "model" in raw:
+        model = _build_section(ModelConfig, raw["model"], "train.model", DATA_WIDTHS)
+        raw = {**raw, "model": model}
+    return _build_section(TrainConfig, raw, "train")
 
 
 def parse_app_config(document: dict) -> AppConfig:
@@ -53,7 +68,7 @@ def parse_app_config(document: dict) -> AppConfig:
         if key not in known_sections:
             raise ConfigError(f"unknown section {key!r} in config")
     return AppConfig(
-        train=_build_section(TrainConfig, document.get("train", {}), "train"),
+        train=_build_train(document.get("train", {})),
         synthetic=_build_section(SyntheticSpec, document.get("synthetic", {}), "synthetic"),
         paths=_build_section(PathsConfig, document.get("paths", {}), "paths"),
     )
@@ -71,5 +86,8 @@ def load_app_config(path) -> AppConfig:
 
 
 def dump_defaults() -> str:
-    """The full default configuration as pretty JSON."""
-    return json.dumps(asdict(AppConfig.defaults()), indent=2, sort_keys=True)
+    """The full default configuration as pretty JSON, minus the data widths."""
+    document = asdict(AppConfig.defaults())
+    for key in DATA_WIDTHS:
+        del document["train"]["model"][key]
+    return json.dumps(document, indent=2, sort_keys=True)

@@ -7,10 +7,8 @@ per-patient cross-entropies:
 
     total = (1/P) sum_p sum_i beta_pi * loss_pi
 
-A scalar-gating mode averages beta over patients before gating, recovering
-the reading where each member has one global weight.  Prediction is the
-beta-weighted convex combination of member probability rows by default, with
-an unweighted-mean option.
+Prediction is the beta-weighted convex combination of the member
+probability rows.
 
 Inverted dropout applies to the two hidden activations of each member in
 training; masks are passed in explicitly so the forward stays a pure
@@ -25,9 +23,6 @@ from .errors import ConfigError, ShapeError
 from .numeric import Array, Rng, activation, activation_grad, dropout_mask, glorot_init, softmax
 
 PROB_CLAMP = 1e-12
-
-LOSS_GATINGS = ("per_patient", "scalar")
-PREDICT_MODES = ("beta", "mean")
 
 
 def init_ensemble_params(members: list[dict[str, Array]], attn: dict[str, Array],
@@ -134,32 +129,17 @@ def member_loss(probs: Array, labels: Array) -> float:
     return float(per_patient_losses(probs, labels).mean())
 
 
-def total_loss(member_probs: list[Array], beta: Array, labels: Array,
-               gating: str = "per_patient") -> float:
-    """Attention-gated ensemble loss.
-
-    per_patient: (1/P) sum_p sum_i beta_pi * loss_pi.  scalar: average beta
-    over patients first, then gate the member means; identical when beta is
-    constant across patients.
-    """
-    if gating not in LOSS_GATINGS:
-        raise ConfigError(f"loss gating must be one of {LOSS_GATINGS}, got {gating!r}")
+def total_loss(member_probs: list[Array], beta: Array, labels: Array) -> float:
+    """Attention-gated ensemble loss (1/P) sum_p sum_i beta_pi * loss_pi."""
     losses = np.stack([per_patient_losses(p, labels) for p in member_probs], axis=1)
     if beta.shape != losses.shape:
         raise ShapeError(f"beta shape {beta.shape}, expected {losses.shape}")
-    if gating == "per_patient":
-        return float((beta * losses).sum(axis=1).mean())
-    beta_bar = beta.mean(axis=0)
-    return float((beta_bar * losses.mean(axis=0)).sum())
+    return float((beta * losses).sum(axis=1).mean())
 
 
-def ensemble_predict(member_probs: list[Array], beta: Array, mode: str = "beta") -> Array:
-    """Combine member probability rows into one (N, 2) prediction."""
-    if mode not in PREDICT_MODES:
-        raise ConfigError(f"predict mode must be one of {PREDICT_MODES}, got {mode!r}")
+def ensemble_predict(member_probs: list[Array], beta: Array) -> Array:
+    """Beta-weighted combination of member probability rows, shape (N, 2)."""
     stacked = np.stack(member_probs, axis=1)  # (N, L, 2)
-    if mode == "mean":
-        return stacked.mean(axis=1)
     if beta.shape != stacked.shape[:2]:
         raise ShapeError(f"beta shape {beta.shape}, expected {stacked.shape[:2]}")
     return (beta[:, :, None] * stacked).sum(axis=1)
@@ -202,7 +182,7 @@ def _loss_prob_grad(probs: Array, labels: Array, d_loss_per_patient: Array) -> A
 
 
 def head_backward(cache, labels: Array, members: list[dict[str, Array]],
-                  attn: dict[str, Array], grads, gating: str = "per_patient") -> Array:
+                  attn: dict[str, Array], grads) -> Array:
     """Gradients of total_loss; returns d_x.
 
     The parameter gradients are added into ``grads``, a (members, attn)
@@ -217,19 +197,11 @@ def head_backward(cache, labels: Array, members: list[dict[str, Array]],
     """
     x, member_caches, beta, kind = cache
     labels_f = _check_labels(labels)
-    n, n_members = beta.shape
+    n = beta.shape[0]
     member_probs = [c[5] for c in member_caches]
     losses = np.stack([per_patient_losses(p, labels) for p in member_probs], axis=1)
-
-    if gating == "per_patient":
-        d_losses = beta / n
-        d_beta = losses / n
-    elif gating == "scalar":
-        beta_bar = beta.mean(axis=0)
-        d_losses = np.broadcast_to(beta_bar / n, (n, n_members))
-        d_beta = np.broadcast_to(losses.mean(axis=0) / n, (n, n_members))
-    else:
-        raise ConfigError(f"loss gating must be one of {LOSS_GATINGS}, got {gating!r}")
+    d_losses = beta / n
+    d_beta = losses / n
 
     member_grads, attn_grads = grads
     d_x = np.zeros_like(x)

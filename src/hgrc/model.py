@@ -10,10 +10,11 @@ Forward pipeline per batch of N patients:
 
 Training mode uses the sigmoid-relaxed threshold and dropout masks;
 evaluation mode uses the strict hard threshold and no dropout.  The backward
-pass chains the hand-derived gradients of each stage.  Two ablation knobs
-exist for controlled comparisons: hconv_layers=0 removes the hypergraph
-stack, use_similarity=False forces an empty adjacency so aggregation sees
-self-loops only.
+pass chains the hand-derived gradients of each stage.  There is one code
+path: scaled dot-product similarity, per-patient attention gating of the
+loss, and beta-weighted prediction.  Two ablation knobs exist for controlled
+comparisons: hconv_layers=0 removes the hypergraph stack, use_similarity=False
+forces an empty adjacency so aggregation sees self-loops only.
 
 Parameters live in one contiguous float64 buffer (ModelParams.flat).  The
 layout, built from the ModelConfig by param_layout, lists every trainable
@@ -34,15 +35,16 @@ from . import encoder, head, hypergraph, simgraph
 from .errors import ConfigError, ShapeError
 from .numeric import Array, Rng, glorot_init
 
-SIMILARITY_MODES = ("scaled_dot", "cosine")
-
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Architecture widths and mode flags; defaults are the trained sizes."""
+    """The architecture, declared once; defaults are the trained sizes.
+
+    n_variables and n_codes are the input widths, which come from the data
+    (TrainConfig.model_config fills them in); the rest are settable.
+    """
 
     n_variables: int = 16
-    window_hours: int = 48
     n_codes: int = 20
     hidden_size: int = 59
     hconv_layers: int = 3
@@ -53,34 +55,26 @@ class ModelConfig:
     temperature: float = 50.0
     dropout: float = 0.2
     activation: str = "relu"
-    similarity_mode: str = "scaled_dot"
-    loss_gating: str = "per_patient"
-    predict_mode: str = "beta"
     use_similarity: bool = True
 
     def __post_init__(self):
-        for name in ("n_variables", "window_hours", "hidden_size", "phi_width", "n_members"):
+        # JSON config files and checkpoint manifests carry ffn_hidden as a list
+        if isinstance(self.ffn_hidden, list):
+            object.__setattr__(self, "ffn_hidden", tuple(self.ffn_hidden))
+        for name in ("n_variables", "hidden_size", "phi_width", "n_members"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.n_codes < 0:
             raise ConfigError(f"n_codes must be >= 0, got {self.n_codes}")
         if self.hconv_layers < 0:
             raise ConfigError(f"hconv_layers must be >= 0, got {self.hconv_layers}")
-        if len(self.ffn_hidden) != 2 or any(w < 1 for w in self.ffn_hidden):
+        if (not isinstance(self.ffn_hidden, tuple) or len(self.ffn_hidden) != 2
+                or any(not isinstance(w, int) or w < 1 for w in self.ffn_hidden)):
             raise ConfigError(f"ffn_hidden must be two positive widths, got {self.ffn_hidden}")
         if self.temperature <= 0.0:
             raise ConfigError(f"temperature must be positive, got {self.temperature}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.similarity_mode not in SIMILARITY_MODES:
-            raise ConfigError(f"similarity_mode must be one of {SIMILARITY_MODES}, "
-                              f"got {self.similarity_mode!r}")
-        if self.loss_gating not in head.LOSS_GATINGS:
-            raise ConfigError(f"loss_gating must be one of {head.LOSS_GATINGS}, "
-                              f"got {self.loss_gating!r}")
-        if self.predict_mode not in head.PREDICT_MODES:
-            raise ConfigError(f"predict_mode must be one of {head.PREDICT_MODES}, "
-                              f"got {self.predict_mode!r}")
         if self.activation not in ("relu", "sigmoid", "tanh"):
             raise ConfigError(f"activation must be relu, sigmoid, or tanh, "
                               f"got {self.activation!r}")
@@ -206,20 +200,16 @@ def _forward(params: ModelParams, batch: Batch, config: ModelConfig, mode: str, 
         z, hconv_cache = fused, None
 
     n = z.shape[0]
-    sim_cache = None
     a_prime = np.zeros((n, n))
     if config.use_similarity:
-        if config.similarity_mode == "cosine":
-            a, sim_cache = simgraph.cosine_similarity(z)
-        else:
-            a = simgraph.similarity(z)
+        a = simgraph.similarity(z)
         a_prime = simgraph.threshold(a, float(params.zeta), config.temperature, mode)
 
     x_star, gcn_cache = simgraph.gcn_aggregate(z, a_prime, params.phi, kind)
     member_probs, beta, head_cache = head.head_forward(x_star, params.members, params.attn,
                                                         kind, masks)
     stages = {"gru": h, "hconv": z, "aggregated": x_star}
-    cache = (gru_cache, hconv_cache, z, sim_cache, a_prime, gcn_cache, head_cache)
+    cache = (gru_cache, hconv_cache, z, a_prime, gcn_cache, head_cache)
     return member_probs, beta, stages, cache
 
 
@@ -228,28 +218,25 @@ def forward_train(params: ModelParams, batch: Batch, config: ModelConfig, masks=
     if config.dropout > 0.0 and masks is None:
         raise ConfigError("training forward with dropout > 0 requires masks")
     member_probs, beta, _, cache = _forward(params, batch, config, "train", masks)
-    loss = head.total_loss(member_probs, beta, batch.labels, config.loss_gating)
+    loss = head.total_loss(member_probs, beta, batch.labels)
     return loss, cache
 
 
 def backward(params: ModelParams, batch: Batch, config: ModelConfig, cache) -> ModelParams:
     """Gradient of forward_train's loss for every trainable array."""
-    gru_cache, hconv_cache, z, sim_cache, a_prime, gcn_cache, head_cache = cache
+    gru_cache, hconv_cache, z, a_prime, gcn_cache, head_cache = cache
     kind = config.activation
     grads = params.zeros_like()
 
     d_xstar = head.head_backward(head_cache, batch.labels, params.members, params.attn,
-                                 (grads.members, grads.attn), config.loss_gating)
+                                 (grads.members, grads.attn))
     d_z, d_a_tilde, d_phi = simgraph.gcn_aggregate_backward(d_xstar, gcn_cache, params.phi)
     grads.phi[...] = d_phi
 
     if config.use_similarity:
         d_a, d_zeta = simgraph.threshold_backward(d_a_tilde, a_prime, config.temperature)
         grads.zeta[...] = d_zeta
-        if config.similarity_mode == "cosine":
-            d_z = d_z + simgraph.cosine_similarity_backward(d_a, sim_cache)
-        else:
-            d_z = d_z + simgraph.similarity_backward(d_a, z)
+        d_z = d_z + simgraph.similarity_backward(d_a, z)
 
     if params.thetas:
         d_fused, d_thetas = hypergraph.hconv_stack_backward(d_z, hconv_cache, params.thetas, kind)
@@ -277,6 +264,6 @@ class EvalOutput:
 def forward_eval(params: ModelParams, batch: Batch, config: ModelConfig) -> EvalOutput:
     """Hard-threshold adjacency, no dropout; returns combined predictions."""
     member_probs, beta, stages, _ = _forward(params, batch, config, "eval", None)
-    probs = head.ensemble_predict(member_probs, beta, config.predict_mode)
+    probs = head.ensemble_predict(member_probs, beta)
     return EvalOutput(probs=probs, scores=probs[:, 1], member_probs=member_probs,
                       beta=beta, stages=stages)

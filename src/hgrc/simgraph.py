@@ -1,9 +1,8 @@
 """Patient similarity graph: pairwise scores, threshold, GCN aggregation.
 
 Similarity is the scaled dot product A = X X^T / w^2 with w the feature
-width (an optional true-cosine mode normalizes rows to unit length first).
-A learnable threshold zeta turns A into an adjacency: during training a
-sigmoid relaxation sigmoid(tau * (A - zeta)) keeps zeta differentiable
+width.  A learnable threshold zeta turns A into an adjacency: during training
+a sigmoid relaxation sigmoid(tau * (A - zeta)) keeps zeta differentiable
 (a hard step has zero gradient almost everywhere); at evaluation the strict
 indicator 1[A > zeta] is used.  Aggregation adds self-loops and applies the
 symmetric normalization
@@ -22,7 +21,6 @@ from .errors import ConfigError, ShapeError
 from .numeric import Array, activation, activation_grad, sigmoid
 
 DEFAULT_TEMPERATURE = 50.0
-_COSINE_EPS = 1e-12
 
 
 # ------------------------------------------------------------- similarity
@@ -41,25 +39,6 @@ def similarity_backward(d_a: Array, x: Array) -> Array:
     """d/dX of sum(d_a * A): (d_a + d_a^T) X / width^2."""
     width = x.shape[1]
     return ((d_a + d_a.T) @ x) / float(width * width)
-
-
-def cosine_similarity(x: Array):
-    """Unit-row cosine mode; zero rows stay zero.  Returns (A, cache)."""
-    x = np.asarray(x, dtype=np.float64)
-    norms = np.sqrt((x * x).sum(axis=1))
-    safe = np.where(norms > _COSINE_EPS, norms, 1.0)
-    unit = np.where((norms > _COSINE_EPS)[:, None], x / safe[:, None], 0.0)
-    return unit @ unit.T, (unit, norms)
-
-
-def cosine_similarity_backward(d_a: Array, cache) -> Array:
-    unit, norms = cache
-    d_unit = (d_a + d_a.T) @ unit
-    # project out the radial component: unit vectors have fixed length
-    radial = (d_unit * unit).sum(axis=1, keepdims=True)
-    safe = np.where(norms > _COSINE_EPS, norms, 1.0)
-    d_x = (d_unit - radial * unit) / safe[:, None]
-    return np.where((norms > _COSINE_EPS)[:, None], d_x, 0.0)
 
 
 # -------------------------------------------------------------- threshold

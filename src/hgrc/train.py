@@ -18,7 +18,7 @@ non-improving epochs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -34,7 +34,7 @@ EMBED_STAGES = ("gru", "hconv", "aggregated")
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Run hyperparameters; architecture defaults are the trained sizes."""
+    """Run hyperparameters plus the architecture, nested as ``model``."""
 
     window_hours: int = 48
     batch_size: int = 256
@@ -44,25 +44,17 @@ class TrainConfig:
     seed: int = 0
     split_ratios: tuple[float, float, float] = (0.7, 0.15, 0.15)
     decision_threshold: float = 0.5
-    hidden_size: int = 59
-    hconv_layers: int = 3
-    phi_width: int = 37
-    ffn_hidden: tuple[int, int] = (27, 17)
-    n_members: int = 4
-    zeta_init: float = 0.4
-    temperature: float = 50.0
-    dropout: float = 0.2
-    activation: str = "relu"
-    similarity_mode: str = "scaled_dot"
-    loss_gating: str = "per_patient"
-    predict_mode: str = "beta"
-    use_similarity: bool = True
+    model: ModelConfig = field(default_factory=ModelConfig)
 
     def __post_init__(self):
-        # JSON config files and checkpoint manifests carry these as lists
-        for name in ("split_ratios", "ffn_hidden"):
-            if isinstance(getattr(self, name), list):
-                object.__setattr__(self, name, tuple(getattr(self, name)))
+        # JSON config files and checkpoint manifests carry these as a list
+        # and an object
+        if isinstance(self.split_ratios, list):
+            object.__setattr__(self, "split_ratios", tuple(self.split_ratios))
+        if isinstance(self.model, dict):
+            object.__setattr__(self, "model", ModelConfig(**self.model))
+        if not isinstance(self.model, ModelConfig):
+            raise ConfigError(f"model must be a ModelConfig, got {type(self.model).__name__}")
         if self.window_hours not in VALID_WINDOWS:
             raise ConfigError(f"window_hours must be one of {VALID_WINDOWS}, got {self.window_hours}")
         if self.batch_size < 2:
@@ -78,24 +70,8 @@ class TrainConfig:
                 f"decision_threshold must be in (0, 1), got {self.decision_threshold}")
 
     def model_config(self, n_variables: int, n_codes: int) -> ModelConfig:
-        return ModelConfig(
-            n_variables=n_variables,
-            window_hours=self.window_hours,
-            n_codes=n_codes,
-            hidden_size=self.hidden_size,
-            hconv_layers=self.hconv_layers,
-            phi_width=self.phi_width,
-            ffn_hidden=self.ffn_hidden,
-            n_members=self.n_members,
-            zeta_init=self.zeta_init,
-            temperature=self.temperature,
-            dropout=self.dropout,
-            activation=self.activation,
-            similarity_mode=self.similarity_mode,
-            loss_gating=self.loss_gating,
-            predict_mode=self.predict_mode,
-            use_similarity=self.use_similarity,
-        )
+        """The architecture with the input widths taken from the data."""
+        return replace(self.model, n_variables=n_variables, n_codes=n_codes)
 
 
 @dataclass
@@ -246,7 +222,7 @@ def train(config: TrainConfig, train_cohort: Cohort, val_cohort: Cohort,
                 break
 
     return Checkpoint(
-        config=config,
+        config=replace(config, model=cfg),
         schema=train_cohort.schema,
         code_vocab=train_cohort.code_vocab,
         norm_stats=train_cohort.norm_stats,

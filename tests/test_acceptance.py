@@ -185,7 +185,7 @@ def test_criterion_6_ablation_direction(capsys, cohort7):
             _, rep, _ = run_experiment(cohort7, TrainConfig(**base))
             full_scores.append(rep.auroc)
             _, rep, _ = run_experiment(cohort7, TrainConfig(
-                **base, hconv_layers=0, use_similarity=False))
+                **base, model=ModelConfig(hconv_layers=0, use_similarity=False)))
             ablated_scores.append(rep.auroc)
         full_mean = float(np.mean(full_scores))
         ablated_mean = float(np.mean(ablated_scores))
@@ -199,9 +199,9 @@ def test_criterion_7_determinism_and_persistence(capsys, tmp_path):
         cohort = gen_synthetic(
             SyntheticSpec(n_patients=80, n_variables=4, n_codes=6,
                           positive_fraction=0.4), Rng(17))
-        config = TrainConfig(epochs=3, batch_size=16, seed=5, hidden_size=5,
-                             hconv_layers=2, phi_width=4, ffn_hidden=(5, 4),
-                             n_members=2)
+        config = TrainConfig(epochs=3, batch_size=16, seed=5,
+                             model=ModelConfig(hidden_size=5, hconv_layers=2, phi_width=4,
+                                               ffn_hidden=(5, 4), n_members=2))
         first, first_report, te = run_experiment(cohort, config)
         second, second_report, _ = run_experiment(cohort, config)
         assert json.dumps(first.training_log) == json.dumps(second.training_log)

@@ -9,7 +9,7 @@ import pytest
 from hgrc.checkpoint import MAGIC, VERSION, load_checkpoint, save_checkpoint
 from hgrc.data import NormStats
 from hgrc.errors import CheckpointError, CheckpointVersionError
-from hgrc.model import init_params
+from hgrc.model import ModelConfig, init_params
 from hgrc.numeric import Rng
 from hgrc.train import Checkpoint, TrainConfig
 
@@ -17,8 +17,8 @@ HEADER = struct.Struct("<4sBQ")
 
 
 def small_checkpoint():
-    config = TrainConfig(hidden_size=3, hconv_layers=2, phi_width=3,
-                         ffn_hidden=(4, 3), n_members=2, epochs=2)
+    config = TrainConfig(model=ModelConfig(hidden_size=3, hconv_layers=2, phi_width=3,
+                                           ffn_hidden=(4, 3), n_members=2), epochs=2)
     schema = ("heart_rate", "temperature")
     vocab = ("250.00", "428.0", "486", "599.0")
     params = init_params(config.model_config(len(schema), len(vocab)), Rng(5))
@@ -97,6 +97,15 @@ def test_unknown_version_rejected(tmp_path):
         d[4] = VERSION + 1
         return d
     with pytest.raises(CheckpointVersionError):
+        load_checkpoint(write_tampered(tmp_path, mutate))
+
+
+def test_version_1_checkpoint_rejected(tmp_path):
+    # version 1 stored the architecture flat in the config; there is no converter
+    def mutate(d):
+        d[4] = 1
+        return d
+    with pytest.raises(CheckpointVersionError, match="version 1, expected 2"):
         load_checkpoint(write_tampered(tmp_path, mutate))
 
 
@@ -210,12 +219,43 @@ def test_malformed_parameter_table_rejected(tmp_path, edit):
         load_checkpoint(write_tampered(tmp_path, mutate))
 
 
+@pytest.mark.parametrize("edit", [
+    lambda m: m["norm_stats"].pop("std"),
+    lambda m: m["norm_stats"].pop("mean"),
+    lambda m: m.update(norm_stats=[80.0, 37.0]),
+    lambda m: m["norm_stats"].update(mean=["eighty", "thirty-seven"]),
+], ids=["missing_std", "missing_mean", "not_an_object", "non_numeric_mean"])
+def test_malformed_norm_stats_rejected(tmp_path, edit):
+    def mutate(d):
+        def apply(m):
+            edit(m)
+            return m
+        return edit_manifest(d, apply)
+    with pytest.raises(CheckpointError):
+        load_checkpoint(write_tampered(tmp_path, mutate))
+
+
 def test_unknown_config_key_rejected(tmp_path):
     def mutate(d):
         def edit(m):
             m["config"]["mystery_knob"] = 3
             return m
         return edit_manifest(d, edit)
+    with pytest.raises(CheckpointError, match="TrainConfig"):
+        load_checkpoint(write_tampered(tmp_path, mutate))
+
+
+@pytest.mark.parametrize("edit", [
+    lambda m: m["config"]["model"].update(mystery_knob=3),
+    lambda m: m["config"]["model"].update(hidden_size=0),
+    lambda m: m["config"].update(hidden_size=3),
+], ids=["unknown_model_key", "invalid_model_value", "flat_architecture_key"])
+def test_bad_model_config_rejected(tmp_path, edit):
+    def mutate(d):
+        def apply(m):
+            edit(m)
+            return m
+        return edit_manifest(d, apply)
     with pytest.raises(CheckpointError, match="TrainConfig"):
         load_checkpoint(write_tampered(tmp_path, mutate))
 

@@ -7,7 +7,9 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 from hgrc.cli import main
+from hgrc.config import AppConfig, dump_defaults, parse_app_config
 from hgrc.data import load_cohort
+from hgrc.errors import ConfigError
 
 
 def run_cli(argv):
@@ -158,6 +160,24 @@ def test_embed_exports_csv(workspace, tmp_path):
     assert lines[0].endswith(",e36")  # default aggregation width 37
 
 
+def test_embed_passes_the_eval_batch_size_through(workspace, tmp_path):
+    from hgrc.checkpoint import load_checkpoint
+    from hgrc.cli import _checkpoint_split
+    from hgrc.train import export_embeddings
+    out_path = tmp_path / "hconv.csv"
+    run_json(["embed", "--checkpoint", str(workspace["ckpt"]),
+              "--data-dir", str(workspace["data_dir"]), "--stage", "hconv",
+              "--eval-batch-size", "2", "--out", str(out_path)])
+    ckpt = load_checkpoint(workspace["ckpt"])
+    args = type("Args", (), {"split": "test"})()
+    cohort = _checkpoint_split(args, ckpt, workspace["data_dir"])
+    export_embeddings(ckpt, cohort, "hconv", tmp_path / "batched.csv", eval_batch_size=2)
+    export_embeddings(ckpt, cohort, "hconv", tmp_path / "whole.csv")
+    assert out_path.read_text() == (tmp_path / "batched.csv").read_text()
+    # the hypergraph spans one evaluation batch, so the flag must matter here
+    assert out_path.read_text() != (tmp_path / "whole.csv").read_text()
+
+
 def test_embed_requires_out_path(workspace):
     code, out, err = run_cli(["embed", "--checkpoint", str(workspace["ckpt"]),
                               "--data-dir", str(workspace["data_dir"]),
@@ -170,6 +190,12 @@ def test_config_dump_defaults():
     dumped, _ = run_json(["config", "--dump-defaults"])
     assert set(dumped) == {"train", "synthetic", "paths"}
     assert dumped["train"]["epochs"] == 50
+    assert dumped["train"]["model"]["hidden_size"] == 59
+    assert dumped["train"]["model"]["ffn_hidden"] == [27, 17]
+    assert set(dumped["train"]) == {"window_hours", "batch_size", "learning_rate", "epochs",
+                                    "patience", "seed", "split_ratios",
+                                    "decision_threshold", "model"}
+    assert len(dumped["train"]["model"]) == 10  # n_variables, n_codes come from the data
     assert dumped["synthetic"]["n_patients"] == 2000
     code, _, _ = run_cli(["config"])
     assert code == 2
@@ -189,6 +215,26 @@ def test_config_file_supplies_defaults(workspace, tmp_path):
     assert report["n_patients"] == 6
 
 
+def test_config_dump_parses_back_to_defaults():
+    assert parse_app_config(json.loads(dump_defaults())) == AppConfig.defaults()
+
+
+def test_config_architecture_is_nested_and_validated_at_parse_time():
+    parsed = parse_app_config({"train": {"epochs": 3, "model": {"hidden_size": 30,
+                                                                 "ffn_hidden": [8, 4]}}})
+    assert parsed.train.epochs == 3
+    assert parsed.train.model.hidden_size == 30
+    assert parsed.train.model.ffn_hidden == (8, 4)
+    with pytest.raises(ConfigError, match="hidden_size"):
+        parse_app_config({"train": {"model": {"hidden_size": 0}}})
+    with pytest.raises(ConfigError, match="ffn_hidden"):
+        parse_app_config({"train": {"model": {"ffn_hidden": 5}}})
+    with pytest.raises(ConfigError, match="train.model.n_variables"):
+        parse_app_config({"train": {"model": {"n_variables": 4}}})
+    with pytest.raises(ConfigError, match="train.model"):
+        parse_app_config({"train": {"model": 59}})
+
+
 def test_config_file_errors_exit_2(tmp_path):
     missing = tmp_path / "nope.json"
     assert run_cli(["gen-synthetic", "--out-dir", str(tmp_path),
@@ -197,6 +243,20 @@ def test_config_file_errors_exit_2(tmp_path):
     bad.write_text(json.dumps({"train": {"mystery": 1}}))
     assert run_cli(["gen-synthetic", "--out-dir", str(tmp_path),
                     "--config", str(bad)])[0] == 2
+
+
+@pytest.mark.parametrize("document", [
+    {"train": {"model": {"mystery": 1}}},
+    {"train": {"hidden_size": 30}},
+    {"train": {"model": {"n_codes": 5}}},
+], ids=["unknown_model_key", "flat_architecture_key", "data_width"])
+def test_config_architecture_errors_exit_2(tmp_path, document):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(document))
+    code, out, err = run_cli(["train", "--config", str(bad)])
+    assert code == 2
+    assert out == ""
+    assert "config error" in err
 
 
 def test_missing_inputs_exit_2(workspace, tmp_path):
@@ -218,6 +278,24 @@ def test_corrupt_inputs_exit_1(workspace, tmp_path):
     (bad_dir / "patients.csv").write_text("patient_id,label\n")
     (bad_dir / "vitals.csv").write_text("wrong,header\n")
     assert run_cli(["train", "--data-dir", str(bad_dir)])[0] == 1
+
+
+@pytest.mark.parametrize("edit", [
+    lambda m: m["norm_stats"].pop("std"),
+    lambda m: m.update(norm_stats="not an object"),
+], ids=["missing_std", "stats_not_an_object"])
+def test_malformed_checkpoint_norm_stats_exit_1(workspace, tmp_path, edit):
+    from test_checkpoint import edit_manifest
+
+    def apply(m):
+        edit(m)
+        return m
+    bad = tmp_path / "bad.hgrc"
+    bad.write_bytes(bytes(edit_manifest(bytearray(workspace["ckpt"].read_bytes()), apply)))
+    code, out, err = run_cli(eval_args({"ckpt": bad, "data_dir": workspace["data_dir"]}))
+    assert code == 1
+    assert out == ""
+    assert "malformed manifest" in err or "missing field" in err
 
 
 def test_usage_errors_raise_system_exit():

@@ -68,9 +68,8 @@ def test_initial_total_loss_is_ln_two():
     x = Rng(3).normal(size=(6, 4))
     member_probs, beta, _ = head_forward(x, *ens)
     labels = np.array([0, 1, 1, 0, 1, 0])
-    for gating in ("per_patient", "scalar"):
-        loss = total_loss(member_probs, beta, labels, gating)
-        assert abs(loss - math.log(2.0)) < 1e-12
+    loss = total_loss(member_probs, beta, labels)
+    assert abs(loss - math.log(2.0)) < 1e-12
 
 
 def test_init_validation_and_shapes():
@@ -119,24 +118,21 @@ def test_label_validation():
         per_patient_losses(probs, np.zeros((2, 1)))
 
 
-def test_total_loss_gating_modes_agree_for_constant_beta():
+def test_total_loss_gates_each_patient_by_its_own_beta():
     member_probs = [np.array([[0.3, 0.7], [0.6, 0.4]]),
                     np.array([[0.5, 0.5], [0.2, 0.8]])]
     labels = np.array([1, 0])
-    beta = np.full((2, 2), 0.5)
-    a = total_loss(member_probs, beta, labels, "per_patient")
-    b = total_loss(member_probs, beta, labels, "scalar")
-    assert np.isclose(a, b, rtol=0, atol=1e-15)
-    losses = np.stack([per_patient_losses(p, labels) for p in member_probs], axis=1)
-    assert np.isclose(a, (0.5 * losses).sum(axis=1).mean())
+    beta = np.array([[0.9, 0.1], [0.25, 0.75]])
+    loss = total_loss(member_probs, beta, labels)
+    expected = (0.9 * -math.log(0.7) + 0.1 * -math.log(0.5)
+                + 0.25 * -math.log(0.6) + 0.75 * -math.log(0.2)) / 2.0
+    assert np.isclose(loss, expected, rtol=0, atol=1e-15)
 
 
 def test_total_loss_validation():
     probs = [np.full((2, 2), 0.5)]
-    with pytest.raises(ConfigError):
-        total_loss(probs, np.ones((2, 1)), np.array([0, 1]), "mean-of-means")
     with pytest.raises(ShapeError):
-        total_loss(probs, np.ones((2, 2)), np.array([0, 1]), "per_patient")
+        total_loss(probs, np.ones((2, 2)), np.array([0, 1]))
 
 
 # -------------------------------------------------------------- prediction
@@ -145,24 +141,15 @@ def test_total_loss_validation():
 def test_ensemble_predict_beta_is_convex_combination():
     member_probs = [np.array([[0.9, 0.1]]), np.array([[0.1, 0.9]])]
     beta = np.array([[0.25, 0.75]])
-    out = ensemble_predict(member_probs, beta, "beta")
+    out = ensemble_predict(member_probs, beta)
     assert np.allclose(out, [[0.25 * 0.9 + 0.75 * 0.1, 0.25 * 0.1 + 0.75 * 0.9]])
     assert np.allclose(out.sum(axis=1), 1.0)
 
 
-def test_ensemble_predict_mean_ignores_beta():
-    member_probs = [np.array([[0.9, 0.1]]), np.array([[0.1, 0.9]])]
-    beta = np.array([[1.0, 0.0]])
-    out = ensemble_predict(member_probs, beta, "mean")
-    assert np.allclose(out, [[0.5, 0.5]])
-
-
 def test_ensemble_predict_validation():
     probs = [np.full((2, 2), 0.5)]
-    with pytest.raises(ConfigError):
-        ensemble_predict(probs, np.ones((2, 1)), "vote")
     with pytest.raises(ShapeError):
-        ensemble_predict(probs, np.ones((3, 1)), "beta")
+        ensemble_predict(probs, np.ones((3, 1)))
 
 
 def test_attention_weights_are_row_distributions():
@@ -202,8 +189,7 @@ def test_dropout_masks_change_the_forward():
 # ---------------------------------------------------------------- backward
 
 
-@pytest.mark.parametrize("gating", ["per_patient", "scalar"])
-def test_head_backward_matches_finite_differences(gating):
+def test_head_backward_matches_finite_differences():
     ens = nudged_ensemble(60)
     x = Rng(61).normal(size=(5, 3))
     labels = np.array([0, 1, 1, 0, 1])
@@ -211,11 +197,11 @@ def test_head_backward_matches_finite_differences(gating):
     def loss(_arrays):
         # the checker perturbs the ensemble's arrays in place
         member_probs, beta, _ = head_forward(x, *ens, kind="tanh")
-        return float(total_loss(member_probs, beta, labels, gating))
+        return float(total_loss(member_probs, beta, labels))
 
     _, _, cache = head_forward(x, *ens, kind="tanh")
     grads = zeros_like(ens)
-    head_backward(cache, labels, *ens, grads, gating)
+    head_backward(cache, labels, *ens, grads)
     err = finite_diff_check(loss, ensemble_arrays(ens), ensemble_arrays(grads))
     assert err < 1e-6
 
@@ -227,10 +213,10 @@ def test_head_backward_input_gradient_matches_finite_differences():
 
     def loss(arrays):
         member_probs, beta, _ = head_forward(arrays["x"], *ens, kind="tanh")
-        return float(total_loss(member_probs, beta, labels, "per_patient"))
+        return float(total_loss(member_probs, beta, labels))
 
     _, _, cache = head_forward(x, *ens, kind="tanh")
-    d_x = head_backward(cache, labels, *ens, zeros_like(ens), "per_patient")
+    d_x = head_backward(cache, labels, *ens, zeros_like(ens))
     assert finite_diff_check(loss, {"x": x}, {"x": d_x}) < 1e-6
 
 
@@ -242,10 +228,10 @@ def test_head_backward_respects_dropout_masks():
 
     def loss(_arrays):
         member_probs, beta, _ = head_forward(x, *ens, kind="tanh", masks=masks)
-        return float(total_loss(member_probs, beta, labels, "per_patient"))
+        return float(total_loss(member_probs, beta, labels))
 
     _, _, cache = head_forward(x, *ens, kind="tanh", masks=masks)
     grads = zeros_like(ens)
-    head_backward(cache, labels, *ens, grads, "per_patient")
+    head_backward(cache, labels, *ens, grads)
     err = finite_diff_check(loss, ensemble_arrays(ens), ensemble_arrays(grads))
     assert err < 1e-6

@@ -12,8 +12,9 @@ from hgrc.errors import ConfigError
 from hgrc.model import (Batch, ModelConfig, backward, forward_eval, forward_train,
                         init_params, make_dropout_masks)
 from hgrc.numeric import Rng, finite_diff_check
+from hgrc.simgraph import similarity, threshold
 
-TINY = dict(n_variables=2, window_hours=48, n_codes=4, hidden_size=3,
+TINY = dict(n_variables=2, n_codes=4, hidden_size=3,
             hconv_layers=2, phi_width=3, ffn_hidden=(4, 3), n_members=2,
             dropout=0.0)
 
@@ -50,14 +51,27 @@ def test_full_pipeline_gradients_relu():
 # (zeta's gradient is -3.6e-8 without the hypergraph stack) make these the
 # readings most exposed to rounding in the loss, so every variant shares the
 # pipeline-wide 1e-4 bound rather than a tighter per-variant one
-def test_full_pipeline_gradients_tanh_cosine_scalar_gating():
-    cfg, params, batch = tiny_fixture(activation="tanh", similarity_mode="cosine",
-                                      loss_gating="scalar")
+def test_full_pipeline_gradients_tanh():
+    cfg, params, batch = tiny_fixture(activation="tanh")
     assert run_check(cfg, params, batch) < 1e-4
 
 
 def test_full_pipeline_gradients_sigmoid():
     cfg, params, batch = tiny_fixture(activation="sigmoid")
+    assert run_check(cfg, params, batch) < 1e-4
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh", "sigmoid"])
+def test_full_pipeline_gradients_with_zeta_inside_the_similarities(activation):
+    # at the fixture's zeta the soft adjacency is about 1e-9 everywhere, so
+    # the threshold passes almost no gradient; at the median off-diagonal
+    # similarity half the pairs sit on the steep part of the sigmoid
+    cfg, params, batch = tiny_fixture(activation=activation)
+    a = similarity(forward_eval(params, batch, cfg).stages["hconv"])
+    off_diagonal = ~np.eye(len(batch), dtype=bool)
+    params.zeta[...] = np.median(a[off_diagonal])
+    soft = threshold(a, float(params.zeta), cfg.temperature)[off_diagonal]
+    assert soft.min() < 0.5 < soft.max()
     assert run_check(cfg, params, batch) < 1e-4
 
 
@@ -92,17 +106,14 @@ def analytic_series_grad(params, batch, cfg):
     """Analytic d(series) via the encoder backward, wired like the model."""
     from hgrc import encoder, head, hypergraph, simgraph
     _, cache = forward_train(params, batch, cfg)
-    gru_cache, hconv_cache, z, sim_cache, a_prime, gcn_cache, head_cache = cache
+    gru_cache, hconv_cache, z, a_prime, gcn_cache, head_cache = cache
     grads = params.zeros_like()
     d_xstar = head.head_backward(head_cache, batch.labels, params.members, params.attn,
-                                 (grads.members, grads.attn), cfg.loss_gating)
+                                 (grads.members, grads.attn))
     d_z, d_a_tilde, _ = simgraph.gcn_aggregate_backward(d_xstar, gcn_cache, params.phi)
     if cfg.use_similarity:
         d_a, _ = simgraph.threshold_backward(d_a_tilde, a_prime, cfg.temperature)
-        if cfg.similarity_mode == "cosine":
-            d_z = d_z + simgraph.cosine_similarity_backward(d_a, sim_cache)
-        else:
-            d_z = d_z + simgraph.similarity_backward(d_a, z)
+        d_z = d_z + simgraph.similarity_backward(d_a, z)
     if params.thetas:
         d_fused, _ = hypergraph.hconv_stack_backward(d_z, hconv_cache, params.thetas,
                                                      cfg.activation)
@@ -184,9 +195,9 @@ def test_model_config_validation():
     with pytest.raises(ConfigError):
         ModelConfig(dropout=1.0)
     with pytest.raises(ConfigError):
-        ModelConfig(similarity_mode="euclidean")
-    with pytest.raises(ConfigError):
         ModelConfig(ffn_hidden=(4,))
+    with pytest.raises(ConfigError, match="ffn_hidden"):
+        ModelConfig(ffn_hidden=5)
     with pytest.raises(ConfigError):
         ModelConfig(activation="gelu")
     with pytest.raises(ConfigError):

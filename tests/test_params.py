@@ -10,7 +10,7 @@ from hgrc.model import (Batch, ModelConfig, ModelParams, backward, forward_train
                         init_params, param_layout)
 from hgrc.numeric import AdamState, Rng, adam_step
 
-TINY = dict(n_variables=2, window_hours=48, n_codes=4, hidden_size=3,
+TINY = dict(n_variables=2, n_codes=4, hidden_size=3,
             hconv_layers=2, phi_width=3, ffn_hidden=(4, 3), n_members=2,
             dropout=0.0)
 

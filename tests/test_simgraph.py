@@ -5,9 +5,8 @@ import pytest
 
 from hgrc.errors import ConfigError, ShapeError
 from hgrc.numeric import Rng, finite_diff_check, sigmoid
-from hgrc.simgraph import (cosine_similarity, cosine_similarity_backward, gcn_aggregate,
-                           gcn_aggregate_backward, similarity, similarity_backward,
-                           threshold, threshold_backward)
+from hgrc.simgraph import (gcn_aggregate, gcn_aggregate_backward, similarity,
+                           similarity_backward, threshold, threshold_backward)
 
 # ------------------------------------------------------------- similarity
 
@@ -37,43 +36,6 @@ def test_similarity_backward_matches_finite_differences():
 
     d_x = similarity_backward(proj, x)
     assert finite_diff_check(loss, {"x": x}, {"x": d_x}) < 1e-7
-
-
-def test_cosine_unit_diagonal_and_zero_rows():
-    x = np.array([[3.0, 4.0], [0.0, 0.0], [-1.0, 1.0]])
-    a, _ = cosine_similarity(x)
-    assert np.isclose(a[0, 0], 1.0)
-    assert np.isclose(a[2, 2], 1.0)
-    assert np.array_equal(a[1], np.zeros(3))
-    assert np.array_equal(a[:, 1], np.zeros(3))
-    assert np.all(np.abs(a) <= 1.0 + 1e-12)
-
-
-def test_cosine_matches_scaled_dot_on_unit_rows():
-    z = Rng(4).normal(size=(5, 3))
-    unit = z / np.linalg.norm(z, axis=1, keepdims=True)
-    a, _ = cosine_similarity(unit)
-    assert np.allclose(a, unit @ unit.T, rtol=0, atol=1e-12)
-
-
-def test_cosine_backward_matches_finite_differences():
-    x = Rng(5).normal(size=(4, 3))
-    proj = Rng(6).normal(size=(4, 4))
-
-    def loss(arrays):
-        a, _ = cosine_similarity(arrays["x"])
-        return float((a * proj).sum())
-
-    _, cache = cosine_similarity(x)
-    d_x = cosine_similarity_backward(proj, cache)
-    assert finite_diff_check(loss, {"x": x}, {"x": d_x}) < 1e-6
-
-
-def test_cosine_backward_zero_rows_get_zero_gradient():
-    x = np.array([[1.0, 2.0], [0.0, 0.0]])
-    _, cache = cosine_similarity(x)
-    d_x = cosine_similarity_backward(np.ones((2, 2)), cache)
-    assert np.array_equal(d_x[1], np.zeros(2))
 
 
 # -------------------------------------------------------------- threshold

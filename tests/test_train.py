@@ -8,6 +8,7 @@ import pytest
 
 from hgrc.data import impute_mean, split, standardize
 from hgrc.errors import ConfigError, TrainingError, UndefinedMetricError
+from hgrc.model import ModelConfig
 from hgrc.numeric import Rng
 from hgrc.synthetic import SyntheticSpec, gen_synthetic
 from hgrc.train import (TrainConfig, _batch_slices, derive_rng_streams,
@@ -17,9 +18,9 @@ SMALL_SPEC = SyntheticSpec(n_patients=40, n_variables=3, window_hours=24,
                            n_codes=5, missing_rate=0.2)
 
 SMALL_CONFIG = dict(window_hours=24, batch_size=8, learning_rate=0.01,
-                    epochs=3, patience=5, seed=0, hidden_size=4,
-                    hconv_layers=1, phi_width=3, ffn_hidden=(4, 3),
-                    n_members=2, dropout=0.2)
+                    epochs=3, patience=5, seed=0,
+                    model=ModelConfig(hidden_size=4, hconv_layers=1, phi_width=3,
+                                      ffn_hidden=(4, 3), n_members=2, dropout=0.2))
 
 
 def prepared_splits(spec=SMALL_SPEC, gen_seed=3, split_seed=1):
@@ -173,15 +174,28 @@ def test_train_config_validation():
         TrainConfig(patience=0)
     with pytest.raises(ConfigError, match="decision_threshold"):
         TrainConfig(decision_threshold=1.0)
+    with pytest.raises(ConfigError, match="hidden_size"):
+        TrainConfig(model={"hidden_size": 0})
+    with pytest.raises(ConfigError, match="model"):
+        TrainConfig(model=[59])
 
 
 def test_train_config_coerces_lists_to_tuples():
     # JSON config files and checkpoint manifests carry these fields as lists
-    from_lists = TrainConfig(ffn_hidden=[4, 3], split_ratios=[0.6, 0.2, 0.2])
-    from_tuples = TrainConfig(ffn_hidden=(4, 3), split_ratios=(0.6, 0.2, 0.2))
+    # and the architecture as an object
+    from_lists = TrainConfig(model={"ffn_hidden": [4, 3]}, split_ratios=[0.6, 0.2, 0.2])
+    from_tuples = TrainConfig(model=ModelConfig(ffn_hidden=(4, 3)),
+                              split_ratios=(0.6, 0.2, 0.2))
     assert from_lists == from_tuples
     assert hash(from_lists) == hash(from_tuples)
     assert from_lists.model_config(2, 3).ffn_hidden == (4, 3)
+
+
+def test_checkpoint_config_records_the_trained_widths(trained, splits):
+    tr, _, _ = splits
+    assert trained.config.model == trained.model_config()
+    assert trained.config.model.n_variables == len(tr.schema)
+    assert trained.config.model.n_codes == len(tr.code_vocab)
 
 
 # ------------------------------------------------------------ evaluation
