@@ -15,11 +15,10 @@ from .data import (DEFAULT_SCHEMA, Cohort, NormStats, PatientRecord, filter_by_c
 from .errors import (CheckpointError, CheckpointVersionError, ConfigError,
                      GradientCheckError, ParseError, ShapeError, TrainingError,
                      UndefinedMetricError)
-from .metrics import (MetricsReport, auprc, auroc, compute_report, confusion_metrics,
-                      min_se_pplus)
+from .metrics import MetricsReport, auprc, auroc, compute_report, confusion_metrics
 from .model import Batch, ModelConfig, ModelParams, forward_eval, forward_train, init_params
 from .numeric import AdamState, Rng, adam_step, finite_diff_check
-from .synthetic import SyntheticSpec, gen_synthetic, null_spec, write_cohort_files
+from .synthetic import SyntheticSpec, gen_synthetic, write_cohort_files
 from .train import (Checkpoint, TrainConfig, derive_rng_streams, evaluate,
                     export_embeddings, predict_scores, train)
 
@@ -34,6 +33,6 @@ __all__ = [
     "confusion_metrics", "derive_rng_streams", "evaluate", "export_embeddings",
     "filter_by_code", "finite_diff_check", "forward_eval", "forward_train",
     "gen_synthetic", "impute_mean", "init_params", "load_checkpoint", "load_cohort",
-    "min_se_pplus", "null_spec", "predict_scores", "save_checkpoint", "split",
-    "standardize", "train", "write_cohort_files",
+    "predict_scores", "save_checkpoint", "split", "standardize", "train",
+    "write_cohort_files",
 ]

@@ -113,6 +113,8 @@ def cmd_gen_synthetic(args) -> int:
     if out_dir is None:
         raise ConfigError("no output directory given (use --out-dir or paths.out_dir)")
     seed = args.seed if args.seed is not None else cfg.train.seed
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     cohort = synth_mod.gen_synthetic(spec, Rng(seed))
     paths = synth_mod.write_cohort_files(cohort, out_dir, spec, seed)
     _log(f"wrote {len(cohort)} patients to {out_dir}")

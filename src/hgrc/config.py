@@ -4,11 +4,14 @@ Every field is optional and defaults to the trained-model values, so a bare
 ``train --data-dir ...`` runs the standard configuration.  The architecture
 sits under ``train.model``.  Unknown keys are rejected by name rather than
 silently ignored, and so are the model's input widths, which the data sets.
+Every value must have its field's JSON type: booleans are true/false, integers
+are whole numbers, floats take either, and tuples are arrays of those.
 """
 
 from __future__ import annotations
 
 import json
+import typing
 from dataclasses import asdict, dataclass, fields
 
 from .errors import ConfigError
@@ -41,15 +44,35 @@ class AppConfig:
         return cls(train=TrainConfig(), synthetic=SyntheticSpec(), paths=PathsConfig())
 
 
+def _matches(value, hint) -> bool:
+    """Whether a parsed JSON value fits a field's type hint."""
+    if hint is float:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if hint is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    if isinstance(hint, type):
+        return isinstance(value, hint)
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        return (isinstance(value, (list, tuple)) and len(value) == len(args)
+                and all(map(_matches, value, args)))
+    return any(_matches(value, arg) for arg in args)  # a union such as str | None
+
+
 def _build_section(cls, raw: dict, section: str, from_data=()):
     if not isinstance(raw, dict):
         raise ConfigError(f"config section {section!r} must be an object")
+    hints = typing.get_type_hints(cls)
     known = {f.name for f in fields(cls)}
-    for key in raw:
+    for key, value in raw.items():
         if key in from_data:
             raise ConfigError(f"{section}.{key} is set from the data and cannot be configured")
         if key not in known:
             raise ConfigError(f"unknown key {section}.{key!r} in config")
+        hint = hints[key]
+        if not _matches(value, hint):
+            expected = hint.__name__ if isinstance(hint, type) else str(hint)
+            raise ConfigError(f"{section}.{key} must be {expected}, got {value!r}")
     return cls(**raw)
 
 

@@ -41,19 +41,6 @@ def _step(x_t: Array, h_prev: Array, p: dict[str, Array]):
     return h, (x_t, h_prev, z, r, c)
 
 
-def gru_cell(x_t: Array, h_prev: Array, p: dict[str, Array]) -> Array:
-    """Single-step update for one patient: x_t (M,), h_prev (d,) -> (d,)."""
-    x_t = np.asarray(x_t, dtype=np.float64)
-    h_prev = np.asarray(h_prev, dtype=np.float64)
-    d, m = p["w_z"].shape
-    if x_t.shape != (m,):
-        raise ShapeError(f"gru_cell: x_t shape {x_t.shape}, expected ({m},)")
-    if h_prev.shape != (d,):
-        raise ShapeError(f"gru_cell: h_prev shape {h_prev.shape}, expected ({d},)")
-    h, _ = _step(x_t[None, :], h_prev[None, :], p)
-    return h[0]
-
-
 def encode_batch(series_batch: Array, p: dict[str, Array]):
     """Run the GRU over (N, M, T) series; returns final states (N, d) + cache.
 
@@ -79,21 +66,13 @@ def encode_batch(series_batch: Array, p: dict[str, Array]):
     return h, cache
 
 
-def encode_sequence(series: Array, p: dict[str, Array]) -> Array:
-    """Final hidden state for one patient's (M, T) series."""
-    h, _ = encode_batch(np.asarray(series, dtype=np.float64)[None, :, :], p)
-    return h[0]
-
-
-def encode_batch_backward(d_h: Array, cache, p: dict[str, Array],
-                          grads: dict[str, Array] | None = None):
+def encode_batch_backward(d_h: Array, cache, p: dict[str, Array], grads: dict[str, Array]):
     """Backpropagation through time from the final-state gradient.
 
-    d_h is dLoss/dh_T with shape (N, d).  Returns (gradients keyed like p,
-    dLoss/dseries with shape (N, M, T)).  The weight gradients are added
-    into ``grads`` when given (zeroed arrays, e.g. views of a gradient
-    buffer), else into new zero arrays.  Derivation per step, with a_* the
-    pre-activations of the gates:
+    d_h is dLoss/dh_T with shape (N, d).  Returns (grads, dLoss/dseries
+    with shape (N, M, T)).  The weight gradients are added into ``grads``,
+    zeroed arrays keyed like p (views of the model's gradient buffer).
+    Derivation per step, with a_* the pre-activations of the gates:
 
         dz      = dh * (c - h_prev)          dc = dh * z
         dh_prev = dh * (1 - z)
@@ -103,8 +82,6 @@ def encode_batch_backward(d_h: Array, cache, p: dict[str, Array],
         dh_prev += da_r @ u_r + da_z @ u_z
         dx_t    = da_z @ w_z + da_r @ w_r + da_h @ w_h
     """
-    if grads is None:
-        grads = {name: np.zeros_like(arr) for name, arr in p.items()}
     n = d_h.shape[0]
     t = len(cache)
     d_series = np.zeros((n, p["w_z"].shape[1], t))
@@ -139,14 +116,8 @@ def encode_batch_backward(d_h: Array, cache, p: dict[str, Array],
     return grads, d_series
 
 
-def fuse(h: Array, icd: Array) -> Array:
-    """Concatenate hidden state and code vector, hidden part first."""
-    return np.concatenate([np.asarray(h, dtype=np.float64),
-                           np.asarray(icd, dtype=np.float64)])
-
-
 def fuse_batch(h: Array, icd: Array) -> Array:
-    """Row-wise fuse: (N, d) and (N, g) -> (N, d+g)."""
+    """Concatenate states and code rows, hidden part first: (N, d+g)."""
     if h.shape[0] != icd.shape[0]:
         raise ShapeError(f"fuse_batch: {h.shape[0]} states vs {icd.shape[0]} code rows")
     return np.concatenate([h, icd], axis=1)

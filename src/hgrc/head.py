@@ -75,16 +75,6 @@ def _member_forward(x: Array, m: dict[str, Array], kind: str, mask_pair):
     return probs, (x, pre1, h1d, pre2, h2d, probs, mask_pair)
 
 
-def ffn_forward(x: Array, member: dict[str, Array], kind: str = "relu",
-                mask_pair=None) -> Array:
-    """Probability pairs (N, 2); rows sum to 1."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != member["w1"].shape[0]:
-        raise ShapeError(f"ffn input {x.shape}, expected (N, {member['w1'].shape[0]})")
-    probs, _ = _member_forward(x, member, kind, mask_pair)
-    return probs
-
-
 def attention_weights(x: Array, attn: dict[str, Array]) -> Array:
     """Per-patient softmax over member logits, shape (N, L)."""
     x = np.asarray(x, dtype=np.float64)
@@ -92,8 +82,11 @@ def attention_weights(x: Array, attn: dict[str, Array]) -> Array:
 
 
 def head_forward(x: Array, members: list[dict[str, Array]], attn: dict[str, Array],
-                 kind: str = "relu", masks=None):
-    """All member probabilities plus attention weights; returns cache too."""
+                 kind: str, masks):
+    """All member probabilities plus attention weights; returns cache too.
+
+    ``masks`` holds one dropout-mask pair per member, or is None (no dropout).
+    """
     x = np.asarray(x, dtype=np.float64)
     member_probs = []
     member_caches = []
@@ -122,11 +115,6 @@ def per_patient_losses(probs: Array, labels: Array) -> Array:
     y = _check_labels(labels)
     p1 = np.clip(probs[:, 1], PROB_CLAMP, 1.0 - PROB_CLAMP)
     return -(y * np.log(p1) + (1.0 - y) * np.log(1.0 - p1))
-
-
-def member_loss(probs: Array, labels: Array) -> float:
-    """Mean cross-entropy of one member over the batch."""
-    return float(per_patient_losses(probs, labels).mean())
 
 
 def total_loss(member_probs: list[Array], beta: Array, labels: Array) -> float:

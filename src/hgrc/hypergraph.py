@@ -3,11 +3,11 @@
 Every diagnosis code present in the batch is one hyperedge joining all
 patients that carry it; patients are nodes.  The convolution operator is
 
-    P = D^-1 H W B^-1 H^T
+    P = D^-1 H B^-1 H^T
 
-with node degrees D_ii = sum_e W_ee H_ie and hyperedge degrees
+with node degrees D_ii = sum_e H_ie and hyperedge degrees
 B_ee = sum_i H_ie.  Rows of P for non-isolated nodes sum to 1, so one
-application is a weighted average over co-diagnosed patients.  A layer is
+application is an average over co-diagnosed patients.  A layer is
 out = activation(P X Theta) + X (residual added after the activation), and
 the stack applies l such layers sequentially.
 
@@ -27,13 +27,11 @@ from .numeric import Array, activation, activation_grad
 
 @dataclass(frozen=True)
 class Hypergraph:
-    """Incidence H (N, K) with weights W (K,), degrees D (N,) and B (K,)."""
+    """Incidence H (N, K) with degrees D (N,) and B (K,)."""
 
     incidence: Array
-    edge_weights: Array
     node_degree: Array
     edge_degree: Array
-    edge_codes: tuple[str, ...]
 
     @property
     def n_nodes(self) -> int:
@@ -43,73 +41,33 @@ class Hypergraph:
     def n_edges(self) -> int:
         return self.incidence.shape[1]
 
-    def validate(self) -> None:
-        """Recompute degrees from H and W and check stored values match."""
-        h, w = self.incidence, self.edge_weights
-        if not np.all((h == 0.0) | (h == 1.0)):
-            raise ConfigError("incidence matrix must be binary")
-        if np.any(w <= 0.0):
-            raise ConfigError("hyperedge weights must be positive")
-        edge_degree = h.sum(axis=0)
-        if np.any(edge_degree < 1.0):
-            raise ConfigError("empty hyperedge retained")
-        if not np.array_equal(edge_degree, self.edge_degree):
-            raise ConfigError("stored hyperedge degrees disagree with incidence")
-        if not np.allclose(h @ w, self.node_degree, rtol=0.0, atol=1e-12):
-            raise ConfigError("stored node degrees disagree with incidence and weights")
 
-
-def build_hypergraph(icd_batch: Array, weights: Array | None = None,
-                     codes: tuple[str, ...] | None = None) -> Hypergraph:
+def build_hypergraph(icd_batch: Array) -> Hypergraph:
     """Hypergraph over a batch's code matrix (N, g), dropping empty hyperedges.
 
-    ``weights`` (length g, > 0) defaults to all ones; ``codes`` labels the
-    hyperedges and defaults to stringified column indices.  An all-zero batch
-    yields K = 0, handled downstream as a zero operator.
+    An all-zero batch yields K = 0, handled downstream as a zero operator.
     """
     icd_batch = np.asarray(icd_batch, dtype=np.float64)
     if icd_batch.ndim != 2:
         raise ShapeError(f"icd batch must be 2-D, got {icd_batch.shape}")
-    n, g = icd_batch.shape
-    if n < 1:
+    if icd_batch.shape[0] < 1:
         raise ShapeError("hypergraph needs at least one node")
     if not np.all((icd_batch == 0.0) | (icd_batch == 1.0)):
         raise ConfigError("icd batch must be binary")
-    if weights is None:
-        weights = np.ones(g)
-    else:
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.shape != (g,):
-            raise ShapeError(f"weights shape {weights.shape}, expected ({g},)")
-        if np.any(weights <= 0.0):
-            raise ConfigError("hyperedge weights must be positive")
-    if codes is None:
-        codes = tuple(str(j) for j in range(g))
-    elif len(codes) != g:
-        raise ShapeError(f"{len(codes)} code labels for {g} columns")
-
-    keep = np.flatnonzero(icd_batch.sum(axis=0) > 0.0)
-    h = icd_batch[:, keep]
-    w = weights[keep]
-    return Hypergraph(
-        incidence=h,
-        edge_weights=w,
-        node_degree=h @ w,
-        edge_degree=h.sum(axis=0),
-        edge_codes=tuple(codes[j] for j in keep),
-    )
+    h = icd_batch[:, icd_batch.sum(axis=0) > 0.0]
+    return Hypergraph(incidence=h, node_degree=h.sum(axis=1), edge_degree=h.sum(axis=0))
 
 
 def hconv_operator(hg: Hypergraph) -> Array:
-    """Dense (N, N) operator D^-1 H W B^-1 H^T; zero matrix when K = 0."""
+    """Dense (N, N) operator D^-1 H B^-1 H^T; zero matrix when K = 0."""
     n, k = hg.n_nodes, hg.n_edges
     if k == 0:
         return np.zeros((n, n))
     d_inv = np.zeros(n)
     occupied = hg.node_degree > 0.0
     d_inv[occupied] = 1.0 / hg.node_degree[occupied]
-    hw_binv = hg.incidence * (hg.edge_weights / hg.edge_degree)[None, :]
-    return d_inv[:, None] * (hw_binv @ hg.incidence.T)
+    h_binv = hg.incidence * (1.0 / hg.edge_degree)[None, :]
+    return d_inv[:, None] * (h_binv @ hg.incidence.T)
 
 
 def _layer_forward(x: Array, operator: Array, theta: Array, kind: str):
@@ -127,21 +85,7 @@ def _layer_backward(d_out: Array, layer_cache, operator: Array, theta: Array, ki
     return d_x, d_theta
 
 
-def hconv_layer(x: Array, hg: Hypergraph, theta: Array, kind: str = "relu") -> Array:
-    """One residual layer: activation(P x theta) + x."""
-    x = np.asarray(x, dtype=np.float64)
-    theta = np.asarray(theta, dtype=np.float64)
-    if theta.ndim != 2 or theta.shape[0] != theta.shape[1]:
-        raise ShapeError(f"theta must be square for the residual sum, got {theta.shape}")
-    if x.shape[1] != theta.shape[0]:
-        raise ShapeError(f"x width {x.shape[1]} vs theta side {theta.shape[0]}")
-    if x.shape[0] != hg.n_nodes:
-        raise ShapeError(f"{x.shape[0]} feature rows vs {hg.n_nodes} nodes")
-    out, _ = _layer_forward(x, hconv_operator(hg), theta, kind)
-    return out
-
-
-def hconv_stack(x: Array, hg: Hypergraph, thetas: list[Array], kind: str = "relu"):
+def hconv_stack(x: Array, hg: Hypergraph, thetas: list[Array], kind: str):
     """Apply the layers in sequence; returns (output, cache for backward)."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[0] != hg.n_nodes:
@@ -156,7 +100,7 @@ def hconv_stack(x: Array, hg: Hypergraph, thetas: list[Array], kind: str = "relu
     return x, (operator, layer_caches)
 
 
-def hconv_stack_backward(d_out: Array, cache, thetas: list[Array], kind: str = "relu"):
+def hconv_stack_backward(d_out: Array, cache, thetas: list[Array], kind: str):
     """Gradients of the stack: returns (d_input, [d_theta per layer])."""
     operator, layer_caches = cache
     d_thetas: list[Array] = [None] * len(thetas)

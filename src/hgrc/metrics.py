@@ -106,27 +106,12 @@ def confusion_metrics(scores, labels, threshold: float = 0.5) -> tuple[float, fl
     return float(accuracy), float(precision), float(recall), float(f1)
 
 
-def min_se_pplus(scores, labels, threshold: float = 0.5, sweep: bool = False) -> float:
-    """min(sensitivity, precision) at the decision threshold.
-
-    With sweep=True, returns the best achievable min(Se, P+) over all
-    thresholds (every unique score plus the everything-positive cut).
-    """
-    if not sweep:
-        _, precision, recall, _ = confusion_metrics(scores, labels, threshold)
-        return float(min(recall, precision))
-    scores_v, _ = _validate(scores, labels)
-    candidates = np.concatenate([[-np.inf], np.unique(scores_v)])
-    best = 0.0
-    for t in candidates:
-        _, precision, recall, _ = confusion_metrics(scores, labels, float(t))
-        best = max(best, min(recall, precision))
-    return float(best)
-
-
 @dataclass(frozen=True)
 class MetricsReport:
-    """All evaluation metrics for one cohort at one decision threshold."""
+    """All evaluation metrics for one cohort at one decision threshold.
+
+    min_se_pplus is min(sensitivity, precision) at that threshold.
+    """
 
     auroc: float
     auprc: float

@@ -60,20 +60,6 @@ class Rng:
         return self._gen.permutation(n)
 
 
-# -------------------------------------------------------------- linear ops
-
-
-def matmul(a: Array, b: Array) -> Array:
-    """Matrix product with an explicit shape check."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D operands, got {a.shape} x {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dimensions disagree, {a.shape} x {b.shape}")
-    return a @ b
-
-
 # ------------------------------------------------------------- activations
 
 
@@ -153,24 +139,16 @@ class AdamState:
 
     first_moment: Array
     second_moment: Array
+    learning_rate: float
     step: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
-    learning_rate: float = 0.00039
 
     @classmethod
-    def zeros(cls, shape, learning_rate: float = 0.00039, beta1: float = 0.9,
-              beta2: float = 0.999, epsilon: float = 1e-8) -> "AdamState":
-        return cls(
-            first_moment=np.zeros(shape),
-            second_moment=np.zeros(shape),
-            step=0,
-            beta1=beta1,
-            beta2=beta2,
-            epsilon=epsilon,
-            learning_rate=learning_rate,
-        )
+    def zeros(cls, shape, learning_rate: float) -> "AdamState":
+        return cls(first_moment=np.zeros(shape), second_moment=np.zeros(shape),
+                   learning_rate=learning_rate)
 
 
 def adam_step(param: Array, grad: Array, state: AdamState) -> tuple[Array, AdamState]:

@@ -20,8 +20,6 @@ import numpy as np
 from .errors import ConfigError, ShapeError
 from .numeric import Array, activation, activation_grad, sigmoid
 
-DEFAULT_TEMPERATURE = 50.0
-
 
 # ------------------------------------------------------------- similarity
 
@@ -44,8 +42,7 @@ def similarity_backward(d_a: Array, x: Array) -> Array:
 # -------------------------------------------------------------- threshold
 
 
-def threshold(a: Array, zeta: float, temperature: float = DEFAULT_TEMPERATURE,
-              mode: str = "train") -> Array:
+def threshold(a: Array, zeta: float, temperature: float, mode: str) -> Array:
     """Adjacency from similarities.
 
     train: sigmoid(temperature * (a - zeta)), entries in (0, 1).
@@ -61,7 +58,7 @@ def threshold(a: Array, zeta: float, temperature: float = DEFAULT_TEMPERATURE,
     raise ConfigError(f"threshold mode must be 'train' or 'eval', got {mode!r}")
 
 
-def threshold_backward(d_aprime: Array, soft: Array, temperature: float = DEFAULT_TEMPERATURE):
+def threshold_backward(d_aprime: Array, soft: Array, temperature: float):
     """Backward of the train-mode relaxation; returns (d_a, d_zeta)."""
     d_pre = d_aprime * soft * (1.0 - soft)
     d_a = temperature * d_pre
@@ -72,7 +69,7 @@ def threshold_backward(d_aprime: Array, soft: Array, temperature: float = DEFAUL
 # ------------------------------------------------------------ aggregation
 
 
-def gcn_aggregate(x: Array, a_prime: Array, phi: Array, kind: str = "relu"):
+def gcn_aggregate(x: Array, a_prime: Array, phi: Array, kind: str):
     """activation(Dt^-1/2 (A' + I) Dt^-1/2 X Phi); returns (output, cache)."""
     x = np.asarray(x, dtype=np.float64)
     a_prime = np.asarray(a_prime, dtype=np.float64)

@@ -12,7 +12,7 @@ byte-identical CSVs for a fixed cohort.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -82,11 +82,6 @@ class SyntheticSpec:
             raise ConfigError(f"missing_rate must be in [0, 1), got {self.missing_rate}")
         if self.code_signal_strength < 0.0:
             raise ConfigError(f"code_signal_strength must be >= 0, got {self.code_signal_strength}")
-
-
-def null_spec(spec: SyntheticSpec) -> SyntheticSpec:
-    """Same cohort shape with both signal knobs at zero."""
-    return replace(spec, class_separation=0.0, code_signal_strength=0.0)
 
 
 def synthetic_schema(n_variables: int) -> tuple[str, ...]:

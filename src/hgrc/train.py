@@ -65,6 +65,8 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.patience < 1:
             raise ConfigError(f"patience must be >= 1, got {self.patience}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.decision_threshold < 1.0:
             raise ConfigError(
                 f"decision_threshold must be in (0, 1), got {self.decision_threshold}")
@@ -256,8 +258,10 @@ def evaluate(ckpt: Checkpoint, cohort: Cohort, decision_threshold: float = 0.5,
 
 def predict_scores(ckpt: Checkpoint, cohort: Cohort,
                    eval_batch_size: int | None = None) -> Array:
-    """Per-patient death probabilities in cohort order."""
+    """Per-patient death probabilities in cohort order; (0,) for no patients."""
     _check_cohort_matches(ckpt, cohort)
+    if len(cohort) == 0:
+        return np.empty(0)
     series, icd, labels = _cohort_arrays(cohort)
     scores, _ = _predict(ckpt.params, ckpt.model_config(), series, icd, labels,
                          eval_batch_size)

@@ -8,6 +8,7 @@ import json
 import math
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,10 +16,10 @@ import pytest
 from hgrc.checkpoint import load_checkpoint, save_checkpoint
 from hgrc.data import impute_mean, split, standardize
 from hgrc.hypergraph import build_hypergraph, hconv_operator, hconv_stack
-from hgrc.metrics import auprc, auroc, confusion_counts, min_se_pplus
+from hgrc.metrics import auprc, auroc, compute_report, confusion_counts
 from hgrc.model import Batch, ModelConfig, forward_train, init_params
 from hgrc.numeric import Rng
-from hgrc.synthetic import SyntheticSpec, gen_synthetic, null_spec
+from hgrc.synthetic import SyntheticSpec, gen_synthetic
 from hgrc.train import TrainConfig, derive_rng_streams, evaluate, train
 
 from test_hypergraph import random_hypergraph
@@ -80,8 +81,8 @@ def test_criterion_2_operator_algebra(capsys):
         worst_sum = 0.0
         worst_perm = 0.0
         for _ in range(500):
-            icd, weights = random_hypergraph(rng)
-            hg = build_hypergraph(icd, weights)
+            icd = random_hypergraph(rng)
+            hg = build_hypergraph(icd)
             p = hconv_operator(hg)
             occupied = hg.node_degree > 0.0
             if occupied.any():
@@ -95,7 +96,7 @@ def test_criterion_2_operator_algebra(capsys):
             thetas = [rng.normal(size=(3, 3)) for _ in range(2)]
             out, _ = hconv_stack(x, hg, thetas, "tanh")
             perm = rng.permutation(n)
-            hg_p = build_hypergraph(icd[perm], weights)
+            hg_p = build_hypergraph(icd[perm])
             out_p, _ = hconv_stack(x[perm], hg_p, thetas, "tanh")
             worst_perm = max(worst_perm, np.abs(out_p - out[perm]).max())
 
@@ -116,8 +117,7 @@ def test_criterion_3_residual_identity(capsys):
         rng = Rng(303)
         checked = 0
         for _ in range(100):
-            icd, weights = random_hypergraph(rng)
-            hg = build_hypergraph(icd, weights)
+            hg = build_hypergraph(random_hypergraph(rng))
             x = rng.normal(size=(hg.n_nodes, 5))
             thetas = [np.zeros((5, 5)) for _ in range(3)]
             out, _ = hconv_stack(x, hg, thetas, "relu")
@@ -128,14 +128,11 @@ def test_criterion_3_residual_identity(capsys):
 
 
 def test_criterion_4_metric_oracles(capsys):
-    def min_se_sweep_oracle(scores, labels):
-        best = 0.0
-        for t in [-np.inf] + sorted(set(scores.tolist())):
-            tp, fp, _, fn = confusion_loop(scores, labels, t)
-            se = tp / (tp + fn) if tp + fn else 0.0
-            pplus = tp / (tp + fp) if tp + fp else 0.0
-            best = max(best, min(se, pplus))
-        return best
+    def min_se_pplus_oracle(scores, labels, threshold):
+        tp, fp, _, fn = confusion_loop(scores, labels, threshold)
+        se = tp / (tp + fn) if tp + fn else 0.0
+        pplus = tp / (tp + fp) if tp + fp else 0.0
+        return min(se, pplus)
 
     with verdict(capsys, "criterion 4 (metric oracles)") as v:
         assert auroc([0.1, 0.4, 0.35, 0.8], [0, 0, 1, 1]) == 0.75
@@ -150,8 +147,8 @@ def test_criterion_4_metric_oracles(capsys):
                 worst,
                 abs(auroc(scores, labels) - auroc_pairwise(scores, labels)),
                 abs(auprc(scores, labels) - auprc_stepwise(scores, labels)),
-                abs(min_se_pplus(scores, labels, sweep=True)
-                    - min_se_sweep_oracle(scores, labels)),
+                abs(compute_report(scores, labels, threshold).min_se_pplus
+                    - min_se_pplus_oracle(scores, labels, threshold)),
             )
             assert confusion_counts(scores, labels, threshold) == \
                 confusion_loop(scores, labels, threshold)
@@ -166,7 +163,8 @@ def test_criterion_5_end_to_end_learning(capsys, cohort7):
         _, report, _ = run_experiment(cohort7, config)
         secs = time.perf_counter() - t0
 
-        null_cohort = gen_synthetic(null_spec(SyntheticSpec()), Rng(7))
+        null_spec = replace(SyntheticSpec(), class_separation=0.0, code_signal_strength=0.0)
+        null_cohort = gen_synthetic(null_spec, Rng(7))
         _, null_report, _ = run_experiment(null_cohort, config)
 
         v["detail"] = (f"test auroc {report.auroc:.4f}, auprc {report.auprc:.4f}, "

@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -257,6 +258,60 @@ def test_config_architecture_errors_exit_2(tmp_path, document):
     assert code == 2
     assert out == ""
     assert "config error" in err
+
+
+def test_config_values_must_have_their_field_types():
+    parsed = parse_app_config({"train": {"learning_rate": 1, "split_ratios": [0.6, 0.2, 0.2]},
+                               "paths": {"data_dir": None}})
+    assert parsed.train.learning_rate == 1
+    assert parsed.train.split_ratios == (0.6, 0.2, 0.2)
+    for document, key in [
+        ({"train": {"epochs": True}}, "train.epochs"),
+        ({"train": {"learning_rate": False}}, "train.learning_rate"),
+        ({"train": {"split_ratios": [0.7, 0.3]}}, "train.split_ratios"),
+        ({"train": {"split_ratios": [0.7, "0.15", 0.15]}}, "train.split_ratios"),
+        ({"train": {"model": {"ffn_hidden": [8, 4.0]}}}, "train.model.ffn_hidden"),
+        ({"train": {"model": {"activation": 1}}}, "train.model.activation"),
+        ({"synthetic": {"missing_rate": "0.1"}}, "synthetic.missing_rate"),
+        ({"paths": {"data_dir": 5}}, "paths.data_dir"),
+    ]:
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            parse_app_config(document)
+
+
+@pytest.mark.parametrize("command, document, key", [
+    ("train", {"train": {"epochs": "3"}}, "train.epochs"),
+    ("gen-synthetic", {"synthetic": {"n_patients": "5"}}, "synthetic.n_patients"),
+    ("train", {"train": {"model": {"hidden_size": 2.5}}}, "train.model.hidden_size"),
+    ("train", {"train": {"model": {"use_similarity": "no"}}}, "train.model.use_similarity"),
+], ids=["string_epochs", "string_n_patients", "float_hidden_size", "string_use_similarity"])
+def test_config_type_errors_exit_2(workspace, tmp_path, command, document, key):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(document))
+    paths = (["--data-dir", str(workspace["data_dir"]), "--out", str(tmp_path / "m.hgrc")]
+             if command == "train" else ["--out-dir", str(tmp_path / "cohort")])
+    code, out, err = run_cli([command, "--config", str(bad), *paths])
+    assert code == 2
+    assert out == ""
+    assert f"config error: {key} must be" in err
+
+
+def test_negative_seed_exit_2(workspace, tmp_path):
+    for argv in (["gen-synthetic", "--out-dir", str(tmp_path / "cohort"), "--seed", "-1"],
+                 ["train", "--data-dir", str(workspace["data_dir"]), "--seed", "-1",
+                  "--out", str(tmp_path / "m.hgrc")]):
+        code, out, err = run_cli(argv)
+        assert code == 2
+        assert out == ""
+        assert "config error: seed must be >= 0" in err
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"train": {"seed": -3}}))
+    code, _, err = run_cli(["gen-synthetic", "--out-dir", str(tmp_path / "cohort"),
+                            "--config", str(bad)])
+    assert code == 2
+    assert "seed must be >= 0" in err
+    assert not (tmp_path / "cohort").exists()
+    assert not (tmp_path / "m.hgrc").exists()
 
 
 def test_missing_inputs_exit_2(workspace, tmp_path):

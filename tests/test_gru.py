@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from hgrc.encoder import (encode_batch, encode_batch_backward, encode_sequence, fuse,
-                          fuse_batch, gru_cell, init_gru_params)
+from hgrc.encoder import encode_batch, encode_batch_backward, fuse_batch, init_gru_params
 from hgrc.errors import ShapeError
 from hgrc.numeric import Rng, finite_diff_check
 
@@ -26,17 +25,50 @@ def gru_params(input_size, hidden_size, rng):
     return p
 
 
+def zero_grads(p):
+    return {name: np.zeros_like(arr) for name, arr in p.items()}
+
+
+def oracle_step(x, h, p):
+    """One GRU step for one patient, written out gate by gate from the
+    documented convention with the naive logistic 1 / (1 + e^-a)."""
+    def logistic(a):
+        return 1.0 / (1.0 + np.exp(-a))
+    z = logistic(p["w_z"] @ x + p["u_z"] @ h + p["b_z"])
+    r = logistic(p["w_r"] @ x + p["u_r"] @ h + p["b_r"])
+    c = np.tanh(p["w_h"] @ x + p["u_h"] @ (r * h) + p["b_h"])
+    return (1.0 - z) * h + z * c
+
+
+def oracle_sequence(series, p):
+    """Final state of one patient's (M, T) series from h_0 = 0."""
+    h = np.zeros(p["w_z"].shape[0])
+    for step in range(series.shape[1]):
+        h = oracle_step(series[:, step], h, p)
+    return h
+
+
 def test_gru_cell_single_step_hand_values():
     # z = sigmoid(0.41), r = sigmoid(0.08), c = tanh(0.61 + 0.18 r),
     # h = (1 - z) * 0.3 + z * c, worked out by hand
-    h = gru_cell(np.array([0.8]), np.array([0.3]), scalar_params())
+    h = oracle_step(np.array([0.8]), np.array([0.3]), scalar_params())
     assert np.allclose(h, [0.4843215882014216], rtol=0, atol=1e-15)
 
 
 def test_encode_sequence_two_steps_hand_values():
     series = np.array([[0.8, -0.5]])  # (M=1, T=2)
-    h = encode_sequence(series, scalar_params())
+    h = oracle_sequence(series, scalar_params())
     assert np.allclose(h, [0.10137860073726401], rtol=0, atol=1e-15)
+    batch_h, _ = encode_batch(series[None], scalar_params())
+    assert np.allclose(batch_h[0], [0.10137860073726401], rtol=0, atol=1e-15)
+
+
+def test_encode_batch_matches_the_step_oracle():
+    p = gru_params(3, 4, Rng(5))
+    series = Rng(6).normal(size=(6, 3, 8))
+    batch_h, _ = encode_batch(series, p)
+    for i in range(6):
+        assert np.allclose(batch_h[i], oracle_sequence(series[i], p), rtol=0, atol=1e-15)
 
 
 def test_initial_state_is_zero_and_zero_params_keep_it_zero():
@@ -59,7 +91,8 @@ def test_encode_batch_matches_per_patient_encoding():
     series = Rng(4).normal(size=(5, 2, 6))
     batch_h, _ = encode_batch(series, p)
     for i in range(5):
-        assert np.allclose(batch_h[i], encode_sequence(series[i], p), rtol=0, atol=1e-15)
+        alone, _ = encode_batch(series[i:i + 1], p)
+        assert np.allclose(batch_h[i], alone[0], rtol=0, atol=1e-15)
 
 
 def test_encode_batch_input_validation():
@@ -72,8 +105,6 @@ def test_encode_batch_input_validation():
         encode_batch(np.zeros((4, 2, 0)), p)
     with pytest.raises(ShapeError, match="impute"):
         encode_batch(np.full((1, 2, 3), np.nan), p)
-    with pytest.raises(ShapeError):
-        gru_cell(np.zeros(3), np.zeros(3), p)
 
 
 def test_bptt_gradients_match_finite_differences():
@@ -86,7 +117,7 @@ def test_bptt_gradients_match_finite_differences():
         return float((h * proj).sum())
 
     h, cache = encode_batch(series, p)
-    grads, _ = encode_batch_backward(proj, cache, p)
+    grads, _ = encode_batch_backward(proj, cache, p, zero_grads(p))
     err = finite_diff_check(loss, p, grads)
     assert err < 1e-6
 
@@ -101,7 +132,7 @@ def test_bptt_series_gradient_matches_finite_differences():
         return float((h * proj).sum())
 
     _, cache = encode_batch(series, p)
-    _, d_series = encode_batch_backward(proj, cache, p)
+    _, d_series = encode_batch_backward(proj, cache, p, zero_grads(p))
     err = finite_diff_check(loss, {"series": series}, {"series": d_series})
     assert err < 1e-6
 
@@ -110,7 +141,7 @@ def test_zero_upstream_gradient_gives_zero_grads():
     p = gru_params(2, 3, Rng(30))
     series = Rng(31).normal(size=(4, 2, 5))
     _, cache = encode_batch(series, p)
-    grads, d_series = encode_batch_backward(np.zeros((4, 3)), cache, p)
+    grads, d_series = encode_batch_backward(np.zeros((4, 3)), cache, p, zero_grads(p))
     for arr in grads.values():
         assert np.array_equal(arr, np.zeros_like(arr))
     assert np.array_equal(d_series, np.zeros_like(series))
@@ -133,9 +164,6 @@ def test_init_gru_params_shapes_and_zero_biases():
 
 
 def test_fuse_concatenates_hidden_then_codes():
-    h = np.array([1.0, 2.0])
-    icd = np.array([0.0, 1.0, 1.0])
-    assert np.array_equal(fuse(h, icd), [1.0, 2.0, 0.0, 1.0, 1.0])
     hb = np.array([[1.0, 2.0], [3.0, 4.0]])
     cb = np.array([[1.0], [0.0]])
     assert np.array_equal(fuse_batch(hb, cb), [[1.0, 2.0, 1.0], [3.0, 4.0, 0.0]])

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from hgrc.errors import ConfigError, ShapeError
-from hgrc.head import (attention_weights, ensemble_predict, ffn_forward, head_backward,
-                       head_forward, init_ensemble_params, make_dropout_masks, member_loss,
-                       per_patient_losses, total_loss)
+from hgrc.head import (attention_weights, ensemble_predict, head_backward, head_forward,
+                       init_ensemble_params, make_dropout_masks, per_patient_losses,
+                       total_loss)
 from hgrc.numeric import Rng, finite_diff_check
 
 
@@ -55,10 +55,11 @@ def zeros_like(ens):
 
 
 def test_initial_member_probabilities_are_exactly_half():
-    members, _ = ensemble_params(5, (4, 3), 3, Rng(0))
+    ens = ensemble_params(5, (4, 3), 3, Rng(0))
     x = Rng(1).normal(size=(7, 5))
-    for m in members:
-        probs = ffn_forward(x, m)
+    member_probs, _, _ = head_forward(x, *ens, "relu", None)
+    assert len(member_probs) == 3
+    for probs in member_probs:
         # zero output layer -> logits (0, 0) -> softmax (0.5, 0.5)
         assert np.array_equal(probs, np.full((7, 2), 0.5))
 
@@ -66,7 +67,7 @@ def test_initial_member_probabilities_are_exactly_half():
 def test_initial_total_loss_is_ln_two():
     ens = ensemble_params(4, (3, 3), 2, Rng(2))
     x = Rng(3).normal(size=(6, 4))
-    member_probs, beta, _ = head_forward(x, *ens)
+    member_probs, beta, _ = head_forward(x, *ens, "relu", None)
     labels = np.array([0, 1, 1, 0, 1, 0])
     loss = total_loss(member_probs, beta, labels)
     assert abs(loss - math.log(2.0)) < 1e-12
@@ -95,7 +96,8 @@ def test_per_patient_losses_hand_values():
     labels = np.array([0, 1])
     losses = per_patient_losses(probs, labels)
     assert np.allclose(losses, [-math.log(0.8), -math.log(0.9)], rtol=0, atol=1e-15)
-    assert np.isclose(member_loss(probs, labels),
+    # a single member with beta = 1 is gated to the mean cross-entropy
+    assert np.isclose(total_loss([probs], np.ones((2, 1)), labels),
                       (-math.log(0.8) - math.log(0.9)) / 2.0)
 
 
@@ -181,8 +183,8 @@ def test_dropout_masks_change_the_forward():
     ens = nudged_ensemble(50)
     x = Rng(51).normal(size=(8, 3))
     masks = make_dropout_masks(8, ens[0], 0.5, Rng(52))
-    probs_m, _, _ = head_forward(x, *ens, masks=masks)
-    probs, _, _ = head_forward(x, *ens)
+    probs_m, _, _ = head_forward(x, *ens, "relu", masks)
+    probs, _, _ = head_forward(x, *ens, "relu", None)
     assert not all(np.array_equal(a, b) for a, b in zip(probs_m, probs))
 
 
@@ -196,10 +198,10 @@ def test_head_backward_matches_finite_differences():
 
     def loss(_arrays):
         # the checker perturbs the ensemble's arrays in place
-        member_probs, beta, _ = head_forward(x, *ens, kind="tanh")
+        member_probs, beta, _ = head_forward(x, *ens, "tanh", None)
         return float(total_loss(member_probs, beta, labels))
 
-    _, _, cache = head_forward(x, *ens, kind="tanh")
+    _, _, cache = head_forward(x, *ens, "tanh", None)
     grads = zeros_like(ens)
     head_backward(cache, labels, *ens, grads)
     err = finite_diff_check(loss, ensemble_arrays(ens), ensemble_arrays(grads))
@@ -212,10 +214,10 @@ def test_head_backward_input_gradient_matches_finite_differences():
     x = Rng(71).normal(size=(3, 3))
 
     def loss(arrays):
-        member_probs, beta, _ = head_forward(arrays["x"], *ens, kind="tanh")
+        member_probs, beta, _ = head_forward(arrays["x"], *ens, "tanh", None)
         return float(total_loss(member_probs, beta, labels))
 
-    _, _, cache = head_forward(x, *ens, kind="tanh")
+    _, _, cache = head_forward(x, *ens, "tanh", None)
     d_x = head_backward(cache, labels, *ens, zeros_like(ens))
     assert finite_diff_check(loss, {"x": x}, {"x": d_x}) < 1e-6
 
@@ -227,10 +229,10 @@ def test_head_backward_respects_dropout_masks():
     masks = make_dropout_masks(4, ens[0], 0.5, Rng(82))
 
     def loss(_arrays):
-        member_probs, beta, _ = head_forward(x, *ens, kind="tanh", masks=masks)
+        member_probs, beta, _ = head_forward(x, *ens, "tanh", masks)
         return float(total_loss(member_probs, beta, labels))
 
-    _, _, cache = head_forward(x, *ens, kind="tanh", masks=masks)
+    _, _, cache = head_forward(x, *ens, "tanh", masks)
     grads = zeros_like(ens)
     head_backward(cache, labels, *ens, grads)
     err = finite_diff_check(loss, ensemble_arrays(ens), ensemble_arrays(grads))

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hgrc.errors import ConfigError, ShapeError, UndefinedMetricError
-from hgrc.metrics import (auprc, auroc, compute_report, confusion_counts,
-                          confusion_metrics, min_se_pplus)
+from hgrc.metrics import auprc, auroc, compute_report, confusion_counts, confusion_metrics
 from hgrc.numeric import Rng
 
 # ---------------------------------------------------------------- oracles
@@ -118,14 +117,15 @@ def test_confusion_strict_threshold_and_zero_conventions():
     assert (accuracy, precision, recall, f1) == (1.0, 0.0, 0.0, 0.0)
 
 
-def test_min_se_pplus_fixed_and_sweep():
+def test_report_min_se_pplus_at_the_decision_threshold():
     scores = np.array([0.9, 0.8, 0.3, 0.2])
     labels = np.array([1, 0, 1, 0])
-    fixed = min_se_pplus(scores, labels, 0.5)
-    assert fixed == 0.5  # recall 1/2, precision 1/2
-    swept = min_se_pplus(scores, labels, sweep=True)
-    assert swept >= fixed
-    assert np.isclose(swept, 2.0 / 3.0)  # threshold below 0.3: Se 1, P+ 2/3
+    # recall 1/2, precision 1/2
+    assert compute_report(scores, labels, 0.5).min_se_pplus == 0.5
+    # below 0.3: Se 1, P+ 2/3
+    assert np.isclose(compute_report(scores, labels, 0.25).min_se_pplus, 2.0 / 3.0)
+    # above 0.9 nothing is predicted positive: Se 0, and P+ 0/0 reads 0
+    assert compute_report(scores, labels, 0.95).min_se_pplus == 0.0
 
 
 # ----------------------------------------------------------------- oracles

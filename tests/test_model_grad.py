@@ -70,7 +70,7 @@ def test_full_pipeline_gradients_with_zeta_inside_the_similarities(activation):
     a = similarity(forward_eval(params, batch, cfg).stages["hconv"])
     off_diagonal = ~np.eye(len(batch), dtype=bool)
     params.zeta[...] = np.median(a[off_diagonal])
-    soft = threshold(a, float(params.zeta), cfg.temperature)[off_diagonal]
+    soft = threshold(a, float(params.zeta), cfg.temperature, "train")[off_diagonal]
     assert soft.min() < 0.5 < soft.max()
     assert run_check(cfg, params, batch) < 1e-4
 
@@ -120,7 +120,7 @@ def analytic_series_grad(params, batch, cfg):
     else:
         d_fused = d_z
     _, d_series = encoder.encode_batch_backward(d_fused[:, :cfg.hidden_size],
-                                                gru_cache, params.gru)
+                                                gru_cache, params.gru, grads.gru)
     return d_series
 
 

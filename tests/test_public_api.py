@@ -1,0 +1,51 @@
+"""Every public function and class in the package has a caller outside the tests.
+
+A module-level name without a leading underscore is public.  It has to be
+referenced by other package code, by the benchmark under ``bench/``, or be
+exported in ``hgrc.__all__``; a helper that only tests call belongs in the
+tests as an oracle.
+"""
+
+import ast
+from pathlib import Path
+
+import hgrc
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "hgrc"
+
+
+def _references(node: ast.AST, strings: bool) -> set[str]:
+    """Names, attribute names and (optionally) identifier strings under node."""
+    refs = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            refs.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            refs.add(sub.attr)
+        elif strings and isinstance(sub, ast.Constant) and isinstance(sub.value, str) \
+                and sub.value.isidentifier():
+            # the benchmark looks layer functions up by name
+            refs.add(sub.value)
+    return refs
+
+
+def test_every_public_definition_has_a_non_test_caller():
+    definitions = []  # (module, name, node)
+    uses = []         # (node, names it references)
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            uses.append((node, _references(node, strings=False)))
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    and not node.name.startswith("_"):
+                definitions.append((path.stem, node.name, node))
+    for path in sorted((ROOT / "bench").rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        uses += [(node, _references(node, strings=True)) for node in tree.body]
+
+    exported = set(hgrc.__all__)
+    unused = [f"{module}.{name}" for module, name, node in definitions
+              if name not in exported
+              and not any(name in refs for user, refs in uses if user is not node)]
+    assert unused == [], f"public but only tests use them: {unused}"

@@ -50,16 +50,16 @@ def test_threshold_train_is_sigmoid_relaxation():
 
 def test_threshold_eval_is_strict_indicator():
     a = np.array([[0.39, 0.4], [0.41, 0.9]])
-    out = threshold(a, zeta=0.4, mode="eval")
+    out = threshold(a, zeta=0.4, temperature=50.0, mode="eval")
     # ties at zeta fall on the disconnected side
     assert np.array_equal(out, [[0.0, 0.0], [1.0, 1.0]])
 
 
 def test_threshold_validation():
     with pytest.raises(ConfigError):
-        threshold(np.zeros((2, 2)), 0.4, temperature=0.0)
+        threshold(np.zeros((2, 2)), 0.4, temperature=0.0, mode="train")
     with pytest.raises(ConfigError):
-        threshold(np.zeros((2, 2)), 0.4, mode="hard")
+        threshold(np.zeros((2, 2)), 0.4, temperature=50.0, mode="hard")
 
 
 def test_threshold_backward_matches_finite_differences():
@@ -93,18 +93,18 @@ def test_gcn_identity_adjacency_reduces_to_dense_layer():
 def test_gcn_hand_values_symmetric_pair():
     # A' fully connects two nodes; with x = phi = I the normalized
     # adjacency is all 0.5 and relu passes it through
-    out, _ = gcn_aggregate(np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2))
+    out, _ = gcn_aggregate(np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2), "relu")
     assert np.allclose(out, [[0.5, 0.5], [0.5, 0.5]], rtol=0, atol=1e-15)
 
 
 def test_gcn_validation():
     with pytest.raises(ShapeError):
-        gcn_aggregate(np.zeros((3, 2)), np.zeros((2, 2)), np.zeros((2, 2)))
+        gcn_aggregate(np.zeros((3, 2)), np.zeros((2, 2)), np.zeros((2, 2)), "relu")
     with pytest.raises(ShapeError):
-        gcn_aggregate(np.zeros((3, 2)), np.zeros((3, 3)), np.zeros((3, 2)))
+        gcn_aggregate(np.zeros((3, 2)), np.zeros((3, 3)), np.zeros((3, 2)), "relu")
     with pytest.raises(ConfigError, match="degrees"):
         gcn_aggregate(np.zeros((2, 2)), np.array([[-2.0, 0.0], [0.0, 0.0]]),
-                      np.zeros((2, 2)))
+                      np.zeros((2, 2)), "relu")
 
 
 def test_gcn_backward_matches_finite_differences():

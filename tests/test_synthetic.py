@@ -1,6 +1,7 @@
 """Synthetic cohort generator: determinism, signal knobs, file round trip."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ import pytest
 from hgrc.data import DEFAULT_SCHEMA, load_cohort
 from hgrc.errors import ConfigError
 from hgrc.numeric import Rng
-from hgrc.synthetic import (CURATED_CODES, SyntheticSpec, gen_synthetic, null_spec,
-                            synthetic_schema, synthetic_vocab, write_cohort_files)
+from hgrc.synthetic import (CURATED_CODES, SyntheticSpec, gen_synthetic, synthetic_schema,
+                            synthetic_vocab, write_cohort_files)
 
 SMALL = SyntheticSpec(n_patients=60, n_variables=3, window_hours=24, n_codes=5)
 
@@ -85,9 +86,7 @@ def test_code_signal_separates_classes():
 def test_null_spec_removes_both_signals():
     base = SyntheticSpec(n_patients=1500, n_variables=3, window_hours=8,
                          missing_rate=0.0)
-    nullled = null_spec(base)
-    assert nullled.class_separation == 0.0
-    assert nullled.code_signal_strength == 0.0
+    nullled = replace(base, class_separation=0.0, code_signal_strength=0.0)
     cohort = gen_synthetic(nullled, Rng(4))
     y = cohort.labels().astype(bool)
     stack = cohort.series_stack()

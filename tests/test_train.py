@@ -172,6 +172,8 @@ def test_train_config_validation():
         TrainConfig(epochs=0)
     with pytest.raises(ConfigError, match="patience"):
         TrainConfig(patience=0)
+    with pytest.raises(ConfigError, match="seed"):
+        TrainConfig(seed=-1)
     with pytest.raises(ConfigError, match="decision_threshold"):
         TrainConfig(decision_threshold=1.0)
     with pytest.raises(ConfigError, match="hidden_size"):
@@ -230,6 +232,15 @@ def test_predict_scores_are_probabilities(trained, splits):
     assert scores.shape == (len(te),)
     assert np.all((scores >= 0.0) & (scores <= 1.0))
     assert np.array_equal(scores, predict_scores(trained, te))
+
+
+def test_predict_scores_of_an_empty_cohort_is_empty(trained, splits):
+    _, _, te = splits
+    empty = type(te)((), te.schema, te.code_vocab, te.norm_stats)
+    scores = predict_scores(trained, empty)
+    assert scores.shape == (0,)
+    assert scores.dtype == np.float64
+    assert predict_scores(trained, empty, eval_batch_size=4).shape == (0,)
 
 
 def test_eval_batching_changes_the_graph_not_the_contract(trained, splits):
