@@ -23,6 +23,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import model as model_mod
+from .config import _build_section
 from .data import NormStats
 from .errors import CheckpointError, CheckpointVersionError, ConfigError
 from .train import Checkpoint, TrainConfig
@@ -58,13 +59,6 @@ def save_checkpoint(ckpt: Checkpoint, path) -> str:
         fh.write(manifest_bytes)
         fh.write(ckpt.params.flat.astype("<f8").tobytes())
     return str(path)
-
-
-def _config_from_dict(raw: dict) -> TrainConfig:
-    try:
-        return TrainConfig(**raw)
-    except (TypeError, ConfigError) as exc:
-        raise CheckpointError(f"checkpoint config does not match TrainConfig: {exc}")
 
 
 def _table_mismatch(entries, expected: list[dict], blob_bytes: int) -> str:
@@ -113,7 +107,7 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError(f"{path}: unreadable manifest: {exc}")
 
     try:
-        config = _config_from_dict(manifest["config"])
+        config = _build_section(TrainConfig, manifest["config"], "config")
         schema = tuple(manifest["schema"])
         code_vocab = tuple(manifest["code_vocab"])
         stats_raw = manifest["norm_stats"]
@@ -127,6 +121,8 @@ def load_checkpoint(path) -> Checkpoint:
         entries = manifest["params"]
         training_log = manifest["training_log"]
         best_epoch = int(manifest["best_epoch"])
+    except ConfigError as exc:
+        raise CheckpointError(f"{path}: checkpoint config does not match TrainConfig: {exc}")
     except KeyError as exc:
         raise CheckpointError(f"{path}: manifest missing field {exc}")
     except (TypeError, ValueError) as exc:

@@ -80,6 +80,13 @@ def _standardized_splits(cohort, config: TrainConfig):
     return train_c, val_c, test_c
 
 
+def _with_threshold(ckpt: Checkpoint, threshold: float | None) -> Checkpoint:
+    """The checkpoint, deciding at ``threshold`` in place of its trained one when given."""
+    if threshold is None:
+        return ckpt
+    return replace(ckpt, config=replace(ckpt.config, decision_threshold=threshold))
+
+
 def _checkpoint_split(args, ckpt: Checkpoint, data_dir: Path):
     """Recover one standardized split exactly as the training run saw it."""
     cohort = _load_raw_cohort(data_dir, ckpt.config.window_hours)
@@ -112,9 +119,8 @@ def cmd_gen_synthetic(args) -> int:
     out_dir = args.out_dir or cfg.paths.out_dir
     if out_dir is None:
         raise ConfigError("no output directory given (use --out-dir or paths.out_dir)")
-    seed = args.seed if args.seed is not None else cfg.train.seed
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
+    # replace() range-checks a seed given on the command line
+    seed = cfg.train.seed if args.seed is None else replace(cfg.train, seed=args.seed).seed
     cohort = synth_mod.gen_synthetic(spec, Rng(seed))
     paths = synth_mod.write_cohort_files(cohort, out_dir, spec, seed)
     _log(f"wrote {len(cohort)} patients to {out_dir}")
@@ -170,15 +176,15 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = _load_config(args)
-    ckpt = _resolve_checkpoint(args, cfg)
+    ckpt = _with_threshold(_resolve_checkpoint(args, cfg), args.threshold)
     data_dir = _resolve_data_dir(args, cfg)
     cohort = _checkpoint_split(args, ckpt, data_dir)
-    report = evaluate(ckpt, cohort, args.threshold, args.eval_batch_size)
+    report = evaluate(ckpt, cohort, args.eval_batch_size)
     _emit({"split": args.split, **report.to_dict()})
     return 0
 
 
-def _group_block(ckpt, group, threshold, eval_batch_size) -> dict:
+def _group_block(ckpt, group, eval_batch_size) -> dict:
     labels = group.labels()
     n_pos = int(labels.sum())
     n_neg = int(len(group) - n_pos)
@@ -187,13 +193,13 @@ def _group_block(ckpt, group, threshold, eval_batch_size) -> dict:
         "n_positive": n_pos,
         "neg_pos_ratio": f"{n_neg / n_pos:.4f}:1" if n_pos else None,
     }
-    block["metrics"] = evaluate(ckpt, group, threshold, eval_batch_size).to_dict()
+    block["metrics"] = evaluate(ckpt, group, eval_batch_size).to_dict()
     return block
 
 
 def cmd_case_study(args) -> int:
     cfg = _load_config(args)
-    ckpt = _resolve_checkpoint(args, cfg)
+    ckpt = _with_threshold(_resolve_checkpoint(args, cfg), args.threshold)
     data_dir = _resolve_data_dir(args, cfg)
     cohort = _checkpoint_split(args, ckpt, data_dir)
     group_i, group_ii = data_mod.filter_by_code(cohort, args.code)
@@ -208,8 +214,8 @@ def cmd_case_study(args) -> int:
     _emit({
         "code": args.code,
         "split": args.split,
-        "group_i": _group_block(ckpt, group_i, args.threshold, args.eval_batch_size),
-        "group_ii": _group_block(ckpt, group_ii, args.threshold, args.eval_batch_size),
+        "group_i": _group_block(ckpt, group_i, args.eval_batch_size),
+        "group_ii": _group_block(ckpt, group_ii, args.eval_batch_size),
     })
     return 0
 
@@ -264,12 +270,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train from CSV data and write a checkpoint")
     add_common(p)
     p.add_argument("--data-dir", help="directory holding patients.csv and vitals.csv")
-    p.add_argument("--window", type=int, choices=(24, 48),
-                   help="observation window in hours (24 or 48, default 48)")
-    p.add_argument("--seed", type=int, help="run seed (default 0)")
-    p.add_argument("--epochs", type=int, help="maximum epochs (default 50)")
+    p.add_argument("--window", type=int, choices=data_mod.VALID_WINDOWS,
+                   help="observation window in hours (default: train.window_hours)")
+    p.add_argument("--seed", type=int, help="run seed (default: train.seed)")
+    p.add_argument("--epochs", type=int, help="maximum epochs (default: train.epochs)")
     p.add_argument("--batch-size", type=int, dest="batch_size",
-                   help="mini-batch size (default 256)")
+                   help="mini-batch size (default: train.batch_size)")
     p.add_argument("--out", help="checkpoint output path (default <data-dir>/model.hgrc)")
     p.set_defaults(func=cmd_train)
 
@@ -279,17 +285,22 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--data-dir", help="directory holding patients.csv and vitals.csv")
         p.add_argument("--split", choices=SPLITS, default="test",
                        help="which split of the data to use (default test)")
-        p.add_argument("--threshold", type=float, default=0.5,
-                       help="decision threshold for confusion metrics (default 0.5)")
         p.add_argument("--eval-batch-size", type=int, dest="eval_batch_size",
                        help="evaluation batch size (default: whole split)")
 
+    def add_threshold(p):
+        p.add_argument("--threshold", type=float,
+                       help="decision threshold for confusion metrics, in (0, 1) "
+                            "(default: the checkpoint's train.decision_threshold)")
+
     p = sub.add_parser("evaluate", help="print metrics JSON for one split")
     add_eval_common(p)
+    add_threshold(p)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("case-study", help="metrics for carriers of one code vs the rest")
     add_eval_common(p)
+    add_threshold(p)
     p.add_argument("--code", required=True, help="ICD-9 code defining Group I")
     p.set_defaults(func=cmd_case_study)
 

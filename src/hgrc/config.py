@@ -6,16 +6,17 @@ sits under ``train.model``.  Unknown keys are rejected by name rather than
 silently ignored, and so are the model's input widths, which the data sets.
 Every value must have its field's JSON type: booleans are true/false, integers
 are whole numbers, floats take either, and tuples are arrays of those.
+Checkpoint manifests are read through the same builder, with the widths
+allowed.
 """
 
 from __future__ import annotations
 
 import json
 import typing
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, is_dataclass
 
 from .errors import ConfigError
-from .model import ModelConfig
 from .synthetic import SyntheticSpec
 from .train import TrainConfig
 
@@ -60,27 +61,32 @@ def _matches(value, hint) -> bool:
 
 
 def _build_section(cls, raw: dict, section: str, from_data=()):
+    """The dataclass ``cls`` built from parsed JSON, checking every value's type.
+
+    The one path from outside input to a config: nested dataclass fields are
+    built recursively, arrays become tuples, and keys named in ``from_data``
+    are rejected at any depth.
+    """
     if not isinstance(raw, dict):
         raise ConfigError(f"config section {section!r} must be an object")
     hints = typing.get_type_hints(cls)
     known = {f.name for f in fields(cls)}
+    values = {}
     for key, value in raw.items():
-        if key in from_data:
-            raise ConfigError(f"{section}.{key} is set from the data and cannot be configured")
         if key not in known:
             raise ConfigError(f"unknown key {section}.{key!r} in config")
+        if key in from_data:
+            raise ConfigError(f"{section}.{key} is set from the data and cannot be configured")
         hint = hints[key]
-        if not _matches(value, hint):
+        if is_dataclass(hint):
+            value = _build_section(hint, value, f"{section}.{key}", from_data)
+        elif not _matches(value, hint):
             expected = hint.__name__ if isinstance(hint, type) else str(hint)
             raise ConfigError(f"{section}.{key} must be {expected}, got {value!r}")
-    return cls(**raw)
-
-
-def _build_train(raw: dict) -> TrainConfig:
-    if isinstance(raw, dict) and "model" in raw:
-        model = _build_section(ModelConfig, raw["model"], "train.model", DATA_WIDTHS)
-        raw = {**raw, "model": model}
-    return _build_section(TrainConfig, raw, "train")
+        elif typing.get_origin(hint) is tuple:
+            value = tuple(value)
+        values[key] = value
+    return cls(**values)
 
 
 def parse_app_config(document: dict) -> AppConfig:
@@ -91,7 +97,7 @@ def parse_app_config(document: dict) -> AppConfig:
         if key not in known_sections:
             raise ConfigError(f"unknown section {key!r} in config")
     return AppConfig(
-        train=_build_train(document.get("train", {})),
+        train=_build_section(TrainConfig, document.get("train", {}), "train", DATA_WIDTHS),
         synthetic=_build_section(SyntheticSpec, document.get("synthetic", {}), "synthetic"),
         paths=_build_section(PathsConfig, document.get("paths", {}), "paths"),
     )

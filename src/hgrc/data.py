@@ -139,7 +139,7 @@ def _read_rows(path, expected_header: list[str]):
             yield lineno, row
 
 
-def load_cohort(patients_path, vitals_path, window_hours: int = 48,
+def load_cohort(patients_path, vitals_path, window_hours: int,
                 schema: tuple[str, ...] = DEFAULT_SCHEMA) -> Cohort:
     """Load a cohort from the two-file CSV format.
 

@@ -95,9 +95,10 @@ def confusion_counts(scores, labels, threshold: float) -> tuple[int, int, int, i
     return tp, fp, tn, fn
 
 
-def confusion_metrics(scores, labels, threshold: float = 0.5) -> tuple[float, float, float, float]:
+def confusion_metrics(scores, labels,
+                      decision_threshold: float) -> tuple[float, float, float, float]:
     """(accuracy, precision, recall, f1); every 0/0 ratio is 0."""
-    tp, fp, tn, fn = confusion_counts(scores, labels, threshold)
+    tp, fp, tn, fn = confusion_counts(scores, labels, decision_threshold)
     n = tp + fp + tn + fn
     accuracy = (tp + tn) / n if n else 0.0
     precision = tp / (tp + fp) if tp + fp else 0.0
@@ -128,7 +129,7 @@ class MetricsReport:
         return asdict(self)
 
 
-def compute_report(scores, labels, decision_threshold: float = 0.5) -> MetricsReport:
+def compute_report(scores, labels, decision_threshold: float) -> MetricsReport:
     """Full metric suite over one score vector."""
     scores_v, labels_v = _validate(scores, labels)
     if scores_v.shape[0] == 0:

@@ -58,9 +58,6 @@ class ModelConfig:
     use_similarity: bool = True
 
     def __post_init__(self):
-        # JSON config files and checkpoint manifests carry ffn_hidden as a list
-        if isinstance(self.ffn_hidden, list):
-            object.__setattr__(self, "ffn_hidden", tuple(self.ffn_hidden))
         for name in ("n_variables", "hidden_size", "phi_width", "n_members"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")

@@ -47,12 +47,6 @@ class TrainConfig:
     model: ModelConfig = field(default_factory=ModelConfig)
 
     def __post_init__(self):
-        # JSON config files and checkpoint manifests carry these as a list
-        # and an object
-        if isinstance(self.split_ratios, list):
-            object.__setattr__(self, "split_ratios", tuple(self.split_ratios))
-        if isinstance(self.model, dict):
-            object.__setattr__(self, "model", ModelConfig(**self.model))
         if not isinstance(self.model, ModelConfig):
             raise ConfigError(f"model must be a ModelConfig, got {type(self.model).__name__}")
         if self.window_hours not in VALID_WINDOWS:
@@ -151,8 +145,9 @@ def train(config: TrainConfig, train_cohort: Cohort, val_cohort: Cohort,
     """Fit the model; returns the best-validation-AUROC checkpoint.
 
     Both cohorts must already be imputed and standardized with the training
-    split's statistics.  ``progress``, when given, receives each epoch's log
-    entry as it is produced.
+    split's statistics, and the validation cohort must hold both classes.
+    ``progress``, when given, receives each epoch's log entry as it is
+    produced.
     """
     if train_cohort.norm_stats is None or train_cohort.norm_stats.std is None:
         raise ConfigError("train cohort lacks normalization stats; run impute/standardize first")
@@ -163,6 +158,12 @@ def train(config: TrainConfig, train_cohort: Cohort, val_cohort: Cohort,
         raise ConfigError(f"training needs at least 2 patients, got {n}")
     if len(val_cohort) < 1:
         raise ConfigError("validation cohort is empty")
+    val_positive = int(val_cohort.labels().sum())
+    if val_positive in (0, len(val_cohort)):
+        # each epoch's model selection reads the validation AUROC
+        raise UndefinedMetricError(
+            f"validation cohort needs both classes, got {val_positive} positives "
+            f"and {len(val_cohort) - val_positive} negatives")
 
     cfg = config.model_config(len(train_cohort.schema), len(train_cohort.code_vocab))
     _, init_rng, loop_rng = derive_rng_streams(config.seed)
@@ -244,16 +245,16 @@ def _check_cohort_matches(ckpt: Checkpoint, cohort: Cohort) -> None:
         raise ConfigError("cohort code vocabulary does not match checkpoint vocabulary")
 
 
-def evaluate(ckpt: Checkpoint, cohort: Cohort, decision_threshold: float = 0.5,
+def evaluate(ckpt: Checkpoint, cohort: Cohort,
              eval_batch_size: int | None = None) -> MetricsReport:
-    """Eval-mode metrics on a standardized cohort."""
+    """Eval-mode metrics on a standardized cohort at the checkpoint's decision threshold."""
     if len(cohort) == 0:
         raise UndefinedMetricError("cannot evaluate an empty cohort")
     _check_cohort_matches(ckpt, cohort)
     series, icd, labels = _cohort_arrays(cohort)
     scores, _ = _predict(ckpt.params, ckpt.model_config(), series, icd, labels,
                          eval_batch_size)
-    return compute_report(scores, labels, decision_threshold)
+    return compute_report(scores, labels, ckpt.config.decision_threshold)
 
 
 def predict_scores(ckpt: Checkpoint, cohort: Cohort,

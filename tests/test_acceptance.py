@@ -53,7 +53,7 @@ def prepare_splits(cohort, config):
 def run_experiment(cohort, config):
     tr, va, te = prepare_splits(cohort, config)
     ckpt = train(config, tr, va)
-    return ckpt, evaluate(ckpt, te, config.decision_threshold), te
+    return ckpt, evaluate(ckpt, te), te
 
 
 @pytest.fixture(scope="module")
@@ -207,8 +207,7 @@ def test_criterion_7_determinism_and_persistence(capsys, tmp_path):
 
         path = tmp_path / "model.hgrc"
         save_checkpoint(first, path)
-        reloaded_report = evaluate(load_checkpoint(path), te,
-                                   config.decision_threshold)
+        reloaded_report = evaluate(load_checkpoint(path), te)
         assert reloaded_report.to_dict() == first_report.to_dict()
         v["detail"] = ("repeated run and checkpoint round trip both "
                        "bit-identical (logs and metrics)")

@@ -249,7 +249,10 @@ def test_unknown_config_key_rejected(tmp_path):
     lambda m: m["config"]["model"].update(mystery_knob=3),
     lambda m: m["config"]["model"].update(hidden_size=0),
     lambda m: m["config"].update(hidden_size=3),
-], ids=["unknown_model_key", "invalid_model_value", "flat_architecture_key"])
+    lambda m: m["config"]["model"].update(use_similarity="no"),
+    lambda m: m["config"].update(split_ratios="abc"),
+], ids=["unknown_model_key", "invalid_model_value", "flat_architecture_key",
+        "string_use_similarity", "string_split_ratios"])
 def test_bad_model_config_rejected(tmp_path, edit):
     def mutate(d):
         def apply(m):

@@ -11,6 +11,8 @@ from hgrc.cli import main
 from hgrc.config import AppConfig, dump_defaults, parse_app_config
 from hgrc.data import load_cohort
 from hgrc.errors import ConfigError
+from hgrc.model import ModelConfig
+from hgrc.train import TrainConfig
 
 
 def run_cli(argv):
@@ -89,6 +91,31 @@ def test_evaluate_split_and_threshold_flags(workspace):
     assert low["decision_threshold"] == 0.01
     default, _ = run_json(eval_args(workspace))
     assert low["auroc"] == default["auroc"]  # ranking metrics ignore the threshold
+    for threshold in ("1.5", "0", "1"):
+        code, out, err = run_cli(eval_args(workspace, "--threshold", threshold))
+        assert code == 2
+        assert out == ""
+        assert "decision_threshold must be in (0, 1)" in err
+
+
+def test_evaluate_and_case_study_default_to_the_trained_threshold(workspace, tmp_path):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({
+        "train": {"epochs": 1, "seed": 1, "decision_threshold": 0.3},
+        "paths": {"data_dir": str(workspace["data_dir"]),
+                  "checkpoint": str(tmp_path / "t.hgrc")},
+    }))
+    run_json(["train", "--config", str(cfg_path)])
+    report, _ = run_json(["evaluate", "--config", str(cfg_path)])
+    assert report["decision_threshold"] == 0.3
+    tr = train_split(workspace)  # the same split: seed 1
+    labels = tr.labels()
+    mixed = next(code for j, code in enumerate(tr.code_vocab)
+                 if len(set(labels[tr.codes_matrix()[:, j] == 1.0])) == 2)
+    result, _ = run_json(["case-study", "--config", str(cfg_path),
+                          "--split", "train", "--code", mixed])
+    assert result["group_i"]["metrics"]["decision_threshold"] == 0.3
+    assert result["group_ii"]["metrics"]["decision_threshold"] == 0.3
 
 
 def test_evaluate_supports_batched_scoring(workspace):
@@ -250,7 +277,8 @@ def test_config_file_errors_exit_2(tmp_path):
     {"train": {"model": {"mystery": 1}}},
     {"train": {"hidden_size": 30}},
     {"train": {"model": {"n_codes": 5}}},
-], ids=["unknown_model_key", "flat_architecture_key", "data_width"])
+    {"train": {"model": {"hidden_size": 0}}},
+], ids=["unknown_model_key", "flat_architecture_key", "data_width", "invalid_model_value"])
 def test_config_architecture_errors_exit_2(tmp_path, document):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(document))
@@ -258,6 +286,16 @@ def test_config_architecture_errors_exit_2(tmp_path, document):
     assert code == 2
     assert out == ""
     assert "config error" in err
+
+
+def test_config_lists_build_tuples():
+    # JSON carries tuples as arrays; the built config must equal, and hash
+    # like, one written with tuples
+    parsed = parse_app_config({"train": {"split_ratios": [0.6, 0.2, 0.2],
+                                         "model": {"ffn_hidden": [4, 3]}}})
+    written = TrainConfig(split_ratios=(0.6, 0.2, 0.2), model=ModelConfig(ffn_hidden=(4, 3)))
+    assert parsed.train == written
+    assert hash(parsed.train) == hash(written)
 
 
 def test_config_values_must_have_their_field_types():
@@ -356,6 +394,7 @@ def test_malformed_checkpoint_norm_stats_exit_1(workspace, tmp_path, edit):
 def test_usage_errors_raise_system_exit():
     for argv in (["train", "--window", "12"],
                  ["embed", "--stage", "nonsense"],
+                 ["embed", "--stage", "gru", "--threshold", "7"],  # embed takes no threshold
                  ["no-such-command"],
                  []):
         with pytest.raises(SystemExit) as exc:

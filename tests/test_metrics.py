@@ -201,4 +201,4 @@ def test_compute_report_fields():
 
 def test_compute_report_empty_rejected():
     with pytest.raises(UndefinedMetricError):
-        compute_report(np.zeros(0), np.zeros(0, dtype=int))
+        compute_report(np.zeros(0), np.zeros(0, dtype=int), 0.5)

@@ -1,12 +1,17 @@
-"""Every public function and class in the package has a caller outside the tests.
+"""Guards on the package's shape, read from its source.
 
-A module-level name without a leading underscore is public.  It has to be
+Every public function and class has a caller outside the tests.  A
+module-level name without a leading underscore is public.  It has to be
 referenced by other package code, by the benchmark under ``bench/``, or be
 exported in ``hgrc.__all__``; a helper that only tests call belongs in the
 tests as an oracle.
+
+Every config default is declared once, on its dataclass: no function gives
+a default to a parameter named after a config field.
 """
 
 import ast
+from dataclasses import fields
 from pathlib import Path
 
 import hgrc
@@ -49,3 +54,26 @@ def test_every_public_definition_has_a_non_test_caller():
               if name not in exported
               and not any(name in refs for user, refs in uses if user is not node)]
     assert unused == [], f"public but only tests use them: {unused}"
+
+
+def _defaulted_parameters(node: ast.FunctionDef) -> list[str]:
+    args = node.args
+    positional = args.posonlyargs + args.args
+    defaulted = positional[len(positional) - len(args.defaults):]
+    defaulted += [arg for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                  if default is not None]
+    return [arg.arg for arg in defaulted]
+
+
+def test_no_function_redeclares_a_config_default():
+    config_fields = {f.name for cls in (hgrc.TrainConfig, hgrc.ModelConfig, hgrc.SyntheticSpec)
+                     for f in fields(cls)}
+    redeclared = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                redeclared += [f"{path.stem}.{node.name}({name}=...)"
+                               for name in _defaulted_parameters(node)
+                               if name in config_fields]
+    assert redeclared == [], f"config defaults declared again: {redeclared}"

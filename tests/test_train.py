@@ -118,7 +118,7 @@ def test_progress_callback_sees_each_epoch(splits):
 
 def test_checkpoint_params_match_best_epoch_metrics(trained, splits):
     _, va, _ = splits
-    report = evaluate(trained, va, decision_threshold=0.5)
+    report = evaluate(trained, va)
     best = trained.training_log[trained.best_epoch - 1]["val"]
     assert report.to_dict() == best
     assert best["auroc"] == max(e["val"]["auroc"] for e in trained.training_log)
@@ -153,6 +153,17 @@ def test_train_rejects_unprepared_cohorts(splits):
         train(cfg, tr, type(va)((), va.schema, va.code_vocab, va.norm_stats))
 
 
+def test_train_rejects_one_class_validation_before_the_first_step(splits):
+    tr, va, _ = splits
+    negatives = type(va)(tuple(p for p in va.patients if p.label == 0),
+                         va.schema, va.code_vocab, va.norm_stats)
+    seen = []
+    # a late failure, from the first epoch's validation report, reads "auroc needs ..."
+    with pytest.raises(UndefinedMetricError, match="validation cohort needs both classes"):
+        train(TrainConfig(**SMALL_CONFIG), tr, negatives, progress=seen.append)
+    assert seen == []
+
+
 def test_train_rejects_mismatched_vocabularies(splits):
     tr, va, _ = splits
     renamed = va.code_vocab[:-1] + ("zzz.9",)
@@ -176,21 +187,8 @@ def test_train_config_validation():
         TrainConfig(seed=-1)
     with pytest.raises(ConfigError, match="decision_threshold"):
         TrainConfig(decision_threshold=1.0)
-    with pytest.raises(ConfigError, match="hidden_size"):
-        TrainConfig(model={"hidden_size": 0})
     with pytest.raises(ConfigError, match="model"):
         TrainConfig(model=[59])
-
-
-def test_train_config_coerces_lists_to_tuples():
-    # JSON config files and checkpoint manifests carry these fields as lists
-    # and the architecture as an object
-    from_lists = TrainConfig(model={"ffn_hidden": [4, 3]}, split_ratios=[0.6, 0.2, 0.2])
-    from_tuples = TrainConfig(model=ModelConfig(ffn_hidden=(4, 3)),
-                              split_ratios=(0.6, 0.2, 0.2))
-    assert from_lists == from_tuples
-    assert hash(from_lists) == hash(from_tuples)
-    assert from_lists.model_config(2, 3).ffn_hidden == (4, 3)
 
 
 def test_checkpoint_config_records_the_trained_widths(trained, splits):
