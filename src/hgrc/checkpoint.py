@@ -6,8 +6,9 @@ under ``model``, schema, code vocabulary, normalization stats, parameter
 name/shape/offset table, training log), then
 the model's flat parameter buffer as raw little-endian float64, whose arrays
 lie in layout order (``model.param_layout``), each in C order.  The table's
-offsets count bytes.  A load requires the table to equal the layout that
-the stored config implies (same names, shapes and contiguous offsets, in
+offsets count bytes.  A load requires the stored config's model widths to
+equal the schema's and code vocabulary's lengths, the table to equal the
+layout that config implies (same names, shapes and contiguous offsets, in
 order) and the blob to be exactly the buffer's size, then reads the blob in
 one piece.  Round trips are bit-exact: loading a saved checkpoint and
 evaluating reproduces the pre-save evaluation to the last bit.
@@ -29,7 +30,7 @@ from .errors import CheckpointError, CheckpointVersionError, ConfigError
 from .train import Checkpoint, TrainConfig
 
 MAGIC = b"HGRC"
-VERSION = 2  # 2: the architecture nested in the config as ``model``
+VERSION = 3  # 3: GRU gates stacked in four arrays; 2: the architecture nested as ``model``
 _HEADER = struct.Struct("<4sBQ")
 
 
@@ -121,6 +122,10 @@ def load_checkpoint(path) -> Checkpoint:
         entries = manifest["params"]
         training_log = manifest["training_log"]
         best_epoch = int(manifest["best_epoch"])
+        widths = (config.model.n_variables, config.model.n_codes)
+        if widths != (len(schema), len(code_vocab)):
+            raise ConfigError(f"config.model widths {widths} differ from the "
+                              f"{len(schema)} schema variables and {len(code_vocab)} codes")
     except ConfigError as exc:
         raise CheckpointError(f"{path}: checkpoint config does not match TrainConfig: {exc}")
     except KeyError as exc:
@@ -128,8 +133,7 @@ def load_checkpoint(path) -> Checkpoint:
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: malformed manifest: {exc}")
 
-    cfg = config.model_config(len(schema), len(code_vocab))
-    expected = _param_table(model_mod.param_layout(cfg))
+    expected = _param_table(model_mod.param_layout(config.model))
     blob_bytes = len(data) - body_start
     if entries != expected:
         raise CheckpointError(f"{path}: {_table_mismatch(entries, expected, blob_bytes)}")
@@ -138,7 +142,7 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError(
             f"{path}: parameter blob is {blob_bytes} bytes, manifest expects {expected_bytes}")
     blob = np.frombuffer(data, dtype="<f8", offset=body_start)
-    params = model_mod.ModelParams(cfg, blob.astype(np.float64))
+    params = model_mod.ModelParams(config.model, blob.astype(np.float64))
 
     return Checkpoint(
         config=config,

@@ -69,15 +69,17 @@ def _load_raw_cohort(data_dir: Path, window_hours: int) -> data_mod.Cohort:
                                 window_hours)
 
 
-def _standardized_splits(cohort, config: TrainConfig):
-    """Split, then impute/standardize everything with the train split's stats."""
+def _standardized_splits(cohort, config: TrainConfig, stats: data_mod.NormStats | None = None):
+    """Split, then impute/standardize every split with ``stats``.
+
+    Without ``stats`` they come from the train split, as in training.
+    """
     split_rng, _, _ = derive_rng_streams(config.seed)
-    train_c, val_c, test_c = data_mod.split(cohort, config.split_ratios, split_rng)
-    train_c = data_mod.standardize(data_mod.impute_mean(train_c))
-    stats = train_c.norm_stats
-    val_c = data_mod.standardize(data_mod.impute_mean(val_c, stats), stats)
-    test_c = data_mod.standardize(data_mod.impute_mean(test_c, stats), stats)
-    return train_c, val_c, test_c
+    pieces = data_mod.split(cohort, config.split_ratios, split_rng)
+    if stats is None:
+        stats = data_mod.standardize(data_mod.impute_mean(pieces[0])).norm_stats
+    return tuple(data_mod.standardize(data_mod.impute_mean(piece, stats), stats)
+                 for piece in pieces)
 
 
 def _with_threshold(ckpt: Checkpoint, threshold: float | None) -> Checkpoint:
@@ -95,11 +97,8 @@ def _checkpoint_split(args, ckpt: Checkpoint, data_dir: Path):
                           f"({list(cohort.schema)} vs {list(ckpt.schema)})")
     if cohort.code_vocab != ckpt.code_vocab:
         raise ConfigError("data code vocabulary does not match checkpoint vocabulary")
-    split_rng, _, _ = derive_rng_streams(ckpt.config.seed)
-    pieces = dict(zip(SPLITS, data_mod.split(cohort, ckpt.config.split_ratios, split_rng)))
-    piece = pieces[args.split]
-    return data_mod.standardize(data_mod.impute_mean(piece, ckpt.norm_stats),
-                                ckpt.norm_stats)
+    pieces = _standardized_splits(cohort, ckpt.config, ckpt.norm_stats)
+    return pieces[SPLITS.index(args.split)]
 
 
 # ---------------------------------------------------------------- commands

@@ -9,8 +9,12 @@ vector.  Gate convention, fixed and tested:
     c = tanh(W_h x + U_h (r * h) + b_h)
     h_t = (1 - z) * h_prev + z * c
 
-so all-zero parameters give h_t = 0.5 * h_prev.  The backward pass is
-hand-derived backpropagation through time; see encode_batch_backward.
+so all-zero parameters give h_t = 0.5 * h_prev.  The gates are stored
+stacked in z, r, h order: ``w`` (3d, M) = [W_z; W_r; W_h], ``u_zr`` (2d, d)
+= [U_z; U_r], ``u_h`` (d, d) and ``b`` (3d,).  Each step makes one input
+product for all three gates, one for the z/r recurrence and one for the
+candidate.  The backward pass is hand-derived backpropagation through time;
+see encode_batch_backward.
 """
 
 from __future__ import annotations
@@ -20,50 +24,51 @@ import numpy as np
 from .errors import ShapeError
 from .numeric import Array, Rng, glorot_init, sigmoid
 
+
 def init_gru_params(p: dict[str, Array], rng: Rng) -> None:
-    """Fill ``p`` in place: Glorot weights, zero biases; one stream per weight.
+    """Fill ``p`` in place: Glorot weights, zero biases; one stream per gate block.
 
-    ``p`` maps w_z, u_z, b_z, w_r, ..., b_h to arrays: w_* are (d, M) input
-    maps, u_* are (d, d) hidden maps, b_* are (d,).
+    Each gate's block of ``w``, ``u_zr`` and ``u_h`` is drawn on its own
+    (d, M) or (d, d) Glorot limit, in the order w_z, u_z, w_r, u_r, w_h, u_h.
     """
-    for name, stream in zip(("w_z", "u_z", "w_r", "u_r", "w_h", "u_h"), rng.split(6)):
-        p[name][...] = glorot_init(*p[name].shape, stream)
-    for name in ("b_z", "b_r", "b_h"):
-        p[name][...] = 0.0
-
-
-def _step(x_t: Array, h_prev: Array, p: dict[str, Array]):
-    """One GRU step over a batch: x_t (N, M), h_prev (N, d)."""
-    z = sigmoid(x_t @ p["w_z"].T + h_prev @ p["u_z"].T + p["b_z"])
-    r = sigmoid(x_t @ p["w_r"].T + h_prev @ p["u_r"].T + p["b_r"])
-    c = np.tanh(x_t @ p["w_h"].T + (r * h_prev) @ p["u_h"].T + p["b_h"])
-    h = (1.0 - z) * h_prev + z * c
-    return h, (x_t, h_prev, z, r, c)
+    d = p["u_h"].shape[0]
+    w, u_zr = p["w"], p["u_zr"]
+    blocks = (w[:d], u_zr[:d], w[d:2 * d], u_zr[d:], w[2 * d:], p["u_h"])
+    for block, stream in zip(blocks, rng.split(6)):
+        block[...] = glorot_init(*block.shape, stream)
+    p["b"][...] = 0.0
 
 
 def encode_batch(series_batch: Array, p: dict[str, Array]):
     """Run the GRU over (N, M, T) series; returns final states (N, d) + cache.
 
-    h_0 = 0.  The cache holds every step's inputs and gate values for the
-    backward pass.
+    h_0 = 0.  The cache holds the series and, for the backward pass, every
+    step's previous state and z, r and candidate values.  These live in
+    (T, N, d) arrays allocated up front: allocated step by step, between the
+    wider gate temporaries, they fragmented the heap and raised peak memory.
     """
     series_batch = np.asarray(series_batch, dtype=np.float64)
     if series_batch.ndim != 3:
         raise ShapeError(f"encode_batch expects (N, M, T), got {series_batch.shape}")
     n, m, t = series_batch.shape
-    d, input_size = p["w_z"].shape
+    d, input_size = p["u_h"].shape[0], p["w"].shape[1]
     if m != input_size:
         raise ShapeError(f"encode_batch: {m} variables vs input size {input_size}")
     if t == 0:
         raise ShapeError("encode_batch: empty time axis")
     if np.isnan(series_batch).any():
         raise ShapeError("encode_batch: absent cells remain; impute first")
-    h = np.zeros((n, d))
-    cache = []
+    hs = np.zeros((t + 1, n, d))  # hs[step] is the state that step reads
+    zs, rs, cs = np.empty((t, n, d)), np.empty((t, n, d)), np.empty((t, n, d))
     for step in range(t):
-        h, step_cache = _step(series_batch[:, :, step], h, p)
-        cache.append(step_cache)
-    return h, cache
+        h, z, r = hs[step], zs[step], rs[step]
+        a = series_batch[:, :, step] @ p["w"].T + p["b"]
+        zr = sigmoid(a[:, :2 * d] + h @ p["u_zr"].T)
+        z[...], r[...] = zr[:, :d], zr[:, d:]
+        c = np.tanh(a[:, 2 * d:] + (r * h) @ p["u_h"].T, out=cs[step])
+        np.add((1.0 - z) * h, z * c, out=hs[step + 1])
+    # a copy, so that holding the final state does not hold the whole cache
+    return hs[t].copy(), (series_batch, hs, zs, rs, cs)
 
 
 def encode_batch_backward(d_h: Array, cache, p: dict[str, Array], grads: dict[str, Array]):
@@ -72,47 +77,37 @@ def encode_batch_backward(d_h: Array, cache, p: dict[str, Array], grads: dict[st
     d_h is dLoss/dh_T with shape (N, d).  Returns (grads, dLoss/dseries
     with shape (N, M, T)).  The weight gradients are added into ``grads``,
     zeroed arrays keyed like p (views of the model's gradient buffer).
-    Derivation per step, with a_* the pre-activations of the gates:
+    Derivation per step, with a_* the pre-activations of the gates and
+    da = [da_z, da_r, da_h] stacked like the parameters:
 
         dz      = dh * (c - h_prev)          dc = dh * z
         dh_prev = dh * (1 - z)
         da_h    = dc * (1 - c^2)
         d(r*h)  = da_h @ u_h, splitting into dr = . * h_prev and dh_prev += . * r
         da_r    = dr * r * (1 - r)           da_z = dz * z * (1 - z)
-        dh_prev += da_r @ u_r + da_z @ u_z
-        dx_t    = da_z @ w_z + da_r @ w_r + da_h @ w_h
+        dh_prev += [da_z, da_r] @ u_zr
+        dx_t    = da @ w
     """
-    n = d_h.shape[0]
-    t = len(cache)
-    d_series = np.zeros((n, p["w_z"].shape[1], t))
+    series, hs, zs, rs, cs = cache
+    n, m, t = series.shape
+    d = d_h.shape[1]
+    d_series = np.zeros((n, m, t))
+    da = np.empty((n, 3 * d))
+    da_z, da_r, da_h = da[:, :d], da[:, d:2 * d], da[:, 2 * d:]
+    da_zr = da[:, :2 * d]
     dh = np.array(d_h, dtype=np.float64)
     for step in reversed(range(t)):
-        x_t, h_prev, z, r, c = cache[step]
-        dz = dh * (c - h_prev)
-        dc = dh * z
-        dh_prev = dh * (1.0 - z)
-
-        da_h = dc * (1.0 - c * c)
-        grads["w_h"] += da_h.T @ x_t
+        h_prev, z, r, c = hs[step], zs[step], rs[step], cs[step]
+        np.multiply(dh * z, 1.0 - c * c, out=da_h)
         grads["u_h"] += da_h.T @ (r * h_prev)
-        grads["b_h"] += da_h.sum(axis=0)
         d_rh = da_h @ p["u_h"]
-        dr = d_rh * h_prev
-        dh_prev += d_rh * r
-
-        da_r = dr * r * (1.0 - r)
-        grads["w_r"] += da_r.T @ x_t
-        grads["u_r"] += da_r.T @ h_prev
-        grads["b_r"] += da_r.sum(axis=0)
-
-        da_z = dz * z * (1.0 - z)
-        grads["w_z"] += da_z.T @ x_t
-        grads["u_z"] += da_z.T @ h_prev
-        grads["b_z"] += da_z.sum(axis=0)
-
-        dh_prev += da_r @ p["u_r"] + da_z @ p["u_z"]
-        d_series[:, :, step] = da_z @ p["w_z"] + da_r @ p["w_r"] + da_h @ p["w_h"]
-        dh = dh_prev
+        np.multiply(dh * (c - h_prev), z * (1.0 - z), out=da_z)
+        np.multiply(d_rh * h_prev, r * (1.0 - r), out=da_r)
+        grads["w"] += da.T @ series[:, :, step]
+        grads["u_zr"] += da_zr.T @ h_prev
+        grads["b"] += da.sum(axis=0)
+        dh = dh * (1.0 - z) + d_rh * r + da_zr @ p["u_zr"]
+        d_series[:, :, step] = da @ p["w"]
     return grads, d_series
 
 

@@ -89,8 +89,8 @@ def param_layout(config: ModelConfig) -> tuple[tuple[str, tuple[int, ...], int],
     """
     d, m, w, q = config.hidden_size, config.n_variables, config.fused_width, config.phi_width
     h1, h2 = config.ffn_hidden
-    shapes = [(f"gru.{kind}_{gate}", shape) for gate in "zrh"
-              for kind, shape in (("w", (d, m)), ("u", (d, d)), ("b", (d,)))]
+    shapes = [("gru.w", (3 * d, m)), ("gru.u_zr", (2 * d, d)), ("gru.u_h", (d, d)),
+              ("gru.b", (3 * d,))]
     shapes += [(f"theta.{i}", (w, w)) for i in range(config.hconv_layers)]
     shapes += [("zeta", ()), ("phi", (w, q))]
     for i in range(config.n_members):
@@ -249,18 +249,14 @@ def backward(params: ModelParams, batch: Batch, config: ModelConfig, cache) -> M
 
 @dataclass
 class EvalOutput:
-    """Evaluation-mode predictions plus exported intermediate stages."""
+    """Evaluation-mode death probabilities plus exported intermediate stages."""
 
-    probs: Array            # (N, 2) combined prediction
     scores: Array           # (N,) death probability
-    member_probs: list[Array]
-    beta: Array
-    stages: dict[str, Array] = field(repr=False, default=None)
+    stages: dict[str, Array] = field(repr=False)
 
 
 def forward_eval(params: ModelParams, batch: Batch, config: ModelConfig) -> EvalOutput:
     """Hard-threshold adjacency, no dropout; returns combined predictions."""
     member_probs, beta, stages, _ = _forward(params, batch, config, "eval", None)
     probs = head.ensemble_predict(member_probs, beta)
-    return EvalOutput(probs=probs, scores=probs[:, 1], member_probs=member_probs,
-                      beta=beta, stages=stages)
+    return EvalOutput(scores=probs[:, 1], stages=stages)

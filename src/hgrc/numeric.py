@@ -73,12 +73,8 @@ def relu_grad(x: Array) -> Array:
 
 
 def sigmoid(x: Array) -> Array:
-    """Logistic function, overflow-free for any finite input."""
-    x = np.asarray(x, dtype=np.float64)
-    pos = 1.0 / (1.0 + np.exp(-np.clip(x, 0.0, None)))
-    e = np.exp(np.clip(x, None, 0.0))
-    neg = e / (1.0 + e)
-    return np.where(x >= 0.0, pos, neg)
+    """Logistic function in tanh form, 0.5 * (1 + tanh(x / 2)); cannot overflow."""
+    return 0.5 * (1.0 + np.tanh(0.5 * np.asarray(x, dtype=np.float64)))
 
 
 def sigmoid_grad(x: Array) -> Array:

@@ -82,9 +82,6 @@ class Checkpoint:
     training_log: list[dict] = field(default_factory=list)
     best_epoch: int = 0
 
-    def model_config(self) -> ModelConfig:
-        return self.config.model_config(len(self.schema), len(self.code_vocab))
-
 
 def derive_rng_streams(seed: int) -> tuple[Rng, Rng, Rng]:
     """(split, init, loop) streams; re-derivable from the seed at any time."""
@@ -252,7 +249,7 @@ def evaluate(ckpt: Checkpoint, cohort: Cohort,
         raise UndefinedMetricError("cannot evaluate an empty cohort")
     _check_cohort_matches(ckpt, cohort)
     series, icd, labels = _cohort_arrays(cohort)
-    scores, _ = _predict(ckpt.params, ckpt.model_config(), series, icd, labels,
+    scores, _ = _predict(ckpt.params, ckpt.config.model, series, icd, labels,
                          eval_batch_size)
     return compute_report(scores, labels, ckpt.config.decision_threshold)
 
@@ -264,7 +261,7 @@ def predict_scores(ckpt: Checkpoint, cohort: Cohort,
     if len(cohort) == 0:
         return np.empty(0)
     series, icd, labels = _cohort_arrays(cohort)
-    scores, _ = _predict(ckpt.params, ckpt.model_config(), series, icd, labels,
+    scores, _ = _predict(ckpt.params, ckpt.config.model, series, icd, labels,
                          eval_batch_size)
     return scores
 
@@ -278,7 +275,7 @@ def export_embeddings(ckpt: Checkpoint, cohort: Cohort, stage: str, out_path,
         raise ConfigError("cannot export embeddings for an empty cohort")
     _check_cohort_matches(ckpt, cohort)
     series, icd, labels = _cohort_arrays(cohort)
-    _, matrix = _predict(ckpt.params, ckpt.model_config(), series, icd, labels,
+    _, matrix = _predict(ckpt.params, ckpt.config.model, series, icd, labels,
                          eval_batch_size, stage=stage)
     width = matrix.shape[1]
     with open(out_path, "w", newline="") as fh:

@@ -17,11 +17,12 @@ HEADER = struct.Struct("<4sBQ")
 
 
 def small_checkpoint():
-    config = TrainConfig(model=ModelConfig(hidden_size=3, hconv_layers=2, phi_width=3,
-                                           ffn_hidden=(4, 3), n_members=2), epochs=2)
+    config = TrainConfig(model=ModelConfig(n_variables=2, n_codes=4, hidden_size=3,
+                                           hconv_layers=2, phi_width=3, ffn_hidden=(4, 3),
+                                           n_members=2), epochs=2)
     schema = ("heart_rate", "temperature")
     vocab = ("250.00", "428.0", "486", "599.0")
-    params = init_params(config.model_config(len(schema), len(vocab)), Rng(5))
+    params = init_params(config.model, Rng(5))
     for arr in params.named_arrays().values():
         if arr.ndim:
             arr += Rng(99).normal(size=arr.shape)
@@ -105,7 +106,16 @@ def test_version_1_checkpoint_rejected(tmp_path):
     def mutate(d):
         d[4] = 1
         return d
-    with pytest.raises(CheckpointVersionError, match="version 1, expected 2"):
+    with pytest.raises(CheckpointVersionError, match="version 1, expected 3"):
+        load_checkpoint(write_tampered(tmp_path, mutate))
+
+
+def test_version_2_checkpoint_rejected(tmp_path):
+    # version 2 stored the GRU as nine per-gate arrays; there is no converter
+    def mutate(d):
+        d[4] = 2
+        return d
+    with pytest.raises(CheckpointVersionError, match="version 2, expected 3"):
         load_checkpoint(write_tampered(tmp_path, mutate))
 
 
@@ -172,14 +182,14 @@ def test_out_of_bounds_offset_rejected(tmp_path):
 
 
 def test_overlapping_parameters_rejected(tmp_path):
-    # two entries over the same bytes would load w_r as a copy of w_z
+    # two entries over the same bytes would load u_zr as a copy of w
     def mutate(d):
         def edit(m):
             table = {e["name"]: e for e in m["params"]}
-            table["gru.w_r"]["offset"] = table["gru.w_z"]["offset"]
+            table["gru.u_zr"]["offset"] = table["gru.w"]["offset"]
             return m
         return edit_manifest(d, edit)
-    with pytest.raises(CheckpointError, match="'gru.w_r' starts at byte 0"):
+    with pytest.raises(CheckpointError, match="'gru.u_zr' starts at byte 0"):
         load_checkpoint(write_tampered(tmp_path, mutate))
 
 
@@ -189,7 +199,7 @@ def test_reordered_parameters_rejected(tmp_path):
             m["params"][0], m["params"][1] = m["params"][1], m["params"][0]
             return m
         return edit_manifest(d, edit)
-    with pytest.raises(CheckpointError, match="expected 'gru.w_z'"):
+    with pytest.raises(CheckpointError, match="expected 'gru.w'"):
         load_checkpoint(write_tampered(tmp_path, mutate))
 
 
@@ -199,7 +209,7 @@ def test_duplicate_parameter_rejected(tmp_path):
             m["params"][1] = dict(m["params"][0])
             return m
         return edit_manifest(d, edit)
-    with pytest.raises(CheckpointError, match="gru.w_z"):
+    with pytest.raises(CheckpointError, match="gru.w"):
         load_checkpoint(write_tampered(tmp_path, mutate))
 
 
@@ -207,7 +217,7 @@ def test_duplicate_parameter_rejected(tmp_path):
     lambda m: m["params"][0].pop("offset"),
     lambda m: m["params"][0].update(offset="0"),
     lambda m: m["params"][3].update(spare=1),
-    lambda m: m.update(params={"gru.w_z": 0}),
+    lambda m: m.update(params={"gru.w": 0}),
 ], ids=["missing_offset", "string_offset", "extra_key", "table_not_a_list"])
 def test_malformed_parameter_table_rejected(tmp_path, edit):
     def mutate(d):
@@ -251,8 +261,10 @@ def test_unknown_config_key_rejected(tmp_path):
     lambda m: m["config"].update(hidden_size=3),
     lambda m: m["config"]["model"].update(use_similarity="no"),
     lambda m: m["config"].update(split_ratios="abc"),
+    lambda m: m.update(schema=[]),
+    lambda m: m["config"]["model"].update(n_codes=m["config"]["model"]["n_codes"] + 1),
 ], ids=["unknown_model_key", "invalid_model_value", "flat_architecture_key",
-        "string_use_similarity", "string_split_ratios"])
+        "string_use_similarity", "string_split_ratios", "empty_schema", "n_codes_off_by_one"])
 def test_bad_model_config_rejected(tmp_path, edit):
     def mutate(d):
         def apply(m):
@@ -266,7 +278,7 @@ def test_bad_model_config_rejected(tmp_path, edit):
 def test_loaded_checkpoint_predicts_identically(tmp_path):
     from hgrc.model import Batch, forward_eval
     ckpt = small_checkpoint()
-    cfg = ckpt.model_config()
+    cfg = ckpt.config.model
     rng = Rng(31)
     batch = Batch(rng.normal(size=(6, 2, 48)),
                   (rng.random((6, 4)) < 0.5).astype(np.float64),
@@ -275,5 +287,5 @@ def test_loaded_checkpoint_predicts_identically(tmp_path):
     path = tmp_path / "model.hgrc"
     save_checkpoint(ckpt, path)
     loaded = load_checkpoint(path)
-    after = forward_eval(loaded.params, batch, loaded.model_config()).scores
+    after = forward_eval(loaded.params, batch, loaded.config.model).scores
     assert np.array_equal(before, after)

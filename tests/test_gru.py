@@ -9,31 +9,43 @@ from hgrc.numeric import Rng, finite_diff_check
 
 
 def scalar_params():
+    # gates stacked in z, r, h order: w_z=0.5, w_r=0.2, w_h=0.7; u_z=-0.3,
+    # u_r=0.4; u_h=0.6; b_z=0.1, b_r=-0.2, b_h=0.05
     return dict(
-        w_z=np.array([[0.5]]), u_z=np.array([[-0.3]]), b_z=np.array([0.1]),
-        w_r=np.array([[0.2]]), u_r=np.array([[0.4]]), b_r=np.array([-0.2]),
-        w_h=np.array([[0.7]]), u_h=np.array([[0.6]]), b_h=np.array([0.05]),
+        w=np.array([[0.5], [0.2], [0.7]]), u_zr=np.array([[-0.3], [0.4]]),
+        u_h=np.array([[0.6]]), b=np.array([0.1, -0.2, 0.05]),
     )
 
 
 def gru_params(input_size, hidden_size, rng):
     """Initialised GRU parameters for M inputs and d hidden units."""
-    shapes = {"w": (hidden_size, input_size), "u": (hidden_size, hidden_size),
-              "b": (hidden_size,)}
-    p = {f"{kind}_{gate}": np.full(shapes[kind], np.nan) for gate in "zrh" for kind in "wub"}
+    d = hidden_size
+    p = {"w": np.full((3 * d, input_size), np.nan), "u_zr": np.full((2 * d, d), np.nan),
+         "u_h": np.full((d, d), np.nan), "b": np.full(3 * d, np.nan)}
     init_gru_params(p, rng)
     return p
+
+
+def gates(p):
+    """Per-gate views of the stacked arrays: {name: array} for w_z ... b_h."""
+    d = p["u_h"].shape[0]
+    rows = {"z": slice(0, d), "r": slice(d, 2 * d), "h": slice(2 * d, 3 * d)}
+    out = {f"w_{g}": p["w"][rows[g]] for g in "zrh"}
+    out.update({f"b_{g}": p["b"][rows[g]] for g in "zrh"})
+    out.update(u_z=p["u_zr"][:d], u_r=p["u_zr"][d:], u_h=p["u_h"])
+    return out
 
 
 def zero_grads(p):
     return {name: np.zeros_like(arr) for name, arr in p.items()}
 
 
-def oracle_step(x, h, p):
+def oracle_step(x, h, stacked):
     """One GRU step for one patient, written out gate by gate from the
     documented convention with the naive logistic 1 / (1 + e^-a)."""
     def logistic(a):
         return 1.0 / (1.0 + np.exp(-a))
+    p = gates(stacked)
     z = logistic(p["w_z"] @ x + p["u_z"] @ h + p["b_z"])
     r = logistic(p["w_r"] @ x + p["u_r"] @ h + p["b_r"])
     c = np.tanh(p["w_h"] @ x + p["u_h"] @ (r * h) + p["b_h"])
@@ -42,7 +54,7 @@ def oracle_step(x, h, p):
 
 def oracle_sequence(series, p):
     """Final state of one patient's (M, T) series from h_0 = 0."""
-    h = np.zeros(p["w_z"].shape[0])
+    h = np.zeros(p["u_h"].shape[0])
     for step in range(series.shape[1]):
         h = oracle_step(series[:, step], h, p)
     return h
@@ -148,7 +160,10 @@ def test_zero_upstream_gradient_gives_zero_grads():
 
 
 def test_init_gru_params_shapes_and_zero_biases():
-    p = gru_params(7, 4, Rng(0))
+    stacked = gru_params(7, 4, Rng(0))
+    assert stacked["w"].shape == (12, 7) and stacked["u_zr"].shape == (8, 4)
+    assert stacked["u_h"].shape == (4, 4) and stacked["b"].shape == (12,)
+    p = gates(stacked)
     limit = np.sqrt(6.0 / 11.0)
     for name in ("w_z", "w_r", "w_h"):
         assert p[name].shape == (4, 7)
@@ -161,6 +176,23 @@ def test_init_gru_params_shapes_and_zero_biases():
     # one stream per weight: no two matrices share their draws
     assert not np.array_equal(p["w_z"], p["w_r"])
     assert not np.array_equal(p["u_z"], p["u_h"])
+
+
+def test_init_draws_each_gate_block_on_its_own_glorot_limit():
+    # a stack initialised as one matrix would draw on the wider limit of the
+    # whole (3d, M) or (2d, d) shape and break the per-gate one
+    d, m = 6, 2
+    blocks = {"w": (3, (d, m)), "u_zr": (2, (d, d)), "u_h": (1, (d, d))}
+    outside = []
+    for seed in range(5):
+        p = gru_params(m, d, Rng(seed))
+        for name, (n_gates, (rows, cols)) in blocks.items():
+            gate_limit = np.sqrt(6.0 / (rows + cols))
+            stack_limit = np.sqrt(6.0 / (n_gates * rows + cols))
+            for k in range(n_gates):
+                assert np.all(np.abs(p[name][k * d:(k + 1) * d]) <= gate_limit), name
+            outside.append(np.abs(p[name]).max() > stack_limit)
+    assert any(outside)
 
 
 def test_fuse_concatenates_hidden_then_codes():

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from hgrc.errors import ConfigError
+from hgrc.head import ensemble_predict
 from hgrc.model import (Batch, ModelConfig, backward, forward_eval, forward_train,
                         init_params, make_dropout_masks)
 from hgrc.numeric import Rng, finite_diff_check
@@ -19,12 +20,29 @@ TINY = dict(n_variables=2, n_codes=4, hidden_size=3,
             dropout=0.0)
 
 
+def gate_blocks(params):
+    """Every parameter array, the GRU's cut into per-gate blocks taken w, u, b
+    for each of the z, r and h gates; the other arrays in layout order."""
+    d, gru = params.config.hidden_size, params.gru
+    blocks = []
+    for k in range(3):
+        rows = slice(k * d, (k + 1) * d)
+        u = gru["u_zr"][rows] if k < 2 else gru["u_h"]
+        blocks += [gru["w"][rows], u, gru["b"][rows]]
+    return blocks + [arr for name, arr in params.named_arrays().items()
+                     if not name.startswith("gru.")]
+
+
 def tiny_fixture(seed=236, nudge_scale=0.3, **overrides):
-    """Nudged parameters plus one batch with an isolated (code-free) patient."""
+    """Nudged parameters plus one batch with an isolated (code-free) patient.
+
+    The nudge is drawn gate by gate, so the point does not depend on how the
+    GRU's gates are stacked in the parameter layout.
+    """
     cfg = ModelConfig(**{**TINY, **overrides})
     params = init_params(cfg, Rng(seed))
     nudge = Rng(seed + 1000)
-    for arr in params.named_arrays().values():
+    for arr in gate_blocks(params):
         if arr.ndim:
             arr += nudge.normal(scale=nudge_scale, size=arr.shape)
     data_rng = Rng(seed + 2000)
@@ -155,27 +173,29 @@ def test_forward_train_requires_masks_when_dropout_on():
 def test_forward_eval_outputs_are_probabilities_with_stages():
     cfg, params, batch = tiny_fixture()
     out = forward_eval(params, batch, cfg)
-    assert out.probs.shape == (5, 2)
-    assert np.allclose(out.probs.sum(axis=1), 1.0, rtol=0, atol=1e-12)
-    assert np.array_equal(out.scores, out.probs[:, 1])
+    member_probs, beta, _, _ = probe(params, batch, cfg, "eval")
+    assert beta.shape == (5, 2)
+    probs = ensemble_predict(member_probs, beta)
+    assert np.allclose(probs.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    assert out.scores.shape == (5,)
+    assert np.array_equal(out.scores, probs[:, 1])
     assert out.stages["gru"].shape == (5, 3)
     assert out.stages["hconv"].shape == (5, 7)
     assert out.stages["aggregated"].shape == (5, 3)
-    assert out.beta.shape == (5, 2)
 
 
 def test_eval_and_train_adjacencies_differ():
     # eval uses the strict indicator, train the sigmoid relaxation, so the
     # same parameters generally score patients differently
     cfg, params, batch = tiny_fixture()
-    out = forward_eval(params, batch, cfg)
-    member_probs_train, beta_train, _, _ = probe_train(params, batch, cfg)
-    assert not np.allclose(out.member_probs[0], member_probs_train[0])
+    member_probs_eval, _, _, _ = probe(params, batch, cfg, "eval")
+    member_probs_train, _, _, _ = probe(params, batch, cfg, "train")
+    assert not np.allclose(member_probs_eval[0], member_probs_train[0])
 
 
-def probe_train(params, batch, cfg):
+def probe(params, batch, cfg, mode):
     from hgrc.model import _forward
-    return _forward(params, batch, cfg, "train", None)
+    return _forward(params, batch, cfg, mode, None)
 
 
 def test_initial_loss_is_ln_two():

@@ -14,8 +14,7 @@ TINY = dict(n_variables=2, n_codes=4, hidden_size=3,
             hconv_layers=2, phi_width=3, ffn_hidden=(4, 3), n_members=2,
             dropout=0.0)
 
-NAMES = (["gru." + n for n in ("w_z", "u_z", "b_z", "w_r", "u_r", "b_r",
-                               "w_h", "u_h", "b_h")]
+NAMES = (["gru." + n for n in ("w", "u_zr", "u_h", "b")]
          + ["theta.0", "theta.1", "zeta", "phi"]
          + [f"ffn{i}.{n}" for i in range(2) for n in ("w1", "b1", "w2", "b2", "wy", "by")]
          + ["attn.w_beta", "attn.b_beta"])
@@ -46,7 +45,8 @@ def test_layout_names_and_order_are_the_checkpoint_table():
     params = ModelParams(ModelConfig(**TINY))
     assert [name for name, _, _ in params.layout] == NAMES
     assert list(params.named_arrays()) == NAMES
-    assert params.named_arrays()["gru.w_z"].shape == (3, 2)
+    assert params.named_arrays()["gru.w"].shape == (9, 2)
+    assert params.named_arrays()["gru.u_zr"].shape == (6, 3)
     assert params.named_arrays()["zeta"].shape == ()
 
 

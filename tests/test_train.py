@@ -193,7 +193,6 @@ def test_train_config_validation():
 
 def test_checkpoint_config_records_the_trained_widths(trained, splits):
     tr, _, _ = splits
-    assert trained.config.model == trained.model_config()
     assert trained.config.model.n_variables == len(tr.schema)
     assert trained.config.model.n_codes == len(tr.code_vocab)
 
