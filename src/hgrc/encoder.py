@@ -39,13 +39,13 @@ def init_gru_params(p: dict[str, Array], rng: Rng) -> None:
     p["b"][...] = 0.0
 
 
-def encode_batch(series_batch: Array, p: dict[str, Array]):
+def encode_batch(series_batch: Array, p: dict[str, Array], keep_cache: bool = True):
     """Run the GRU over (N, M, T) series; returns final states (N, d) + cache.
 
-    h_0 = 0.  The cache holds the series and, for the backward pass, every
-    step's previous state and z, r and candidate values.  These live in
-    (T, N, d) arrays allocated up front: allocated step by step, between the
-    wider gate temporaries, they fragmented the heap and raised peak memory.
+    h_0 = 0.  The cache holds the series and every step's previous state and
+    z, r and candidate values, in (T, N, d) arrays; without ``keep_cache`` it
+    is None and the steps take turns in one slot.  Each step writes into
+    buffers allocated up front, so no call's time hangs on page faults.
     """
     series_batch = np.asarray(series_batch, dtype=np.float64)
     if series_batch.ndim != 3:
@@ -58,17 +58,23 @@ def encode_batch(series_batch: Array, p: dict[str, Array]):
         raise ShapeError("encode_batch: empty time axis")
     if np.isnan(series_batch).any():
         raise ShapeError("encode_batch: absent cells remain; impute first")
-    hs = np.zeros((t + 1, n, d))  # hs[step] is the state that step reads
-    zs, rs, cs = np.empty((t, n, d)), np.empty((t, n, d)), np.empty((t, n, d))
+    slots = t if keep_cache else 1
+    hs = np.zeros((slots + 1, n, d))  # hs[step] is the state that step reads
+    zs, rs, cs = (np.empty((slots, n, d)) for _ in range(3))
+    a, zr, tmp = np.empty((n, 3 * d)), np.empty((n, 2 * d)), np.empty((n, d))
     for step in range(t):
-        h, z, r = hs[step], zs[step], rs[step]
-        a = series_batch[:, :, step] @ p["w"].T + p["b"]
-        zr = sigmoid(a[:, :2 * d] + h @ p["u_zr"].T)
+        h, h_next = hs[step % (slots + 1)], hs[(step + 1) % (slots + 1)]
+        z, r, c = zs[step % slots], rs[step % slots], cs[step % slots]
+        np.add(np.matmul(series_batch[:, :, step], p["w"].T, out=a), p["b"], out=a)
+        np.add(np.matmul(h, p["u_zr"].T, out=zr), a[:, :2 * d], out=zr)
+        sigmoid(zr, out=zr)
         z[...], r[...] = zr[:, :d], zr[:, d:]
-        c = np.tanh(a[:, 2 * d:] + (r * h) @ p["u_h"].T, out=cs[step])
-        np.add((1.0 - z) * h, z * c, out=hs[step + 1])
+        np.add(np.matmul(np.multiply(r, h, out=tmp), p["u_h"].T, out=c), a[:, 2 * d:], out=c)
+        np.tanh(c, out=c)
+        np.multiply(np.subtract(1.0, z, out=tmp), h, out=tmp)
+        np.add(tmp, np.multiply(z, c, out=h_next), out=h_next)
     # a copy, so that holding the final state does not hold the whole cache
-    return hs[t].copy(), (series_batch, hs, zs, rs, cs)
+    return hs[t % (slots + 1)].copy(), (series_batch, hs, zs, rs, cs) if keep_cache else None
 
 
 def encode_batch_backward(d_h: Array, cache, p: dict[str, Array], grads: dict[str, Array]):

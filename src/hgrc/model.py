@@ -187,7 +187,7 @@ def make_dropout_masks(config: ModelConfig, params: ModelParams, n_rows: int, rn
 
 def _forward(params: ModelParams, batch: Batch, config: ModelConfig, mode: str, masks):
     kind = config.activation
-    h, gru_cache = encoder.encode_batch(batch.series, params.gru)
+    h, gru_cache = encoder.encode_batch(batch.series, params.gru, keep_cache=mode != "eval")
     fused = encoder.fuse_batch(h, batch.icd)
 
     if params.thetas:

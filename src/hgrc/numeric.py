@@ -72,9 +72,14 @@ def relu_grad(x: Array) -> Array:
     return (np.asarray(x) > 0.0).astype(np.float64)
 
 
-def sigmoid(x: Array) -> Array:
-    """Logistic function in tanh form, 0.5 * (1 + tanh(x / 2)); cannot overflow."""
-    return 0.5 * (1.0 + np.tanh(0.5 * np.asarray(x, dtype=np.float64)))
+def sigmoid(x: Array, out: Array | None = None) -> Array:
+    """Logistic in tanh form, 0.5 * (1 + tanh(x / 2)); cannot overflow.  ``out`` may be x."""
+    if out is None:
+        out = np.empty(np.shape(x))
+    np.tanh(np.multiply(x, 0.5, out=out), out=out)
+    out += 1.0
+    out *= 0.5
+    return out
 
 
 def sigmoid_grad(x: Array) -> Array:

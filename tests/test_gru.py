@@ -107,6 +107,15 @@ def test_encode_batch_matches_per_patient_encoding():
         assert np.allclose(batch_h[i], alone[0], rtol=0, atol=1e-15)
 
 
+def test_encode_batch_without_cache_gives_the_same_states():
+    p = gru_params(3, 4, Rng(5))
+    series = Rng(6).normal(size=(6, 3, 7))
+    cached, cache = encode_batch(series, p)
+    alone, none = encode_batch(series, p, keep_cache=False)
+    assert none is None and cache is not None
+    assert np.array_equal(alone, cached)
+
+
 def test_encode_batch_input_validation():
     p = gru_params(2, 3, Rng(0))
     with pytest.raises(ShapeError):

@@ -68,6 +68,14 @@ def test_sigmoid_extreme_inputs_do_not_overflow():
     assert np.all(np.isfinite(sigmoid(np.array([-745.0, 745.0]))))
 
 
+def test_sigmoid_in_place_is_bit_identical():
+    x = Rng(0).normal(scale=10.0, size=(7, 5))
+    expected = sigmoid(x)
+    out = np.empty_like(x)
+    assert sigmoid(x, out=out) is out and np.array_equal(out, expected)
+    assert sigmoid(x, out=x) is x and np.array_equal(x, expected)
+
+
 def test_sigmoid_symmetry():
     x = np.linspace(-20, 20, 41)
     assert np.allclose(sigmoid(-x), 1.0 - sigmoid(x), rtol=0, atol=1e-15)
