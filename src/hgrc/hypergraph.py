@@ -11,8 +11,16 @@ application is an average over co-diagnosed patients.  A layer is
 out = activation(P X Theta) + X (residual added after the activation), and
 the stack applies l such layers sequentially.
 
+P is never formed.  It is kept as two (N, K) factors, L = D^-1 H and
+R = H B^-1, so P = L R^T, and applied as two-stage message passing (node ->
+hyperedge -> node, as in HGNN): P X = L (R^T X) and P^T Y = R (L^T Y).
+With K at most the number of codes, a layer costs O(N K w) time and
+O(N (K + w)) memory instead of O(N^2 w) and O(N^2).
+
 Code-free patients have D_ii = 0; the pseudo-inverse convention 1/0 -> 0
 leaves their convolution term zero so the residual passes them through.
+A batch with no codes at all has K = 0 and (N, 0) factors, so every
+convolution term is zero.
 """
 
 from __future__ import annotations
@@ -58,30 +66,31 @@ def build_hypergraph(icd_batch: Array) -> Hypergraph:
     return Hypergraph(incidence=h, node_degree=h.sum(axis=1), edge_degree=h.sum(axis=0))
 
 
-def hconv_operator(hg: Hypergraph) -> Array:
-    """Dense (N, N) operator D^-1 H B^-1 H^T; zero matrix when K = 0."""
-    n, k = hg.n_nodes, hg.n_edges
-    if k == 0:
-        return np.zeros((n, n))
-    d_inv = np.zeros(n)
+def hconv_operator(hg: Hypergraph) -> tuple[Array, Array]:
+    """The (N, K) factors (L, R) = (D^-1 H, H B^-1) of P = L R^T."""
+    d_inv = np.zeros(hg.n_nodes)
     occupied = hg.node_degree > 0.0
     d_inv[occupied] = 1.0 / hg.node_degree[occupied]
-    h_binv = hg.incidence * (1.0 / hg.edge_degree)[None, :]
-    return d_inv[:, None] * (h_binv @ hg.incidence.T)
+    left = hg.incidence * d_inv[:, None]
+    right = hg.incidence * (1.0 / hg.edge_degree)[None, :]
+    return left, right
 
 
-def _layer_forward(x: Array, operator: Array, theta: Array, kind: str):
-    px = operator @ x
+def _layer_forward(x: Array, factors: tuple[Array, Array], theta: Array, kind: str):
+    left, right = factors
+    px = left @ (right.T @ x)
     pre = px @ theta
     out = activation(pre, kind) + x
-    return out, (x, px, pre)
+    return out, (px, pre)
 
 
-def _layer_backward(d_out: Array, layer_cache, operator: Array, theta: Array, kind: str):
-    x, px, pre = layer_cache
+def _layer_backward(d_out: Array, layer_cache, factors: tuple[Array, Array], theta: Array,
+                    kind: str):
+    px, pre = layer_cache
+    left, right = factors
     d_pre = d_out * activation_grad(pre, kind)
     d_theta = px.T @ d_pre
-    d_x = operator.T @ (d_pre @ theta.T) + d_out
+    d_x = right @ (left.T @ (d_pre @ theta.T)) + d_out
     return d_x, d_theta
 
 
@@ -90,21 +99,21 @@ def hconv_stack(x: Array, hg: Hypergraph, thetas: list[Array], kind: str):
     x = np.asarray(x, dtype=np.float64)
     if x.shape[0] != hg.n_nodes:
         raise ShapeError(f"{x.shape[0]} feature rows vs {hg.n_nodes} nodes")
-    operator = hconv_operator(hg)
+    factors = hconv_operator(hg)
     layer_caches = []
     for theta in thetas:
         if theta.shape != (x.shape[1], x.shape[1]):
             raise ShapeError(f"theta shape {theta.shape}, expected square of side {x.shape[1]}")
-        x, layer_cache = _layer_forward(x, operator, theta, kind)
+        x, layer_cache = _layer_forward(x, factors, theta, kind)
         layer_caches.append(layer_cache)
-    return x, (operator, layer_caches)
+    return x, (factors, layer_caches)
 
 
 def hconv_stack_backward(d_out: Array, cache, thetas: list[Array], kind: str):
     """Gradients of the stack: returns (d_input, [d_theta per layer])."""
-    operator, layer_caches = cache
+    factors, layer_caches = cache
     d_thetas: list[Array] = [None] * len(thetas)
     d_x = d_out
     for i in reversed(range(len(thetas))):
-        d_x, d_thetas[i] = _layer_backward(d_x, layer_caches[i], operator, thetas[i], kind)
+        d_x, d_thetas[i] = _layer_backward(d_x, layer_caches[i], factors, thetas[i], kind)
     return d_x, d_thetas

@@ -196,11 +196,11 @@ def _forward(params: ModelParams, batch: Batch, config: ModelConfig, mode: str, 
     else:
         z, hconv_cache = fused, None
 
-    n = z.shape[0]
-    a_prime = np.zeros((n, n))
     if config.use_similarity:
-        a = simgraph.similarity(z)
-        a_prime = simgraph.threshold(a, float(params.zeta), config.temperature, mode)
+        a_prime = simgraph.threshold(simgraph.similarity(z), float(params.zeta),
+                                     config.temperature, mode)
+    else:
+        a_prime = np.zeros((z.shape[0], z.shape[0]))
 
     x_star, gcn_cache = simgraph.gcn_aggregate(z, a_prime, params.phi, kind)
     member_probs, beta, head_cache = head.head_forward(x_star, params.members, params.attn,

@@ -30,7 +30,9 @@ def similarity(x: Array) -> Array:
     if x.ndim != 2:
         raise ShapeError(f"similarity expects (N, width), got {x.shape}")
     width = x.shape[1]
-    return (x @ x.T) / float(width * width)
+    a = x @ x.T
+    a /= float(width * width)
+    return a
 
 
 def similarity_backward(d_a: Array, x: Array) -> Array:
@@ -72,19 +74,21 @@ def threshold_backward(d_aprime: Array, soft: Array, temperature: float):
 def gcn_aggregate(x: Array, a_prime: Array, phi: Array, kind: str):
     """activation(Dt^-1/2 (A' + I) Dt^-1/2 X Phi); returns (output, cache)."""
     x = np.asarray(x, dtype=np.float64)
-    a_prime = np.asarray(a_prime, dtype=np.float64)
     phi = np.asarray(phi, dtype=np.float64)
     n = x.shape[0]
-    if a_prime.shape != (n, n):
-        raise ShapeError(f"adjacency shape {a_prime.shape}, expected ({n}, {n})")
+    # a fresh copy: a_prime itself stays as given, threshold_backward reads it
+    a_tilde = np.array(a_prime, dtype=np.float64)
+    if a_tilde.shape != (n, n):
+        raise ShapeError(f"adjacency shape {a_tilde.shape}, expected ({n}, {n})")
     if phi.shape[0] != x.shape[1]:
         raise ShapeError(f"phi rows {phi.shape[0]} vs feature width {x.shape[1]}")
-    a_tilde = a_prime + np.eye(n)
+    a_tilde[np.diag_indices(n)] += 1.0
     deg = a_tilde.sum(axis=1)
     if np.any(deg <= 0.0):
         raise ConfigError("aggregation degrees must be positive (negative adjacency?)")
     inv_sqrt = 1.0 / np.sqrt(deg)
-    s_norm = a_tilde * inv_sqrt[:, None] * inv_sqrt[None, :]
+    s_norm = a_tilde * inv_sqrt[:, None]
+    s_norm *= inv_sqrt[None, :]
     m = x @ phi
     pre = s_norm @ m
     out = activation(pre, kind)

@@ -15,14 +15,14 @@ import pytest
 
 from hgrc.checkpoint import load_checkpoint, save_checkpoint
 from hgrc.data import impute_mean, split, standardize
-from hgrc.hypergraph import build_hypergraph, hconv_operator, hconv_stack
+from hgrc.hypergraph import build_hypergraph, hconv_stack
 from hgrc.metrics import auprc, auroc, compute_report, confusion_counts
 from hgrc.model import Batch, ModelConfig, forward_train, init_params
 from hgrc.numeric import Rng
 from hgrc.synthetic import SyntheticSpec, gen_synthetic
 from hgrc.train import TrainConfig, derive_rng_streams, evaluate, train
 
-from test_hypergraph import random_hypergraph
+from test_hypergraph import dense_operator, random_hypergraph
 from test_metrics import auprc_stepwise, auroc_pairwise, confusion_loop, random_fixture
 from test_model_grad import run_check, tiny_fixture
 
@@ -83,7 +83,7 @@ def test_criterion_2_operator_algebra(capsys):
         for _ in range(500):
             icd = random_hypergraph(rng)
             hg = build_hypergraph(icd)
-            p = hconv_operator(hg)
+            p = dense_operator(hg)
             occupied = hg.node_degree > 0.0
             if occupied.any():
                 worst_sum = max(worst_sum,
@@ -100,7 +100,7 @@ def test_criterion_2_operator_algebra(capsys):
             out_p, _ = hconv_stack(x[perm], hg_p, thetas, "tanh")
             worst_perm = max(worst_perm, np.abs(out_p - out[perm]).max())
 
-        chain = hconv_operator(build_hypergraph(
+        chain = dense_operator(build_hypergraph(
             np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])))
         chain_dev = np.abs(chain - np.array([[0.5, 0.5, 0.0],
                                              [0.25, 0.5, 0.25],

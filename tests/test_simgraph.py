@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hgrc.errors import ConfigError, ShapeError
-from hgrc.numeric import Rng, finite_diff_check, sigmoid
+from hgrc.numeric import Rng, activation, finite_diff_check, sigmoid
 from hgrc.simgraph import (gcn_aggregate, gcn_aggregate_backward, similarity,
                            similarity_backward, threshold, threshold_backward)
 
@@ -95,6 +95,28 @@ def test_gcn_hand_values_symmetric_pair():
     # adjacency is all 0.5 and relu passes it through
     out, _ = gcn_aggregate(np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2), "relu")
     assert np.allclose(out, [[0.5, 0.5], [0.5, 0.5]], rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("mode", ["train", "eval"])
+def test_similarity_and_gcn_equal_their_formulas_bitwise(mode):
+    rng = Rng(13)
+    z = rng.normal(size=(12, 5))
+    phi = rng.normal(size=(5, 3))
+    a = similarity(z)
+    assert np.array_equal(a, (z @ z.T) / 25.0)
+    # zeta at the median similarity: half the pairs are edges
+    a_prime = threshold(a, float(np.median(a)), 50.0, mode)
+    assert 0.3 < (a_prime > 0.5).mean() < 0.7
+    a_before = a_prime.copy()
+    out, cache = gcn_aggregate(z, a_prime, phi, "relu")
+    assert np.array_equal(a_prime, a_before)  # threshold_backward reads a_prime
+
+    a_tilde = a_prime + np.eye(12)
+    inv_sqrt = 1.0 / np.sqrt(a_tilde.sum(axis=1))
+    s_norm = a_tilde * inv_sqrt[:, None] * inv_sqrt[None, :]
+    assert np.array_equal(cache[1], a_tilde)
+    assert np.array_equal(cache[4], s_norm)
+    assert np.array_equal(out, activation(s_norm @ (z @ phi), "relu"))
 
 
 def test_gcn_validation():
