@@ -30,7 +30,9 @@ from .errors import CheckpointError, CheckpointVersionError, ConfigError
 from .train import Checkpoint, TrainConfig
 
 MAGIC = b"HGRC"
-VERSION = 3  # 3: GRU gates stacked in four arrays; 2: the architecture nested as ``model``
+# 4: the config names no activation (tanh throughout); 3: GRU gates stacked
+# in four arrays; 2: the architecture nested as ``model``
+VERSION = 4
 _HEADER = struct.Struct("<4sBQ")
 
 

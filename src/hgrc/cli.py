@@ -19,10 +19,11 @@ from . import synthetic as synth_mod
 # the package root re-exports the train() function, so the submodule has to
 # be imported by name rather than as `from . import train`
 from .train import (EMBED_STAGES, Checkpoint, TrainConfig, derive_rng_streams,
-                    evaluate, export_embeddings, train)
+                    evaluate, export_embeddings, predict_scores, train)
 from .config import AppConfig, dump_defaults, load_app_config
 from .errors import (CheckpointError, ConfigError, ParseError, TrainingError,
                      UndefinedMetricError)
+from .metrics import compute_report
 from .numeric import Rng
 
 SPLITS = ("train", "val", "test")
@@ -183,17 +184,15 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _group_block(ckpt, group, eval_batch_size) -> dict:
-    labels = group.labels()
+def _group_block(scores, labels, decision_threshold: float) -> dict:
     n_pos = int(labels.sum())
-    n_neg = int(len(group) - n_pos)
-    block = {
-        "n_patients": len(group),
+    n_neg = int(len(labels) - n_pos)
+    return {
+        "n_patients": len(labels),
         "n_positive": n_pos,
         "neg_pos_ratio": f"{n_neg / n_pos:.4f}:1" if n_pos else None,
+        "metrics": compute_report(scores, labels, decision_threshold).to_dict(),
     }
-    block["metrics"] = evaluate(ckpt, group, eval_batch_size).to_dict()
-    return block
 
 
 def cmd_case_study(args) -> int:
@@ -201,8 +200,8 @@ def cmd_case_study(args) -> int:
     ckpt = _with_threshold(_resolve_checkpoint(args, cfg), args.threshold)
     data_dir = _resolve_data_dir(args, cfg)
     cohort = _checkpoint_split(args, ckpt, data_dir)
-    group_i, group_ii = data_mod.filter_by_code(cohort, args.code)
-    if len(group_i) == 0:
+    carriers = data_mod.code_carriers(cohort, args.code)
+    if not carriers.any():
         counts = sorted(
             ((code, int(cohort.codes_matrix()[:, j].sum()))
              for j, code in enumerate(cohort.code_vocab)),
@@ -210,11 +209,16 @@ def cmd_case_study(args) -> int:
         available = ", ".join(f"{code} ({count})" for code, count in counts[:5])
         raise ConfigError(f"no patient in the {args.split} split carries code "
                           f"{args.code!r}; most common codes: {available}")
+    # the split is scored once, as `evaluate` scores it; scoring each group
+    # on its own would rebuild both graphs inside the group
+    scores = predict_scores(ckpt, cohort, args.eval_batch_size)
+    labels = cohort.labels()
+    threshold = ckpt.config.decision_threshold
     _emit({
         "code": args.code,
         "split": args.split,
-        "group_i": _group_block(ckpt, group_i, args.eval_batch_size),
-        "group_ii": _group_block(ckpt, group_ii, args.eval_batch_size),
+        "group_i": _group_block(scores[carriers], labels[carriers], threshold),
+        "group_ii": _group_block(scores[~carriers], labels[~carriers], threshold),
     })
     return 0
 

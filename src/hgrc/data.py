@@ -307,14 +307,18 @@ def split(cohort: Cohort, ratios: tuple[float, float, float], rng: Rng) -> tuple
         for ix in pieces)
 
 
-def filter_by_code(cohort: Cohort, code: str) -> tuple[Cohort, Cohort]:
-    """Partition into (carriers of ``code``, everyone else)."""
+def code_carriers(cohort: Cohort, code: str) -> Array:
+    """Boolean mask over the cohort's patients, true where they carry ``code``."""
     if code not in cohort.code_vocab:
         near = difflib.get_close_matches(code, cohort.code_vocab, n=3)
         hint = f"; nearest matches: {', '.join(near)}" if near else ""
         raise ConfigError(f"code {code!r} not in vocabulary{hint}")
-    j = cohort.code_vocab.index(code)
-    with_code = [p for p in cohort.patients if p.icd[j] == 1.0]
-    without = [p for p in cohort.patients if p.icd[j] != 1.0]
-    make = lambda ps: Cohort(ps, cohort.schema, cohort.code_vocab, cohort.norm_stats)
-    return make(with_code), make(without)
+    return cohort.codes_matrix()[:, cohort.code_vocab.index(code)] == 1.0
+
+
+def filter_by_code(cohort: Cohort, code: str) -> tuple[Cohort, Cohort]:
+    """Partition into (carriers of ``code``, everyone else)."""
+    carriers = code_carriers(cohort, code)
+    make = lambda mask: Cohort([p for p, keep in zip(cohort.patients, mask) if keep],
+                               cohort.schema, cohort.code_vocab, cohort.norm_stats)
+    return make(carriers), make(~carriers)

@@ -1,9 +1,10 @@
 """FFN ensemble risk head: member networks, attention gating, losses.
 
-Each member maps the aggregated representation (N, q) through two hidden
-layers to a two-class softmax (survive, die).  An attention layer over the
-same input produces per-patient weights beta (N, L) that gate the members'
-per-patient cross-entropies:
+Each member maps the aggregated representation (N, q) through two tanh
+hidden layers to a two-class softmax (survive, die); the backward reads the
+tanh derivative 1 - h^2 from the cached hidden outputs h.  An attention
+layer over the same input produces per-patient weights beta (N, L) that
+gate the members' per-patient cross-entropies:
 
     total = (1/P) sum_p sum_i beta_pi * loss_pi
 
@@ -20,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .numeric import Array, Rng, activation, activation_grad, dropout_mask, glorot_init, softmax
+from .numeric import Array, Rng, dropout_mask, glorot_init, softmax
 
 PROB_CLAMP = 1e-12
 
@@ -63,16 +64,14 @@ def make_dropout_masks(n_rows: int, members: list[dict[str, Array]], rate: float
 # ---------------------------------------------------------------- forward
 
 
-def _member_forward(x: Array, m: dict[str, Array], kind: str, mask_pair):
-    pre1 = x @ m["w1"] + m["b1"]
-    h1 = activation(pre1, kind)
+def _member_forward(x: Array, m: dict[str, Array], mask_pair):
+    h1 = np.tanh(x @ m["w1"] + m["b1"])
     h1d = h1 * mask_pair[0] if mask_pair is not None else h1
-    pre2 = h1d @ m["w2"] + m["b2"]
-    h2 = activation(pre2, kind)
+    h2 = np.tanh(h1d @ m["w2"] + m["b2"])
     h2d = h2 * mask_pair[1] if mask_pair is not None else h2
     logits = h2d @ m["wy"] + m["by"]
     probs = softmax(logits, axis=1)
-    return probs, (x, pre1, h1d, pre2, h2d, probs, mask_pair)
+    return probs, (x, h1, h1d, h2, h2d, probs, mask_pair)
 
 
 def attention_weights(x: Array, attn: dict[str, Array]) -> Array:
@@ -81,8 +80,7 @@ def attention_weights(x: Array, attn: dict[str, Array]) -> Array:
     return softmax(x @ attn["w_beta"] + attn["b_beta"], axis=1)
 
 
-def head_forward(x: Array, members: list[dict[str, Array]], attn: dict[str, Array],
-                 kind: str, masks):
+def head_forward(x: Array, members: list[dict[str, Array]], attn: dict[str, Array], masks):
     """All member probabilities plus attention weights; returns cache too.
 
     ``masks`` holds one dropout-mask pair per member, or is None (no dropout).
@@ -91,11 +89,11 @@ def head_forward(x: Array, members: list[dict[str, Array]], attn: dict[str, Arra
     member_probs = []
     member_caches = []
     for i, m in enumerate(members):
-        probs, cache = _member_forward(x, m, kind, masks[i] if masks is not None else None)
+        probs, cache = _member_forward(x, m, masks[i] if masks is not None else None)
         member_probs.append(probs)
         member_caches.append(cache)
     beta = attention_weights(x, attn)
-    return member_probs, beta, (x, member_caches, beta, kind)
+    return member_probs, beta, (x, member_caches, beta)
 
 
 # ------------------------------------------------------------------ losses
@@ -136,19 +134,18 @@ def ensemble_predict(member_probs: list[Array], beta: Array) -> Array:
 # ----------------------------------------------------------------- backward
 
 
-def _member_backward(d_logits: Array, cache, m: dict[str, Array], kind: str,
-                     grads: dict[str, Array]):
-    x, pre1, h1d, pre2, h2d, probs, mask_pair = cache
+def _member_backward(d_logits: Array, cache, m: dict[str, Array], grads: dict[str, Array]):
+    x, h1, h1d, h2, h2d, probs, mask_pair = cache
     grads["wy"] += h2d.T @ d_logits
     grads["by"] += d_logits.sum(axis=0)
     d_h2d = d_logits @ m["wy"].T
     d_h2 = d_h2d * mask_pair[1] if mask_pair is not None else d_h2d
-    d_pre2 = d_h2 * activation_grad(pre2, kind)
+    d_pre2 = d_h2 * (1.0 - h2 * h2)
     grads["w2"] += h1d.T @ d_pre2
     grads["b2"] += d_pre2.sum(axis=0)
     d_h1d = d_pre2 @ m["w2"].T
     d_h1 = d_h1d * mask_pair[0] if mask_pair is not None else d_h1d
-    d_pre1 = d_h1 * activation_grad(pre1, kind)
+    d_pre1 = d_h1 * (1.0 - h1 * h1)
     grads["w1"] += x.T @ d_pre1
     grads["b1"] += d_pre1.sum(axis=0)
     return d_pre1 @ m["w1"].T
@@ -183,7 +180,7 @@ def head_backward(cache, labels: Array, members: list[dict[str, Array]],
 
         d_logit_pj = beta_pj * (d_beta_pj - sum_k d_beta_pk beta_pk)
     """
-    x, member_caches, beta, kind = cache
+    x, member_caches, beta = cache
     labels_f = _check_labels(labels)
     n = beta.shape[0]
     member_probs = [c[5] for c in member_caches]
@@ -195,7 +192,7 @@ def head_backward(cache, labels: Array, members: list[dict[str, Array]],
     d_x = np.zeros_like(x)
     for i, (m, m_cache, m_grads) in enumerate(zip(members, member_caches, member_grads)):
         d_logits = _loss_prob_grad(member_probs[i], labels_f, d_losses[:, i])
-        d_x += _member_backward(d_logits, m_cache, m, kind, m_grads)
+        d_x += _member_backward(d_logits, m_cache, m, m_grads)
 
     inner = (d_beta * beta).sum(axis=1, keepdims=True)
     d_attn_logits = beta * (d_beta - inner)

@@ -8,8 +8,9 @@ patients that carry it; patients are nodes.  The convolution operator is
 with node degrees D_ii = sum_e H_ie and hyperedge degrees
 B_ee = sum_i H_ie.  Rows of P for non-isolated nodes sum to 1, so one
 application is an average over co-diagnosed patients.  A layer is
-out = activation(P X Theta) + X (residual added after the activation), and
-the stack applies l such layers sequentially.
+out = tanh(P X Theta) + X (residual added after the tanh), and the stack
+applies l such layers sequentially.  Each layer caches T = tanh(P X Theta),
+so its backward reads the derivative as 1 - T^2.
 
 P is never formed.  It is kept as two (N, K) factors, L = D^-1 H and
 R = H B^-1, so P = L R^T, and applied as two-stage message passing (node ->
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .numeric import Array, activation, activation_grad
+from .numeric import Array
 
 
 @dataclass(frozen=True)
@@ -76,25 +77,24 @@ def hconv_operator(hg: Hypergraph) -> tuple[Array, Array]:
     return left, right
 
 
-def _layer_forward(x: Array, factors: tuple[Array, Array], theta: Array, kind: str):
+def _layer_forward(x: Array, factors: tuple[Array, Array], theta: Array):
     left, right = factors
     px = left @ (right.T @ x)
-    pre = px @ theta
-    out = activation(pre, kind) + x
-    return out, (px, pre)
+    t = px @ theta
+    np.tanh(t, out=t)
+    return t + x, (px, t)
 
 
-def _layer_backward(d_out: Array, layer_cache, factors: tuple[Array, Array], theta: Array,
-                    kind: str):
-    px, pre = layer_cache
+def _layer_backward(d_out: Array, layer_cache, factors: tuple[Array, Array], theta: Array):
+    px, t = layer_cache
     left, right = factors
-    d_pre = d_out * activation_grad(pre, kind)
+    d_pre = d_out * (1.0 - t * t)
     d_theta = px.T @ d_pre
     d_x = right @ (left.T @ (d_pre @ theta.T)) + d_out
     return d_x, d_theta
 
 
-def hconv_stack(x: Array, hg: Hypergraph, thetas: list[Array], kind: str):
+def hconv_stack(x: Array, hg: Hypergraph, thetas: list[Array]):
     """Apply the layers in sequence; returns (output, cache for backward)."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[0] != hg.n_nodes:
@@ -104,16 +104,16 @@ def hconv_stack(x: Array, hg: Hypergraph, thetas: list[Array], kind: str):
     for theta in thetas:
         if theta.shape != (x.shape[1], x.shape[1]):
             raise ShapeError(f"theta shape {theta.shape}, expected square of side {x.shape[1]}")
-        x, layer_cache = _layer_forward(x, factors, theta, kind)
+        x, layer_cache = _layer_forward(x, factors, theta)
         layer_caches.append(layer_cache)
     return x, (factors, layer_caches)
 
 
-def hconv_stack_backward(d_out: Array, cache, thetas: list[Array], kind: str):
+def hconv_stack_backward(d_out: Array, cache, thetas: list[Array]):
     """Gradients of the stack: returns (d_input, [d_theta per layer])."""
     factors, layer_caches = cache
     d_thetas: list[Array] = [None] * len(thetas)
     d_x = d_out
     for i in reversed(range(len(thetas))):
-        d_x, d_thetas[i] = _layer_backward(d_x, layer_caches[i], factors, thetas[i], kind)
+        d_x, d_thetas[i] = _layer_backward(d_x, layer_caches[i], factors, thetas[i])
     return d_x, d_thetas

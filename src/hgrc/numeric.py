@@ -1,8 +1,9 @@
 """Dense float64 numerics shared by every layer.
 
-Activations, softmax, Adam, inverted dropout, Glorot initialization, a
-splittable deterministic RNG, and a finite-difference gradient checker that
-every hand-derived backward pass in this package is verified against.
+The logistic sigmoid, softmax, Adam, inverted dropout, Glorot initialization,
+a splittable deterministic RNG, and a finite-difference gradient checker that
+every hand-derived backward pass in this package is verified against.  The
+layers' one nonlinearity is numpy's tanh, which each layer calls directly.
 
 All arrays are ``numpy.float64``.  Reductions are delegated to numpy/BLAS,
 which is deterministic for a fixed platform and thread count; all randomness
@@ -60,16 +61,7 @@ class Rng:
         return self._gen.permutation(n)
 
 
-# ------------------------------------------------------------- activations
-
-
-def relu(x: Array) -> Array:
-    return np.maximum(np.asarray(x, dtype=np.float64), 0.0)
-
-
-def relu_grad(x: Array) -> Array:
-    # subgradient 0 at the kink
-    return (np.asarray(x) > 0.0).astype(np.float64)
+# ----------------------------------------------------------------- sigmoid
 
 
 def sigmoid(x: Array, out: Array | None = None) -> Array:
@@ -80,45 +72,6 @@ def sigmoid(x: Array, out: Array | None = None) -> Array:
     out += 1.0
     out *= 0.5
     return out
-
-
-def sigmoid_grad(x: Array) -> Array:
-    s = sigmoid(x)
-    return s * (1.0 - s)
-
-
-def tanh(x: Array) -> Array:
-    return np.tanh(np.asarray(x, dtype=np.float64))
-
-
-def tanh_grad(x: Array) -> Array:
-    t = np.tanh(x)
-    return 1.0 - t * t
-
-
-_ACTIVATIONS = {
-    "relu": (relu, relu_grad),
-    "sigmoid": (sigmoid, sigmoid_grad),
-    "tanh": (tanh, tanh_grad),
-}
-
-
-def activation(x: Array, kind: str) -> Array:
-    """Elementwise activation by name (relu | sigmoid | tanh)."""
-    try:
-        fn, _ = _ACTIVATIONS[kind]
-    except KeyError:
-        raise ConfigError(f"unknown activation {kind!r}; expected one of {sorted(_ACTIVATIONS)}")
-    return fn(x)
-
-
-def activation_grad(x: Array, kind: str) -> Array:
-    """Derivative of :func:`activation` evaluated at the pre-activation x."""
-    try:
-        _, grad = _ACTIVATIONS[kind]
-    except KeyError:
-        raise ConfigError(f"unknown activation {kind!r}; expected one of {sorted(_ACTIVATIONS)}")
-    return grad(x)
 
 
 def softmax(x: Array, axis: int = -1) -> Array:
@@ -209,8 +162,10 @@ def finite_diff_check(loss_fn, params: dict[str, Array], analytic: dict[str, Arr
     the loss costs each difference about eps |L| / h, so the default
     h = 1e-3 keeps it near 2e-13 on an O(1) loss, where a single central
     difference at h = 1e-5 carries about 2e-11 and drowns gradient entries
-    just above the 1e-8 floor.  A relu kink inside +-h of an entry spoils
-    its estimate and raises the reading: a false alarm, not a hidden fault.
+    just above the 1e-8 floor.  The extrapolation assumes the loss is smooth
+    within +-h of each entry; the model's layers use tanh for that reason,
+    since a kink inside the stencil (as relu has at 0) spoils the estimate
+    and raises the reading: a false alarm, not a hidden fault.
 
     The relative error per entry is |a - n| / max(|a|, |n|, 1e-8) and the
     maximum over all entries is returned.

@@ -7,10 +7,11 @@ a sigmoid relaxation sigmoid(tau * (A - zeta)) keeps zeta differentiable
 indicator 1[A > zeta] is used.  Aggregation adds self-loops and applies the
 symmetric normalization
 
-    X* = activation(Dt^-1/2 (A' + I) Dt^-1/2 X Phi)
+    X* = tanh(Dt^-1/2 (A' + I) Dt^-1/2 X Phi)
 
-with Dt the row-sum degrees of A' + I.  Every backward pass here is
-hand-derived and covered by finite-difference checks.
+with Dt the row-sum degrees of A' + I; the cached output X* gives the tanh
+derivative 1 - X*^2.  Every backward pass here is hand-derived and covered
+by finite-difference checks.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .numeric import Array, activation, activation_grad, sigmoid
+from .numeric import Array, sigmoid
 
 
 # ------------------------------------------------------------- similarity
@@ -71,8 +72,8 @@ def threshold_backward(d_aprime: Array, soft: Array, temperature: float):
 # ------------------------------------------------------------ aggregation
 
 
-def gcn_aggregate(x: Array, a_prime: Array, phi: Array, kind: str):
-    """activation(Dt^-1/2 (A' + I) Dt^-1/2 X Phi); returns (output, cache)."""
+def gcn_aggregate(x: Array, a_prime: Array, phi: Array):
+    """tanh(Dt^-1/2 (A' + I) Dt^-1/2 X Phi); returns (output, cache)."""
     x = np.asarray(x, dtype=np.float64)
     phi = np.asarray(phi, dtype=np.float64)
     n = x.shape[0]
@@ -90,9 +91,9 @@ def gcn_aggregate(x: Array, a_prime: Array, phi: Array, kind: str):
     s_norm = a_tilde * inv_sqrt[:, None]
     s_norm *= inv_sqrt[None, :]
     m = x @ phi
-    pre = s_norm @ m
-    out = activation(pre, kind)
-    return out, (x, a_tilde, deg, inv_sqrt, s_norm, m, pre, kind)
+    out = s_norm @ m
+    np.tanh(out, out=out)
+    return out, (x, a_tilde, deg, inv_sqrt, s_norm, m, out)
 
 
 def gcn_aggregate_backward(d_out: Array, cache, phi: Array):
@@ -107,8 +108,8 @@ def gcn_aggregate_backward(d_out: Array, cache, phi: Array):
 
     and the correction is constant along each row.
     """
-    x, a_tilde, deg, inv_sqrt, s_norm, m, pre, kind = cache
-    d_pre = d_out * activation_grad(pre, kind)
+    x, a_tilde, deg, inv_sqrt, s_norm, m, out = cache
+    d_pre = d_out * (1.0 - out * out)
     d_snorm = d_pre @ m.T
     d_m = s_norm.T @ d_pre
     d_phi = x.T @ d_m

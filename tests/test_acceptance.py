@@ -94,10 +94,10 @@ def test_criterion_2_operator_algebra(capsys):
             n = hg.n_nodes
             x = rng.normal(size=(n, 3))
             thetas = [rng.normal(size=(3, 3)) for _ in range(2)]
-            out, _ = hconv_stack(x, hg, thetas, "tanh")
+            out, _ = hconv_stack(x, hg, thetas)
             perm = rng.permutation(n)
             hg_p = build_hypergraph(icd[perm])
-            out_p, _ = hconv_stack(x[perm], hg_p, thetas, "tanh")
+            out_p, _ = hconv_stack(x[perm], hg_p, thetas)
             worst_perm = max(worst_perm, np.abs(out_p - out[perm]).max())
 
         chain = dense_operator(build_hypergraph(
@@ -120,11 +120,11 @@ def test_criterion_3_residual_identity(capsys):
             hg = build_hypergraph(random_hypergraph(rng))
             x = rng.normal(size=(hg.n_nodes, 5))
             thetas = [np.zeros((5, 5)) for _ in range(3)]
-            out, _ = hconv_stack(x, hg, thetas, "relu")
+            out, _ = hconv_stack(x, hg, thetas)
             assert out is not x
             assert np.array_equal(out, x)
             checked += 1
-        v["detail"] = f"zero-weight relu stack bitwise identity on {checked} graphs"
+        v["detail"] = f"zero-weight tanh stack bitwise identity on {checked} graphs"
 
 
 def test_criterion_4_metric_oracles(capsys):

@@ -106,7 +106,7 @@ def test_version_1_checkpoint_rejected(tmp_path):
     def mutate(d):
         d[4] = 1
         return d
-    with pytest.raises(CheckpointVersionError, match="version 1, expected 3"):
+    with pytest.raises(CheckpointVersionError, match="version 1, expected 4"):
         load_checkpoint(write_tampered(tmp_path, mutate))
 
 
@@ -115,7 +115,20 @@ def test_version_2_checkpoint_rejected(tmp_path):
     def mutate(d):
         d[4] = 2
         return d
-    with pytest.raises(CheckpointVersionError, match="version 2, expected 3"):
+    with pytest.raises(CheckpointVersionError, match="version 2, expected 4"):
+        load_checkpoint(write_tampered(tmp_path, mutate))
+
+
+def test_version_3_checkpoint_rejected(tmp_path):
+    # version 3 stored the activation in the model config; there is no converter
+    def mutate(d):
+        def edit(m):
+            m["config"]["model"]["activation"] = "relu"
+            return m
+        d = edit_manifest(d, edit)
+        d[4] = 3
+        return d
+    with pytest.raises(CheckpointVersionError, match="version 3, expected 4"):
         load_checkpoint(write_tampered(tmp_path, mutate))
 
 

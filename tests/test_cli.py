@@ -151,6 +151,31 @@ def test_case_study_splits_by_code(workspace):
     assert "auroc" in gi["metrics"]
 
 
+def test_case_study_reports_each_group_from_the_splits_scores(workspace):
+    # each group's metrics come from the scores the whole split gets; scored
+    # as a batch of its own, a group's graphs span only its members and its
+    # patients' scores move
+    from hgrc.checkpoint import load_checkpoint
+    from hgrc.data import impute_mean, standardize
+    from hgrc.metrics import compute_report
+    from hgrc.train import predict_scores
+    ckpt = load_checkpoint(workspace["ckpt"])
+    tr = standardize(impute_mean(train_split(workspace), ckpt.norm_stats), ckpt.norm_stats)
+    scores = predict_scores(ckpt, tr)
+    codes = tr.codes_matrix()
+    labels = tr.labels()
+    j, mixed = next((j, code) for j, code in enumerate(tr.code_vocab)
+                    if len(set(labels[codes[:, j] == 1.0])) == 2)
+    result, _ = run_json(["case-study", "--checkpoint", str(workspace["ckpt"]),
+                          "--data-dir", str(workspace["data_dir"]),
+                          "--split", "train", "--code", mixed])
+    carriers = codes[:, j] == 1.0
+    for group, members in (("group_i", carriers), ("group_ii", ~carriers)):
+        expected = compute_report(scores[members], labels[members],
+                                  ckpt.config.decision_threshold)
+        assert result[group]["metrics"] == json.loads(json.dumps(expected.to_dict())), group
+
+
 def test_case_study_single_class_group_fails_cleanly(workspace):
     tr = train_split(workspace)
     codes = tr.codes_matrix()
@@ -223,7 +248,8 @@ def test_config_dump_defaults():
     assert set(dumped["train"]) == {"window_hours", "batch_size", "learning_rate", "epochs",
                                     "patience", "seed", "split_ratios",
                                     "decision_threshold", "model"}
-    assert len(dumped["train"]["model"]) == 10  # n_variables, n_codes come from the data
+    assert len(dumped["train"]["model"]) == 9  # n_variables, n_codes come from the data
+    assert "activation" not in dumped["train"]["model"]
     assert dumped["synthetic"]["n_patients"] == 2000
     code, _, _ = run_cli(["config"])
     assert code == 2
@@ -261,6 +287,8 @@ def test_config_architecture_is_nested_and_validated_at_parse_time():
         parse_app_config({"train": {"model": {"n_variables": 4}}})
     with pytest.raises(ConfigError, match="train.model"):
         parse_app_config({"train": {"model": 59}})
+    with pytest.raises(ConfigError, match=r"unknown key train\.model\.'activation'"):
+        parse_app_config({"train": {"model": {"activation": "tanh"}}})
 
 
 def test_config_file_errors_exit_2(tmp_path):
@@ -278,7 +306,9 @@ def test_config_file_errors_exit_2(tmp_path):
     {"train": {"hidden_size": 30}},
     {"train": {"model": {"n_codes": 5}}},
     {"train": {"model": {"hidden_size": 0}}},
-], ids=["unknown_model_key", "flat_architecture_key", "data_width", "invalid_model_value"])
+    {"train": {"model": {"activation": "relu"}}},
+], ids=["unknown_model_key", "flat_architecture_key", "data_width", "invalid_model_value",
+        "removed_activation_key"])
 def test_config_architecture_errors_exit_2(tmp_path, document):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(document))
@@ -309,7 +339,6 @@ def test_config_values_must_have_their_field_types():
         ({"train": {"split_ratios": [0.7, 0.3]}}, "train.split_ratios"),
         ({"train": {"split_ratios": [0.7, "0.15", 0.15]}}, "train.split_ratios"),
         ({"train": {"model": {"ffn_hidden": [8, 4.0]}}}, "train.model.ffn_hidden"),
-        ({"train": {"model": {"activation": 1}}}, "train.model.activation"),
         ({"synthetic": {"missing_rate": "0.1"}}, "synthetic.missing_rate"),
         ({"paths": {"data_dir": 5}}, "paths.data_dir"),
     ]:

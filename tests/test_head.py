@@ -57,7 +57,7 @@ def zeros_like(ens):
 def test_initial_member_probabilities_are_exactly_half():
     ens = ensemble_params(5, (4, 3), 3, Rng(0))
     x = Rng(1).normal(size=(7, 5))
-    member_probs, _, _ = head_forward(x, *ens, "relu", None)
+    member_probs, _, _ = head_forward(x, *ens, None)
     assert len(member_probs) == 3
     for probs in member_probs:
         # zero output layer -> logits (0, 0) -> softmax (0.5, 0.5)
@@ -67,7 +67,7 @@ def test_initial_member_probabilities_are_exactly_half():
 def test_initial_total_loss_is_ln_two():
     ens = ensemble_params(4, (3, 3), 2, Rng(2))
     x = Rng(3).normal(size=(6, 4))
-    member_probs, beta, _ = head_forward(x, *ens, "relu", None)
+    member_probs, beta, _ = head_forward(x, *ens, None)
     labels = np.array([0, 1, 1, 0, 1, 0])
     loss = total_loss(member_probs, beta, labels)
     assert abs(loss - math.log(2.0)) < 1e-12
@@ -183,8 +183,8 @@ def test_dropout_masks_change_the_forward():
     ens = nudged_ensemble(50)
     x = Rng(51).normal(size=(8, 3))
     masks = make_dropout_masks(8, ens[0], 0.5, Rng(52))
-    probs_m, _, _ = head_forward(x, *ens, "relu", masks)
-    probs, _, _ = head_forward(x, *ens, "relu", None)
+    probs_m, _, _ = head_forward(x, *ens, masks)
+    probs, _, _ = head_forward(x, *ens, None)
     assert not all(np.array_equal(a, b) for a, b in zip(probs_m, probs))
 
 
@@ -198,10 +198,10 @@ def test_head_backward_matches_finite_differences():
 
     def loss(_arrays):
         # the checker perturbs the ensemble's arrays in place
-        member_probs, beta, _ = head_forward(x, *ens, "tanh", None)
+        member_probs, beta, _ = head_forward(x, *ens, None)
         return float(total_loss(member_probs, beta, labels))
 
-    _, _, cache = head_forward(x, *ens, "tanh", None)
+    _, _, cache = head_forward(x, *ens, None)
     grads = zeros_like(ens)
     head_backward(cache, labels, *ens, grads)
     err = finite_diff_check(loss, ensemble_arrays(ens), ensemble_arrays(grads))
@@ -214,10 +214,10 @@ def test_head_backward_input_gradient_matches_finite_differences():
     x = Rng(71).normal(size=(3, 3))
 
     def loss(arrays):
-        member_probs, beta, _ = head_forward(arrays["x"], *ens, "tanh", None)
+        member_probs, beta, _ = head_forward(arrays["x"], *ens, None)
         return float(total_loss(member_probs, beta, labels))
 
-    _, _, cache = head_forward(x, *ens, "tanh", None)
+    _, _, cache = head_forward(x, *ens, None)
     d_x = head_backward(cache, labels, *ens, zeros_like(ens))
     assert finite_diff_check(loss, {"x": x}, {"x": d_x}) < 1e-6
 
@@ -229,10 +229,10 @@ def test_head_backward_respects_dropout_masks():
     masks = make_dropout_masks(4, ens[0], 0.5, Rng(82))
 
     def loss(_arrays):
-        member_probs, beta, _ = head_forward(x, *ens, "tanh", masks)
+        member_probs, beta, _ = head_forward(x, *ens, masks)
         return float(total_loss(member_probs, beta, labels))
 
-    _, _, cache = head_forward(x, *ens, "tanh", masks)
+    _, _, cache = head_forward(x, *ens, masks)
     grads = zeros_like(ens)
     head_backward(cache, labels, *ens, grads)
     err = finite_diff_check(loss, ensemble_arrays(ens), ensemble_arrays(grads))

@@ -1,4 +1,4 @@
-"""Numeric building blocks: rng, activations, softmax, Adam, dropout, checker."""
+"""Numeric building blocks: rng, sigmoid, softmax, Adam, dropout, checker."""
 
 import math
 
@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from hgrc.errors import ConfigError, GradientCheckError, ShapeError
 from hgrc.numeric import (AdamState, Rng, adam_step, dropout_mask, finite_diff_check,
-                          glorot_init, relu, relu_grad, sigmoid, sigmoid_grad, softmax,
-                          tanh_grad)
+                          glorot_init, sigmoid, softmax)
 
 # ---------------------------------------------------------------------- rng
 
@@ -47,14 +46,7 @@ def test_rng_permutation_is_a_permutation():
     assert sorted(p.tolist()) == list(range(100))
 
 
-# -------------------------------------------------------------- activations
-
-
-def test_relu_values_and_subgradient():
-    x = np.array([-2.0, -0.0, 0.0, 3.0])
-    assert np.array_equal(relu(x), [0.0, 0.0, 0.0, 3.0])
-    # subgradient at the kink is 0
-    assert np.array_equal(relu_grad(x), [0.0, 0.0, 0.0, 1.0])
+# ------------------------------------------------------------------ sigmoid
 
 
 def test_sigmoid_matches_naive_form():
@@ -79,22 +71,6 @@ def test_sigmoid_in_place_is_bit_identical():
 def test_sigmoid_symmetry():
     x = np.linspace(-20, 20, 41)
     assert np.allclose(sigmoid(-x), 1.0 - sigmoid(x), rtol=0, atol=1e-15)
-
-
-def test_activation_grads_match_finite_differences():
-    x = Rng(3).normal(size=17)
-    h = 1e-6
-    for fn, grad in ((sigmoid, sigmoid_grad), (np.tanh, tanh_grad)):
-        num = (fn(x + h) - fn(x - h)) / (2 * h)
-        assert np.allclose(grad(x), num, rtol=0, atol=1e-9)
-
-
-def test_unknown_activation_rejected():
-    from hgrc.numeric import activation, activation_grad
-    with pytest.raises(ConfigError):
-        activation(np.ones(3), "gelu")
-    with pytest.raises(ConfigError):
-        activation_grad(np.ones(3), "gelu")
 
 
 # ------------------------------------------------------------------ softmax

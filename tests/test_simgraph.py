@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hgrc.errors import ConfigError, ShapeError
-from hgrc.numeric import Rng, activation, finite_diff_check, sigmoid
+from hgrc.numeric import Rng, finite_diff_check, sigmoid
 from hgrc.simgraph import (gcn_aggregate, gcn_aggregate_backward, similarity,
                            similarity_backward, threshold, threshold_backward)
 
@@ -85,16 +85,16 @@ def test_threshold_backward_matches_finite_differences():
 def test_gcn_identity_adjacency_reduces_to_dense_layer():
     x = Rng(9).normal(size=(4, 3))
     phi = Rng(10).normal(size=(3, 2))
-    out, _ = gcn_aggregate(x, np.zeros((4, 4)), phi, kind="tanh")
+    out, _ = gcn_aggregate(x, np.zeros((4, 4)), phi)
     # A' = 0 means self-loops only: out = tanh(x phi)
     assert np.allclose(out, np.tanh(x @ phi), rtol=0, atol=1e-15)
 
 
 def test_gcn_hand_values_symmetric_pair():
     # A' fully connects two nodes; with x = phi = I the normalized
-    # adjacency is all 0.5 and relu passes it through
-    out, _ = gcn_aggregate(np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2), "relu")
-    assert np.allclose(out, [[0.5, 0.5], [0.5, 0.5]], rtol=0, atol=1e-15)
+    # adjacency is all 0.5, so every output is tanh(0.5)
+    out, _ = gcn_aggregate(np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2))
+    assert np.allclose(out, np.full((2, 2), np.tanh(0.5)), rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("mode", ["train", "eval"])
@@ -108,7 +108,7 @@ def test_similarity_and_gcn_equal_their_formulas_bitwise(mode):
     a_prime = threshold(a, float(np.median(a)), 50.0, mode)
     assert 0.3 < (a_prime > 0.5).mean() < 0.7
     a_before = a_prime.copy()
-    out, cache = gcn_aggregate(z, a_prime, phi, "relu")
+    out, cache = gcn_aggregate(z, a_prime, phi)
     assert np.array_equal(a_prime, a_before)  # threshold_backward reads a_prime
 
     a_tilde = a_prime + np.eye(12)
@@ -116,17 +116,17 @@ def test_similarity_and_gcn_equal_their_formulas_bitwise(mode):
     s_norm = a_tilde * inv_sqrt[:, None] * inv_sqrt[None, :]
     assert np.array_equal(cache[1], a_tilde)
     assert np.array_equal(cache[4], s_norm)
-    assert np.array_equal(out, activation(s_norm @ (z @ phi), "relu"))
+    assert np.array_equal(out, np.tanh(s_norm @ (z @ phi)))
 
 
 def test_gcn_validation():
     with pytest.raises(ShapeError):
-        gcn_aggregate(np.zeros((3, 2)), np.zeros((2, 2)), np.zeros((2, 2)), "relu")
+        gcn_aggregate(np.zeros((3, 2)), np.zeros((2, 2)), np.zeros((2, 2)))
     with pytest.raises(ShapeError):
-        gcn_aggregate(np.zeros((3, 2)), np.zeros((3, 3)), np.zeros((3, 2)), "relu")
+        gcn_aggregate(np.zeros((3, 2)), np.zeros((3, 3)), np.zeros((3, 2)))
     with pytest.raises(ConfigError, match="degrees"):
         gcn_aggregate(np.zeros((2, 2)), np.array([[-2.0, 0.0], [0.0, 0.0]]),
-                      np.zeros((2, 2)), "relu")
+                      np.zeros((2, 2)))
 
 
 def test_gcn_backward_matches_finite_differences():
@@ -137,10 +137,10 @@ def test_gcn_backward_matches_finite_differences():
     proj = rng.normal(size=(4, 2))
 
     def loss(arrays):
-        out, _ = gcn_aggregate(arrays["x"], arrays["a"], arrays["phi"], kind="tanh")
+        out, _ = gcn_aggregate(arrays["x"], arrays["a"], arrays["phi"])
         return float((out * proj).sum())
 
-    _, cache = gcn_aggregate(x, a_prime, phi, kind="tanh")
+    _, cache = gcn_aggregate(x, a_prime, phi)
     d_x, d_a_tilde, d_phi = gcn_aggregate_backward(proj, cache, phi)
     # d a_tilde equals d a_prime because a_tilde = a_prime + I
     params = {"x": x, "a": a_prime, "phi": phi}
@@ -155,15 +155,15 @@ def test_gcn_degree_correction_is_exercised():
     a_prime = sigmoid(rng.normal(size=(3, 3)))
     phi = rng.normal(size=(2, 2))
     proj = rng.normal(size=(3, 2))
-    out, cache = gcn_aggregate(x, a_prime, phi, kind="tanh")
+    out, cache = gcn_aggregate(x, a_prime, phi)
     _, d_a_tilde, _ = gcn_aggregate_backward(proj, cache, phi)
-    _, a_tilde, deg, inv_sqrt, s_norm, m, pre, kind = cache
-    d_pre = proj * (1.0 - np.tanh(pre) ** 2)
+    _, a_tilde, deg, inv_sqrt, s_norm, m, out = cache
+    d_pre = proj * (1.0 - out ** 2)
     naive = (d_pre @ m.T) * np.outer(inv_sqrt, inv_sqrt)
     assert not np.allclose(naive, d_a_tilde, rtol=0, atol=1e-6)
 
     def loss(arrays):
-        o, _ = gcn_aggregate(x, arrays["a"], phi, kind="tanh")
+        o, _ = gcn_aggregate(x, arrays["a"], phi)
         return float((o * proj).sum())
 
     assert finite_diff_check(loss, {"a": a_prime}, {"a": d_a_tilde}) < 1e-6

@@ -137,7 +137,11 @@ def test_patience_stops_training_early(splits):
 
 def test_exploding_step_raises_training_error(splits):
     tr, va, _ = splits
-    cfg = TrainConfig(**{**SMALL_CONFIG, "learning_rate": 1e200, "epochs": 5})
+    # tanh bounds every activation, so a merely huge step (1e200) leaves the
+    # loss finite, clamped at -ln 1e-12; a step of the float maximum makes
+    # the weights' products overflow to inf, and the loss becomes nan
+    lr = float(np.finfo(np.float64).max)
+    cfg = TrainConfig(**{**SMALL_CONFIG, "learning_rate": lr, "epochs": 5})
     with np.errstate(all="ignore"), pytest.raises(
             TrainingError, match=r"non-finite loss .* at epoch"):
         train(cfg, tr, va)
