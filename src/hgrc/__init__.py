@@ -10,8 +10,8 @@ finite differences; training is fully deterministic given a seed.
 """
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .data import (DEFAULT_SCHEMA, Cohort, NormStats, PatientRecord, filter_by_code,
-                   impute_mean, load_cohort, split, standardize)
+from .data import (DEFAULT_SCHEMA, Cohort, NormStats, PatientRecord, impute_mean,
+                   load_cohort, split, standardize)
 from .errors import (CheckpointError, CheckpointVersionError, ConfigError,
                      GradientCheckError, ParseError, ShapeError, TrainingError,
                      UndefinedMetricError)
@@ -31,7 +31,7 @@ __all__ = [
     "ShapeError", "SyntheticSpec", "TrainConfig", "TrainingError",
     "UndefinedMetricError", "adam_step", "auprc", "auroc", "compute_report",
     "confusion_metrics", "derive_rng_streams", "evaluate", "export_embeddings",
-    "filter_by_code", "finite_diff_check", "forward_eval", "forward_train",
+    "finite_diff_check", "forward_eval", "forward_train",
     "gen_synthetic", "impute_mean", "init_params", "load_checkpoint", "load_cohort",
     "predict_scores", "save_checkpoint", "split", "standardize", "train",
     "write_cohort_files",

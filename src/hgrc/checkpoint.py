@@ -7,10 +7,11 @@ name/shape/offset table, training log), then
 the model's flat parameter buffer as raw little-endian float64, whose arrays
 lie in layout order (``model.param_layout``), each in C order.  The table's
 offsets count bytes.  A load requires the stored config's model widths to
-equal the schema's and code vocabulary's lengths, the table to equal the
-layout that config implies (same names, shapes and contiguous offsets, in
-order) and the blob to be exactly the buffer's size, then reads the blob in
-one piece.  Round trips are bit-exact: loading a saved checkpoint and
+equal the schema's and code vocabulary's lengths, the normalization mean
+(and std, unless null) to hold one value per schema variable, the table to
+equal the layout that config implies (same names, shapes and contiguous
+offsets, in order) and the blob to be exactly the buffer's size, then reads
+the blob in one piece.  Round trips are bit-exact: loading a saved checkpoint and
 evaluating reproduces the pre-save evaluation to the last bit.
 """
 
@@ -30,9 +31,10 @@ from .errors import CheckpointError, CheckpointVersionError, ConfigError
 from .train import Checkpoint, TrainConfig
 
 MAGIC = b"HGRC"
-# 4: the config names no activation (tanh throughout); 3: GRU gates stacked
-# in four arrays; 2: the architecture nested as ``model``
-VERSION = 4
+# 5: the FFN ensemble stacked in six ffn.* arrays, member axis first; 4: the
+# config names no activation (tanh throughout); 3: GRU gates stacked in four
+# arrays; 2: the architecture nested as ``model``
+VERSION = 5
 _HEADER = struct.Struct("<4sBQ")
 
 
@@ -128,6 +130,10 @@ def load_checkpoint(path) -> Checkpoint:
         if widths != (len(schema), len(code_vocab)):
             raise ConfigError(f"config.model widths {widths} differ from the "
                               f"{len(schema)} schema variables and {len(code_vocab)} codes")
+        if any(stat is not None and stat.shape != (len(schema),)
+               for stat in (norm_stats.mean, norm_stats.std)):
+            raise ValueError(f"norm_stats mean and std need {len(schema)} values, "
+                             "one per schema variable")
     except ConfigError as exc:
         raise CheckpointError(f"{path}: checkpoint config does not match TrainConfig: {exc}")
     except KeyError as exc:

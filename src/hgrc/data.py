@@ -314,11 +314,3 @@ def code_carriers(cohort: Cohort, code: str) -> Array:
         hint = f"; nearest matches: {', '.join(near)}" if near else ""
         raise ConfigError(f"code {code!r} not in vocabulary{hint}")
     return cohort.codes_matrix()[:, cohort.code_vocab.index(code)] == 1.0
-
-
-def filter_by_code(cohort: Cohort, code: str) -> tuple[Cohort, Cohort]:
-    """Partition into (carriers of ``code``, everyone else)."""
-    carriers = code_carriers(cohort, code)
-    make = lambda mask: Cohort([p for p, keep in zip(cohort.patients, mask) if keep],
-                               cohort.schema, cohort.code_vocab, cohort.norm_stats)
-    return make(carriers), make(~carriers)

@@ -6,7 +6,7 @@ Forward pipeline per batch of N patients:
     x --residual hypergraph stack--> z (N, d+g)
     z --similarity + threshold--> adjacency (N, N)
     z --GCN aggregation--> x_star (N, q)
-    x_star --FFN ensemble + attention--> member probs, beta, loss
+    x_star --FFN ensemble + attention--> member probs (L, N, 2), beta (N, L), loss
 
 Training mode uses the sigmoid-relaxed threshold and dropout masks;
 evaluation mode uses the strict hard threshold and no dropout.  The backward
@@ -23,9 +23,11 @@ self-loops only.
 Parameters live in one contiguous float64 buffer (ModelParams.flat).  The
 layout, built from the ModelConfig by param_layout, lists every trainable
 array's name, shape and offset; each array is a named view into the
-buffer.  Gradients share the layout, so one Adam call updates the whole
-model, and the checkpoint stores the buffer as a single blob in layout
-order.
+buffer.  The GRU gates and the FFN ensemble are stored stacked: the
+ensemble is six ffn.* arrays whose leading axis is the member, so the
+layout has the same number of entries for any n_members.  Gradients share
+the layout, so one Adam call updates the whole model, and the checkpoint
+stores the buffer as a single blob in layout order.
 """
 
 from __future__ import annotations
@@ -93,10 +95,10 @@ def param_layout(config: ModelConfig) -> tuple[tuple[str, tuple[int, ...], int],
               ("gru.b", (3 * d,))]
     shapes += [(f"theta.{i}", (w, w)) for i in range(config.hconv_layers)]
     shapes += [("zeta", ()), ("phi", (w, q))]
-    for i in range(config.n_members):
-        shapes += [(f"ffn{i}.w1", (q, h1)), (f"ffn{i}.b1", (h1,)), (f"ffn{i}.w2", (h1, h2)),
-                   (f"ffn{i}.b2", (h2,)), (f"ffn{i}.wy", (h2, 2)), (f"ffn{i}.by", (2,))]
-    shapes += [("attn.w_beta", (q, config.n_members)), ("attn.b_beta", (config.n_members,))]
+    n = config.n_members
+    shapes += [("ffn.w1", (n, q, h1)), ("ffn.b1", (n, h1)), ("ffn.w2", (n, h1, h2)),
+               ("ffn.b2", (n, h2)), ("ffn.wy", (n, h2, 2)), ("ffn.by", (n, 2))]
+    shapes += [("attn.w_beta", (q, n)), ("attn.b_beta", (n,))]
     layout = []
     offset = 0
     for name, shape in shapes:
@@ -131,7 +133,7 @@ class ModelParams:
         self.thetas = list(groups.get("theta", {}).values())
         self.zeta = self._views["zeta"]  # shape () scalar
         self.phi = self._views["phi"]
-        self.members = [groups[f"ffn{i}"] for i in range(config.n_members)]
+        self.ffn = groups["ffn"]
         self.attn = groups["attn"]
 
     def named_arrays(self) -> dict[str, Array]:
@@ -172,14 +174,14 @@ def init_params(config: ModelConfig, rng: Rng) -> ModelParams:
         theta[...] = glorot_init(*theta.shape, stream)
     params.zeta[...] = config.zeta_init
     params.phi[...] = glorot_init(*params.phi.shape, phi_rng)
-    head.init_ensemble_params(params.members, params.attn, head_rng)
+    head.init_ensemble_params(params.ffn, params.attn, head_rng)
     return params
 
 
 def make_dropout_masks(config: ModelConfig, params: ModelParams, n_rows: int, rng: Rng):
     if config.dropout == 0.0:
         return None
-    return head.make_dropout_masks(n_rows, params.members, config.dropout, rng)
+    return head.make_dropout_masks(n_rows, params.ffn, config.dropout, rng)
 
 
 # ---------------------------------------------------------------- forward
@@ -198,8 +200,7 @@ def _forward(params: ModelParams, batch: Batch, config: ModelConfig, mode: str, 
         a_prime = np.zeros((z.shape[0], z.shape[0]))
 
     x_star, gcn_cache = simgraph.gcn_aggregate(z, a_prime, params.phi)
-    member_probs, beta, head_cache = head.head_forward(x_star, params.members, params.attn,
-                                                        masks)
+    member_probs, beta, head_cache = head.head_forward(x_star, params.ffn, params.attn, masks)
     stages = {"gru": h, "hconv": z, "aggregated": x_star}
     cache = (gru_cache, hconv_cache, z, a_prime, gcn_cache, head_cache)
     return member_probs, beta, stages, cache
@@ -219,8 +220,8 @@ def backward(params: ModelParams, batch: Batch, config: ModelConfig, cache) -> M
     gru_cache, hconv_cache, z, a_prime, gcn_cache, head_cache = cache
     grads = params.zeros_like()
 
-    d_xstar = head.head_backward(head_cache, batch.labels, params.members, params.attn,
-                                 (grads.members, grads.attn))
+    d_xstar = head.head_backward(head_cache, batch.labels, params.ffn, params.attn,
+                                 (grads.ffn, grads.attn))
     d_z, d_a_tilde, d_phi = simgraph.gcn_aggregate_backward(d_xstar, gcn_cache, params.phi)
     grads.phi[...] = d_phi
 

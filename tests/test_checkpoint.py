@@ -106,7 +106,7 @@ def test_version_1_checkpoint_rejected(tmp_path):
     def mutate(d):
         d[4] = 1
         return d
-    with pytest.raises(CheckpointVersionError, match="version 1, expected 4"):
+    with pytest.raises(CheckpointVersionError, match="version 1, expected 5"):
         load_checkpoint(write_tampered(tmp_path, mutate))
 
 
@@ -115,7 +115,7 @@ def test_version_2_checkpoint_rejected(tmp_path):
     def mutate(d):
         d[4] = 2
         return d
-    with pytest.raises(CheckpointVersionError, match="version 2, expected 4"):
+    with pytest.raises(CheckpointVersionError, match="version 2, expected 5"):
         load_checkpoint(write_tampered(tmp_path, mutate))
 
 
@@ -128,7 +128,20 @@ def test_version_3_checkpoint_rejected(tmp_path):
         d = edit_manifest(d, edit)
         d[4] = 3
         return d
-    with pytest.raises(CheckpointVersionError, match="version 3, expected 4"):
+    with pytest.raises(CheckpointVersionError, match="version 3, expected 5"):
+        load_checkpoint(write_tampered(tmp_path, mutate))
+
+
+def test_version_4_checkpoint_rejected(tmp_path):
+    # version 4 stored six ffn{i}.* arrays per member; there is no converter
+    def mutate(d):
+        def edit(m):
+            m["params"] = [e for e in m["params"] if not e["name"].startswith("ffn.")]
+            return m
+        d = edit_manifest(d, edit)
+        d[4] = 4
+        return d
+    with pytest.raises(CheckpointVersionError, match="version 4, expected 5"):
         load_checkpoint(write_tampered(tmp_path, mutate))
 
 
@@ -247,7 +260,10 @@ def test_malformed_parameter_table_rejected(tmp_path, edit):
     lambda m: m["norm_stats"].pop("mean"),
     lambda m: m.update(norm_stats=[80.0, 37.0]),
     lambda m: m["norm_stats"].update(mean=["eighty", "thirty-seven"]),
-], ids=["missing_std", "missing_mean", "not_an_object", "non_numeric_mean"])
+    lambda m: m["norm_stats"].update(mean=[80.0]),
+    lambda m: m["norm_stats"].update(std=[10.0]),
+], ids=["missing_std", "missing_mean", "not_an_object", "non_numeric_mean", "short_mean",
+        "short_std"])
 def test_malformed_norm_stats_rejected(tmp_path, edit):
     def mutate(d):
         def apply(m):

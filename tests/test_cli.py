@@ -405,7 +405,8 @@ def test_corrupt_inputs_exit_1(workspace, tmp_path):
 @pytest.mark.parametrize("edit", [
     lambda m: m["norm_stats"].pop("std"),
     lambda m: m.update(norm_stats="not an object"),
-], ids=["missing_std", "stats_not_an_object"])
+    lambda m: m["norm_stats"].update(mean=m["norm_stats"]["mean"][:-1]),
+], ids=["missing_std", "stats_not_an_object", "short_mean"])
 def test_malformed_checkpoint_norm_stats_exit_1(workspace, tmp_path, edit):
     from test_checkpoint import edit_manifest
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hgrc.data import (DEFAULT_SCHEMA, Cohort, NormStats, PatientRecord, filter_by_code,
+from hgrc.data import (DEFAULT_SCHEMA, Cohort, NormStats, PatientRecord, code_carriers,
                        impute_mean, load_cohort, split, standardize)
 from hgrc.errors import ConfigError, ParseError
 from hgrc.numeric import Rng
@@ -265,17 +265,19 @@ def test_split_partition_property(n, seed):
 # ------------------------------------------------------------------- filter
 
 
-def test_filter_by_code_partitions():
+def test_code_carriers_partitions():
     cohort = make_cohort([np.zeros((2, 1))] * 3, [[1], [0], [1]], [1, 0, 0])
-    carriers, rest = filter_by_code(cohort, "428.0")
-    assert [p.patient_id for p in carriers.patients] == ["p0", "p2"]
-    assert [p.patient_id for p in rest.patients] == ["p1"]
+    carriers = code_carriers(cohort, "428.0")
+    assert carriers.dtype == bool and carriers.shape == (3,)
+    ids = np.array([p.patient_id for p in cohort.patients])
+    assert list(ids[carriers]) == ["p0", "p2"]
+    assert list(ids[~carriers]) == ["p1"]
 
 
-def test_filter_by_code_unknown_code_suggests():
+def test_code_carriers_unknown_code_suggests():
     cohort = make_cohort([np.zeros((2, 1))], [[1]], [1])
     with pytest.raises(ConfigError, match="428.0"):
-        filter_by_code(cohort, "428.00")
+        code_carriers(cohort, "428.00")
 
 
 # ------------------------------------------------------------------- cohort

@@ -121,8 +121,8 @@ def analytic_series_grad(params, batch, cfg):
     _, cache = forward_train(params, batch, cfg)
     gru_cache, hconv_cache, z, a_prime, gcn_cache, head_cache = cache
     grads = params.zeros_like()
-    d_xstar = head.head_backward(head_cache, batch.labels, params.members, params.attn,
-                                 (grads.members, grads.attn))
+    d_xstar = head.head_backward(head_cache, batch.labels, params.ffn, params.attn,
+                                 (grads.ffn, grads.attn))
     d_z, d_a_tilde, _ = simgraph.gcn_aggregate_backward(d_xstar, gcn_cache, params.phi)
     if cfg.use_similarity:
         d_a, _ = simgraph.threshold_backward(d_a_tilde, a_prime, cfg.temperature)

@@ -16,7 +16,7 @@ TINY = dict(n_variables=2, n_codes=4, hidden_size=3,
 
 NAMES = (["gru." + n for n in ("w", "u_zr", "u_h", "b")]
          + ["theta.0", "theta.1", "zeta", "phi"]
-         + [f"ffn{i}.{n}" for i in range(2) for n in ("w1", "b1", "w2", "b2", "wy", "by")]
+         + [f"ffn.{n}" for n in ("w1", "b1", "w2", "b2", "wy", "by")]
          + ["attn.w_beta", "attn.b_beta"])
 
 
@@ -48,6 +48,11 @@ def test_layout_names_and_order_are_the_checkpoint_table():
     assert params.named_arrays()["gru.w"].shape == (9, 2)
     assert params.named_arrays()["gru.u_zr"].shape == (6, 3)
     assert params.named_arrays()["zeta"].shape == ()
+    assert params.named_arrays()["ffn.w2"].shape == (2, 4, 3)
+    assert params.named_arrays()["ffn.by"].shape == (2, 2)
+    # the ensemble is six stacked arrays whatever its size
+    for n_members in (1, 4):
+        assert len(param_layout(ModelConfig(**{**TINY, "n_members": n_members}))) == len(NAMES)
 
 
 def test_writing_through_any_view_changes_flat():
@@ -65,7 +70,7 @@ def test_grouped_views_alias_the_named_views():
     named = params.named_arrays()
     assert np.shares_memory(params.gru["u_h"], named["gru.u_h"])
     assert np.shares_memory(params.thetas[1], named["theta.1"])
-    assert np.shares_memory(params.members[1]["wy"], named["ffn1.wy"])
+    assert np.shares_memory(params.ffn["wy"], named["ffn.wy"])
     assert np.shares_memory(params.attn["b_beta"], named["attn.b_beta"])
     params.zeta[...] = 0.25
     assert named["zeta"] == 0.25
