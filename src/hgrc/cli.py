@@ -202,9 +202,9 @@ def cmd_case_study(args) -> int:
     cohort = _checkpoint_split(args, ckpt, data_dir)
     carriers = data_mod.code_carriers(cohort, args.code)
     if not carriers.any():
+        code_counts = cohort.codes_matrix().sum(axis=0)
         counts = sorted(
-            ((code, int(cohort.codes_matrix()[:, j].sum()))
-             for j, code in enumerate(cohort.code_vocab)),
+            ((code, int(count)) for code, count in zip(cohort.code_vocab, code_counts)),
             key=lambda item: -item[1])
         available = ", ".join(f"{code} ({count})" for code, count in counts[:5])
         raise ConfigError(f"no patient in the {args.split} split carries code "

@@ -15,6 +15,13 @@ stacked in z, r, h order: ``w`` (3d, M) = [W_z; W_r; W_h], ``u_zr`` (2d, d)
 product for all three gates, one for the z/r recurrence and one for the
 candidate.  The backward pass is hand-derived backpropagation through time;
 see encode_batch_backward.
+
+Training runs the whole batch through each step and caches every step for
+the backward pass.  Evaluation keeps no cache and runs the rows in blocks
+of at most 256, each block to its last step before the next starts, so a
+block's buffers and inputs stay in L2; blocks are near-equal and never fall
+to 20 rows, where OpenBLAS would round differently, so the states equal the
+whole-batch ones bit for bit (see encode_batch).
 """
 
 from __future__ import annotations
@@ -23,6 +30,9 @@ import numpy as np
 
 from .errors import ShapeError
 from .numeric import Array, Rng, glorot_init, sigmoid
+
+# most rows an eval-mode block holds; see encode_batch
+_EVAL_BLOCK_ROWS = 256
 
 
 def init_gru_params(p: dict[str, Array], rng: Rng) -> None:
@@ -43,9 +53,17 @@ def encode_batch(series_batch: Array, p: dict[str, Array], keep_cache: bool = Tr
     """Run the GRU over (N, M, T) series; returns final states (N, d) + cache.
 
     h_0 = 0.  The cache holds the series and every step's previous state and
-    z, r and candidate values, in (T, N, d) arrays; without ``keep_cache`` it
-    is None and the steps take turns in one slot.  Each step writes into
+    z, r and candidate values, in (T, N, d) arrays.  Each step writes into
     buffers allocated up front, so no call's time hangs on page faults.
+
+    Without ``keep_cache`` the cache is None and the rows run in
+    ceil(N / 256) blocks of near-equal size, each to its last step before
+    the next starts (see _encode_block).  A block's working set then stays
+    in L2 instead of streaming (N, 3d) temporaries through L3 at every step.
+    The split is equal rather than 256 rows plus a ragged tail because a
+    block of 20 rows or fewer takes another OpenBLAS kernel path and rounds
+    differently in the last bit; equal blocks of an N above 256 hold more
+    than 128 rows, so every row's state equals the whole-batch one bit for bit.
     """
     series_batch = np.asarray(series_batch, dtype=np.float64)
     if series_batch.ndim != 3:
@@ -58,13 +76,19 @@ def encode_batch(series_batch: Array, p: dict[str, Array], keep_cache: bool = Tr
         raise ShapeError("encode_batch: empty time axis")
     if np.isnan(series_batch).any():
         raise ShapeError("encode_batch: absent cells remain; impute first")
-    slots = t if keep_cache else 1
-    hs = np.zeros((slots + 1, n, d))  # hs[step] is the state that step reads
-    zs, rs, cs = (np.empty((slots, n, d)) for _ in range(3))
+    if not keep_cache:
+        final = np.empty((n, d))
+        n_blocks = max(1, -(-n // _EVAL_BLOCK_ROWS))  # an empty batch is one empty block
+        for block, out in zip(np.array_split(series_batch, n_blocks),
+                              np.array_split(final, n_blocks)):
+            _encode_block(block, p, out)
+        return final, None
+    hs = np.zeros((t + 1, n, d))  # hs[step] is the state that step reads
+    zs, rs, cs = (np.empty((t, n, d)) for _ in range(3))
     a, zr, tmp = np.empty((n, 3 * d)), np.empty((n, 2 * d)), np.empty((n, d))
     for step in range(t):
-        h, h_next = hs[step % (slots + 1)], hs[(step + 1) % (slots + 1)]
-        z, r, c = zs[step % slots], rs[step % slots], cs[step % slots]
+        h, h_next = hs[step], hs[step + 1]
+        z, r, c = zs[step], rs[step], cs[step]
         np.add(np.matmul(series_batch[:, :, step], p["w"].T, out=a), p["b"], out=a)
         np.add(np.matmul(h, p["u_zr"].T, out=zr), a[:, :2 * d], out=zr)
         sigmoid(zr, out=zr)
@@ -74,7 +98,32 @@ def encode_batch(series_batch: Array, p: dict[str, Array], keep_cache: bool = Tr
         np.multiply(np.subtract(1.0, z, out=tmp), h, out=tmp)
         np.add(tmp, np.multiply(z, c, out=h_next), out=h_next)
     # a copy, so that holding the final state does not hold the whole cache
-    return hs[t % (slots + 1)].copy(), (series_batch, hs, zs, rs, cs) if keep_cache else None
+    return hs[t].copy(), (series_batch, hs, zs, rs, cs)
+
+
+def _encode_block(series: Array, p: dict[str, Array], out: Array) -> None:
+    """The eval-mode recurrence over one row block; final states go to ``out``.
+
+    The same arithmetic as encode_batch's cached loop, in the block's own
+    buffers: each step reads its inputs from a contiguous time-major copy,
+    z and r stay views of the gate buffer, and two state buffers take turns.
+    """
+    n, d = out.shape
+    xs = np.ascontiguousarray(series.transpose(2, 0, 1))  # (T, n, M)
+    h, h_next = np.zeros((n, d)), np.empty((n, d))
+    a, zr = np.empty((n, 3 * d)), np.empty((n, 2 * d))
+    c, tmp = np.empty((n, d)), np.empty((n, d))
+    z, r = zr[:, :d], zr[:, d:]
+    for x in xs:
+        np.add(np.matmul(x, p["w"].T, out=a), p["b"], out=a)
+        np.add(np.matmul(h, p["u_zr"].T, out=zr), a[:, :2 * d], out=zr)
+        sigmoid(zr, out=zr)
+        np.add(np.matmul(np.multiply(r, h, out=tmp), p["u_h"].T, out=c), a[:, 2 * d:], out=c)
+        np.tanh(c, out=c)
+        np.multiply(np.subtract(1.0, z, out=tmp), h, out=tmp)
+        np.add(tmp, np.multiply(z, c, out=h_next), out=h_next)
+        h, h_next = h_next, h
+    out[...] = h
 
 
 def encode_batch_backward(d_h: Array, cache, p: dict[str, Array], grads: dict[str, Array]):

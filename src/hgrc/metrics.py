@@ -62,24 +62,14 @@ def auprc(scores, labels) -> float:
         raise UndefinedMetricError("auprc needs at least one positive label")
     order = np.argsort(-scores, kind="mergesort")
     sorted_scores = scores[order]
-    sorted_labels = labels[order]
-    ap = 0.0
-    recall_prev = 0.0
-    tp = 0
-    seen = 0
-    n = scores.shape[0]
-    i = 0
-    while i < n:
-        j = i
-        while j < n and sorted_scores[j] == sorted_scores[i]:
-            j += 1
-        tp += int(sorted_labels[i:j].sum())
-        seen += j - i
-        recall = tp / n_pos
-        precision = tp / seen
-        ap += (recall - recall_prev) * precision
-        recall_prev = recall
-        i = j
+    # the last index of each tie group: one threshold step per group
+    ends = np.append(np.flatnonzero(sorted_scores[1:] != sorted_scores[:-1]),
+                     scores.shape[0] - 1)
+    tp = np.cumsum(labels[order])[ends]
+    recall = tp / n_pos
+    precision = tp / (ends + 1)
+    # cumsum adds in order, so the sum rounds as a left-to-right loop would
+    ap = np.cumsum(np.diff(recall, prepend=0.0) * precision)[-1]
     return float(ap)
 
 

@@ -5,6 +5,7 @@ import json
 import re
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
 
 from hgrc.cli import main
@@ -198,6 +199,28 @@ def test_case_study_unknown_code_suggests(workspace):
     assert code == 2
     assert out == ""
     assert "999.99" in err
+
+
+def test_case_study_code_absent_from_the_split_lists_common_codes(tmp_path):
+    # a wide vocabulary over few patients leaves codes no test patient carries
+    data_dir, ckpt_path = tmp_path / "cohort", tmp_path / "model.hgrc"
+    run_json(["gen-synthetic", "--out-dir", str(data_dir), "--seed", "3",
+              "--n-patients", "30", "--n-codes", "150"])
+    run_json(["train", "--data-dir", str(data_dir), "--seed", "1", "--epochs", "1",
+              "--out", str(ckpt_path)])
+    from hgrc.data import split
+    from hgrc.train import derive_rng_streams
+    cohort = load_cohort(data_dir / "patients.csv", data_dir / "vitals.csv", window_hours=48)
+    test = split(cohort, (0.7, 0.15, 0.15), derive_rng_streams(1)[0])[2]
+    counts = test.codes_matrix().sum(axis=0)
+    absent = test.code_vocab[int(np.flatnonzero(counts == 0)[0])]
+    top = sorted(zip(test.code_vocab, counts), key=lambda item: -item[1])[:5]
+    code, out, err = run_cli(["case-study", "--checkpoint", str(ckpt_path),
+                              "--data-dir", str(data_dir), "--code", absent])
+    assert code == 2
+    assert out == ""
+    assert f"carries code {absent!r}" in err
+    assert ", ".join(f"{c} ({int(k)})" for c, k in top) in err
 
 
 def test_embed_exports_csv(workspace, tmp_path):

@@ -1,5 +1,7 @@
 """GRU encoder: forward values, BPTT gradients, fusion."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,33 @@ def test_encode_batch_without_cache_gives_the_same_states():
     alone, none = encode_batch(series, p, keep_cache=False)
     assert none is None and cache is not None
     assert np.array_equal(alone, cached)
+
+
+@pytest.mark.parametrize("n", [257, 300, 4097])
+def test_blocked_eval_equals_the_whole_batch_bitwise(n):
+    # without a cache the rows run in near-equal blocks of at most 256; rows
+    # are independent, so every state must equal the whole-batch loop's.
+    # N = 257 is where a fixed 256-row block would leave a 1-row tail
+    p = gru_params(16, 59, Rng(40))
+    series = Rng(41).normal(size=(n, 16, 3))
+    cached, _ = encode_batch(series, p, keep_cache=True)
+    blocked, _ = encode_batch(series, p, keep_cache=False)
+    assert np.array_equal(blocked, cached)
+
+
+def test_eval_encoder_memory_is_bounded_by_its_blocks():
+    # the whole-batch loop held about 11 (N, d) arrays; blocked, the eval
+    # encoder holds the (N, d) result and one block's buffers
+    n, d = 4097, 59
+    p = gru_params(16, d, Rng(42))
+    series = Rng(43).normal(size=(n, 16, 3))
+    tracemalloc.start()
+    try:
+        encode_batch(series, p, keep_cache=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * n * d * 8, peak
 
 
 def test_encode_batch_input_validation():

@@ -43,6 +43,36 @@ def auprc_stepwise(scores, labels):
     return ap
 
 
+def auprc_loop(scores, labels):
+    """The grouped average precision written as one pass over the sorted
+    patients, a tie group at a time; the package's vectorized auprc must
+    equal it bit for bit."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    n_pos = int(labels.sum())
+    order = np.argsort(-scores, kind="mergesort")
+    sorted_scores = scores[order]
+    sorted_labels = labels[order]
+    ap = 0.0
+    recall_prev = 0.0
+    tp = 0
+    seen = 0
+    n = scores.shape[0]
+    i = 0
+    while i < n:
+        j = i
+        while j < n and sorted_scores[j] == sorted_scores[i]:
+            j += 1
+        tp += int(sorted_labels[i:j].sum())
+        seen += j - i
+        recall = tp / n_pos
+        precision = tp / seen
+        ap += (recall - recall_prev) * precision
+        recall_prev = recall
+        i = j
+    return float(ap)
+
+
 def confusion_loop(scores, labels, threshold):
     tp = fp = tn = fn = 0
     for s, y in zip(scores, labels):
@@ -139,6 +169,19 @@ def test_metrics_match_oracles_on_random_fixtures():
         assert abs(auprc(scores, labels) - auprc_stepwise(scores, labels)) < 1e-12
         t = float(rng.random())
         assert confusion_counts(scores, labels, t) == confusion_loop(scores, labels, t)
+
+
+def test_auprc_equals_the_loop_bitwise():
+    rng = Rng(4242)
+    for _ in range(300):
+        scores, labels = random_fixture(rng, n_max=500)
+        assert auprc(scores, labels) == auprc_loop(scores, labels)
+    # one patient, all tied, all positive, and a near-continuous score grid
+    assert auprc(np.array([0.3]), np.array([1])) == auprc_loop([0.3], [1]) == 1.0
+    assert auprc(np.full(7, 0.5), np.array([1, 0, 0, 1, 0, 0, 0])) == 2.0 / 7.0
+    assert auprc(np.array([0.2, 0.9, 0.9]), np.ones(3, dtype=int)) == 1.0
+    scores, labels = Rng(4243).random(4096), (Rng(4244).random(4096) < 0.2).astype(int)
+    assert auprc(scores, labels) == auprc_loop(scores, labels)
 
 
 @given(st.integers(0, 2 ** 32 - 1))
