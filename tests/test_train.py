@@ -1,5 +1,6 @@
 """Training loop: batching, determinism, early stopping, evaluation helpers."""
 
+import importlib
 import json
 import math
 
@@ -242,6 +243,19 @@ def test_predict_scores_of_an_empty_cohort_is_empty(trained, splits):
     assert scores.shape == (0,)
     assert scores.dtype == np.float64
     assert predict_scores(trained, empty, eval_batch_size=4).shape == (0,)
+
+
+def test_heap_trim_before_scoring_leaves_scores_alone(trained, splits, monkeypatch):
+    # the trim runs once per call where glibc has it and is skipped elsewhere
+    train_mod = importlib.import_module("hgrc.train")
+    _, _, te = splits
+    reference = predict_scores(trained, te)
+    calls = []
+    monkeypatch.setattr(train_mod, "_malloc_trim", lambda pad: calls.append(pad) or 1)
+    assert np.array_equal(predict_scores(trained, te), reference)
+    assert calls == [0]
+    monkeypatch.setattr(train_mod, "_malloc_trim", None)
+    assert np.array_equal(predict_scores(trained, te), reference)
 
 
 def test_eval_batching_changes_the_graph_not_the_contract(trained, splits):
