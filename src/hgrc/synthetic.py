@@ -158,13 +158,13 @@ def write_cohort_files(cohort: Cohort, out_dir, spec: SyntheticSpec, seed: int) 
     vitals_path = out / "vitals.csv"
     meta_path = out / "meta.json"
 
-    with open(patients_path, "w", newline="") as fh:
+    with open(patients_path, "w", newline="", encoding="utf-8") as fh:
         fh.write("patient_id,label,icd_codes\n")
         for p in cohort.patients:
             codes = ";".join(c for c, flag in zip(cohort.code_vocab, p.icd) if flag == 1.0)
             fh.write(f"{p.patient_id},{p.label},{codes}\n")
 
-    with open(vitals_path, "w", newline="") as fh:
+    with open(vitals_path, "w", newline="", encoding="utf-8") as fh:
         fh.write("patient_id,hour,variable,value\n")
         for p in cohort.patients:
             for vi, name in enumerate(cohort.schema):
@@ -175,7 +175,7 @@ def write_cohort_files(cohort: Cohort, out_dir, spec: SyntheticSpec, seed: int) 
                         fh.write(f"{p.patient_id},{hour},{name},{_fmt(v)}\n")
 
     meta = {"seed": int(seed), "spec": asdict(spec)}
-    with open(meta_path, "w") as fh:
+    with open(meta_path, "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

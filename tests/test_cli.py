@@ -425,6 +425,19 @@ def test_corrupt_inputs_exit_1(workspace, tmp_path):
     assert run_cli(["train", "--data-dir", str(bad_dir)])[0] == 1
 
 
+def test_non_utf8_input_exits_1_naming_file_and_line(workspace, tmp_path):
+    for name in ("patients.csv", "vitals.csv"):
+        (tmp_path / name).write_bytes((workspace["data_dir"] / name).read_bytes())
+    vitals = tmp_path / "vitals.csv"
+    lines = vitals.read_bytes().split(b"\n")
+    lines[4] = lines[4] + b"\xff"
+    vitals.write_bytes(b"\n".join(lines))
+    code, out, err = run_cli(["train", "--data-dir", str(tmp_path), "--epochs", "1",
+                              "--out", str(tmp_path / "m.hgrc")])
+    assert code == 1 and out == ""
+    assert f"{vitals}:5: not UTF-8 text" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("edit", [
     lambda m: m["norm_stats"].pop("std"),
     lambda m: m.update(norm_stats="not an object"),

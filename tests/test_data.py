@@ -1,12 +1,17 @@
 """Cohort loading, imputation, standardization, splitting."""
 
+import csv
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hgrc.data import (DEFAULT_SCHEMA, Cohort, NormStats, PatientRecord, code_carriers,
-                       impute_mean, load_cohort, split, standardize)
+from hgrc import data
+from hgrc.data import (DEFAULT_SCHEMA, VALID_WINDOWS, Cohort, NormStats, PatientRecord,
+                       code_carriers, impute_mean, load_cohort, split, standardize)
 from hgrc.errors import ConfigError, ParseError
 from hgrc.numeric import Rng
 
@@ -27,6 +32,100 @@ def make_cohort(series_list, icd_list, labels, schema=SCHEMA2, vocab=("428.0",))
         for i, (s, c, y) in enumerate(zip(series_list, icd_list, labels))
     ]
     return Cohort(patients, schema, vocab)
+
+
+# ------------------------------------------------- row-by-row loader (oracle)
+
+
+def _read_rows(path, expected_header: list[str]):
+    """Yield (line_number, row) for a CSV file, validating the header."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ParseError("empty file, expected header "
+                             + ",".join(expected_header), path=path, line=1)
+        if header != expected_header:
+            raise ParseError(f"bad header {header!r}, expected {expected_header!r}",
+                             path=path, line=1)
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(expected_header):
+                raise ParseError(f"expected {len(expected_header)} columns, got {len(row)}",
+                                 path=path, line=lineno)
+            yield lineno, row
+
+
+def load_cohort_rows(patients_path, vitals_path, window_hours: int,
+                     schema: tuple[str, ...] = DEFAULT_SCHEMA) -> Cohort:
+    """The row-by-row loader that load_cohort replaced: the bit-for-bit oracle.
+
+    It agrees with load_cohort on files without quotes, NUL bytes or a lone
+    carriage return, which load_cohort rejects and csv.reader accepts.
+    """
+    if window_hours not in VALID_WINDOWS:
+        raise ConfigError(f"window_hours must be one of {VALID_WINDOWS}, got {window_hours}")
+    schema = tuple(schema)
+    var_index = {name: i for i, name in enumerate(schema)}
+
+    ids: list[str] = []
+    labels: list[int] = []
+    code_sets: list[set[str]] = []
+    seen: dict[str, int] = {}
+    for lineno, row in _read_rows(patients_path, ["patient_id", "label", "icd_codes"]):
+        pid, label_s, codes_s = row
+        if not pid:
+            raise ParseError("empty patient_id", path=patients_path, line=lineno)
+        if pid in seen:
+            raise ParseError(f"duplicate patient_id {pid!r} (first at line {seen[pid]})",
+                             path=patients_path, line=lineno)
+        if label_s not in ("0", "1"):
+            raise ParseError(f"label must be 0 or 1, got {label_s!r}",
+                             path=patients_path, line=lineno)
+        seen[pid] = lineno
+        ids.append(pid)
+        labels.append(int(label_s))
+        code_sets.append({c.strip() for c in codes_s.split(";") if c.strip()})
+
+    code_vocab = tuple(sorted(set().union(*code_sets))) if code_sets else ()
+    code_pos = {c: j for j, c in enumerate(code_vocab)}
+    row_of = {pid: i for i, pid in enumerate(ids)}
+
+    n, m, t = len(ids), len(schema), window_hours
+    series = np.full((n, m, t), np.nan)
+    for lineno, row in _read_rows(vitals_path, ["patient_id", "hour", "variable", "value"]):
+        pid, hour_s, variable, value_s = row
+        if pid not in row_of:
+            raise ParseError(f"unknown patient_id {pid!r}", path=vitals_path, line=lineno)
+        try:
+            hour = int(hour_s)
+        except ValueError:
+            raise ParseError(f"hour must be an integer, got {hour_s!r}",
+                             path=vitals_path, line=lineno)
+        if not 0 <= hour < t:
+            raise ParseError(f"hour {hour} outside window [0, {t})",
+                             path=vitals_path, line=lineno)
+        if variable not in var_index:
+            raise ParseError(f"unknown variable {variable!r}", path=vitals_path, line=lineno)
+        try:
+            value = float(value_s)
+        except ValueError:
+            raise ParseError(f"value must be a decimal, got {value_s!r}",
+                             path=vitals_path, line=lineno)
+        if not math.isfinite(value):
+            raise ParseError(f"value must be finite, got {value_s!r}",
+                             path=vitals_path, line=lineno)
+        series[row_of[pid], var_index[variable], hour] = value
+
+    patients = []
+    for i, pid in enumerate(ids):
+        icd = np.zeros(len(code_vocab))
+        for c in code_sets[i]:
+            icd[code_pos[c]] = 1.0
+        patients.append(PatientRecord(pid, series[i], icd, labels[i]))
+    return Cohort(patients, schema, code_vocab)
 
 
 # ---------------------------------------------------------------- loading
@@ -127,6 +226,211 @@ def test_load_cohort_blank_lines_skipped(tmp_path):
     assert cohort.patients[0].series[0, 0] == 70.0
 
 
+def test_load_cohort_rejects_a_repeated_schema_name(tmp_path):
+    p, v = write_files(tmp_path, "patient_id,label,icd_codes\na,0,\n",
+                       "patient_id,hour,variable,value\n")
+    with pytest.raises(ConfigError, match="heart_rate"):
+        load_cohort(p, v, window_hours=24, schema=("heart_rate", "heart_rate"))
+
+
+@pytest.mark.parametrize("which", ["patients", "vitals"])
+@pytest.mark.parametrize("line,fragment", [
+    (b"a,0,heart_rate,7\xff0\n", "UTF-8"),
+    (b"a,0,heart_rate,\xc3\n", "UTF-8"),
+    (b"a,0,heart_rate,7\x000\n", "NUL"),
+    (b'"a",0,heart_rate,70\n', "quoted"),
+    (b"a,0,heart_rate,70\ra,1,heart_rate,71\n", "carriage return"),
+])
+def test_load_cohort_rejects_what_is_not_plain_utf8_lines(tmp_path, which, line, fragment):
+    patients = b"patient_id,label,icd_codes\na,0,\n"
+    vitals = b"patient_id,hour,variable,value\na,0,heart_rate,70\n"
+    if which == "patients":
+        patients += line.replace(b"a,0,heart_rate,", b"b,0,")
+    else:
+        vitals += line
+    p, v = tmp_path / "patients.csv", tmp_path / "vitals.csv"
+    p.write_bytes(patients)
+    v.write_bytes(vitals)
+    with pytest.raises(ParseError, match=fragment) as exc:
+        load_cohort(p, v, window_hours=24, schema=SCHEMA2)
+    path = p if which == "patients" else v
+    assert str(exc.value).startswith(f"{path}:3:")
+
+
+def test_load_cohort_rejects_a_non_utf8_header(tmp_path):
+    p, v = write_files(tmp_path, "patient_id,label,icd_codes\na,0,\n", "")
+    v.write_bytes(b"patient_id,hour,variable,valu\xe9\n")
+    with pytest.raises(ParseError, match="UTF-8") as exc:
+        load_cohort(p, v, window_hours=24, schema=SCHEMA2)
+    assert str(exc.value).startswith(f"{v}:1:")
+
+
+# Text forms that int() and float() accept for the same number.
+HOUR_FORMS = ("{}", " {}", "+{}", "0{}", "{} ")
+VALUE_FORMS = ("{!r}", " {!r}", "{!r}\t", "+{!r}")
+
+
+@st.composite
+def cohort_files(draw):
+    """Valid patients.csv and vitals.csv bytes, in the forms a loader must accept."""
+    ids = draw(st.lists(st.text("abcxyz_0159é", min_size=1, max_size=4),
+                        min_size=1, max_size=4, unique=True))
+    codes = st.lists(st.sampled_from(["428.0", " 250.00", "V45.81 ", "E11"]), max_size=3)
+    patients = [f"{pid},{draw(st.sampled_from('01'))},{';'.join(draw(codes))}" for pid in ids]
+    cells = st.tuples(st.sampled_from(ids), st.sampled_from([0, 1, 7, 23]),
+                      st.sampled_from(SCHEMA2),
+                      st.floats(-1e6, 1e6, allow_nan=False) | st.integers(-300, 300))
+    vitals = []
+    for pid, hour, name, value in draw(st.lists(cells, max_size=30)):
+        hour_s = draw(st.sampled_from(HOUR_FORMS)).format(hour)
+        value_s = draw(st.sampled_from(VALUE_FORMS)).format(value)
+        vitals.append(f"{pid},{hour_s},{name},{value_s.replace('+-', '-')}")
+
+    def text(header, lines):
+        out = [header]
+        for line in lines:
+            out += [""] * draw(st.integers(0, 1)) + [line]
+        body = "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in out)
+        if out[-1] and draw(st.booleans()):  # no final newline
+            body = body.rstrip("\r\n")
+        return body.encode("utf-8")
+
+    return (text("patient_id,label,icd_codes", patients),
+            text("patient_id,hour,variable,value", vitals))
+
+
+def assert_same_cohort(got, want):
+    assert [p.patient_id for p in got.patients] == [p.patient_id for p in want.patients]
+    assert np.array_equal(got.labels(), want.labels())
+    assert got.code_vocab == want.code_vocab and got.schema == want.schema
+    assert np.array_equal(got.codes_matrix(), want.codes_matrix())
+    # int64 views compare NaN cells and signed zeros bit for bit
+    assert np.array_equal(got.series_stack().view(np.int64), want.series_stack().view(np.int64))
+
+
+def load_both(root, patients: bytes, vitals: bytes, block_bytes: int, schema=SCHEMA2):
+    """(load_cohort result or error text, oracle result or error text)."""
+    p, v = root / "patients.csv", root / "vitals.csv"
+    p.write_bytes(patients)
+    v.write_bytes(vitals)
+    results = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data, "_BLOCK_BYTES", block_bytes)
+        for loader in (load_cohort, load_cohort_rows):
+            try:
+                results.append(loader(p, v, window_hours=24, schema=schema))
+            except ParseError as exc:
+                results.append(str(exc))
+    return results
+
+
+@given(cohort_files(), st.integers(16, 90) | st.just(1 << 20))
+@settings(max_examples=150, deadline=None)
+def test_load_cohort_equals_the_row_loader(tmp_path_factory, files, block_bytes):
+    got, want = load_both(tmp_path_factory.mktemp("csv"), *files, block_bytes)
+    assert not isinstance(want, str), want
+    assert_same_cohort(got, want)
+
+
+VALID_VITALS = ["a,0,heart_rate,70", "b,1,temperature,37.5", "a,2,heart_rate,71",
+                "b,3,heart_rate,60", "a,4,temperature,36.9", "b,5,temperature,37.1"]
+# Defects in the row loader's order of checks, and two lines that it accepts.
+DEFECTS = [
+    "a,0,heart_rate",                  # columns
+    "a,0,heart_rate,70,1",             # columns
+    "zz,0,heart_rate,70",              # unknown patient_id
+    "a ,0,heart_rate,70",              # unknown patient_id
+    "a,x,heart_rate,70",               # hour must be an integer
+    "a,,heart_rate,70",                # hour must be an integer
+    "a,1_0,heart_rate,70",             # valid: int() reads 10
+    "a,24,heart_rate,70",              # hour outside window
+    "a,-1,heart_rate,70",              # hour outside window
+    "a,123456789012345678901234567890,heart_rate,70",  # outside, printed in full
+    "a,0,blood_type,70",               # unknown variable
+    "a,0,heart_rate,abc",              # value must be a decimal
+    "a,0,heart_rate,",                 # value must be a decimal
+    "a,0,heart_rate,1_0.5",            # valid: float() reads 10.5
+    "a,0,heart_rate,٧٠",               # valid: float() reads Arabic-Indic digits
+    "a,0,heart_rate,inf",              # value must be finite
+    "a,0,heart_rate,-nan",             # value must be finite
+    "a,0,heart_rate,1e999",            # value must be finite
+    "zz,x,blood_type,abc",             # fails every check; the first one names it
+    "a,x,blood_type,abc",
+    "a,99,blood_type,inf",
+    "a,0,blood_type,inf",
+]
+
+
+def vitals_with(defects: dict[int, str]) -> bytes:
+    lines = list(VALID_VITALS)
+    for at, line in defects.items():
+        lines[at] = line
+    return ("patient_id,hour,variable,value\n" + "\n".join(lines) + "\n").encode("utf-8")
+
+
+@pytest.mark.parametrize("block_bytes", [40, 1 << 20])
+@pytest.mark.parametrize("defect", DEFECTS)
+def test_a_defect_raises_the_row_loaders_error(tmp_path, defect, block_bytes):
+    patients = b"patient_id,label,icd_codes\na,0,\nb,1,\n"
+    got, want = load_both(tmp_path, patients, vitals_with({2: defect}), block_bytes)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert_same_cohort(got, want)
+
+
+@given(st.sampled_from(DEFECTS), st.sampled_from(DEFECTS),
+       st.lists(st.integers(0, len(VALID_VITALS) - 1), min_size=2, max_size=2, unique=True),
+       st.sampled_from([40, 100, 1 << 20]))
+@settings(max_examples=60, deadline=None)
+def test_two_defects_raise_the_first_in_file_order(tmp_path_factory, first, second, at,
+                                                   block_bytes):
+    # with one block for the whole file the later line may fail a check that
+    # the row loader makes before the earlier line's failing one
+    patients = b"patient_id,label,icd_codes\na,0,\nb,1,\n"
+    got, want = load_both(tmp_path_factory.mktemp("csv"), patients,
+                          vitals_with({at[0]: first, at[1]: second}), block_bytes)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert_same_cohort(got, want)
+
+
+def test_patient_file_defects_raise_the_row_loaders_error(tmp_path):
+    vitals = b"patient_id,hour,variable,value\na,0,heart_rate,70\n"
+    for patients in (b"", b"\n", b"patient_id,label\n", b"patient_id,label,icd_codes,x\n",
+                     b"patient_id,label,icd_codes\na,0,\nb,2,\n",
+                     b"patient_id,label,icd_codes\na,0,\n,1,\n",
+                     b"patient_id,label,icd_codes\na,0,\n\na,1,\n",
+                     b"patient_id,label,icd_codes\na,0\n"):
+        got, want = load_both(tmp_path, patients, vitals, 1 << 20)
+        assert isinstance(want, str) and got == want
+
+
+def test_load_cohort_memory_is_bounded_by_its_blocks(tmp_path, monkeypatch):
+    n, t = 120, 48
+    rng = np.random.default_rng(0)
+    ids = [f"p{i:04d}" for i in range(n)]
+    rows = [f"{pid},{h},{name},{rng.normal()!r}\n" for pid in ids for name in DEFAULT_SCHEMA
+            for h in range(t)]
+    p, v = write_files(tmp_path, "patient_id,label,icd_codes\n"
+                       + "".join(f"{pid},0,\n" for pid in ids),
+                       "patient_id,hour,variable,value\n" + "".join(rows))
+    block = 1 << 16
+    monkeypatch.setattr(data, "_BLOCK_BYTES", block)
+    series_bytes = n * len(DEFAULT_SCHEMA) * t * 8
+    assert v.stat().st_size > 40 * block
+    tracemalloc.start()
+    try:
+        cohort = load_cohort(p, v, window_hours=t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cohort.series_stack().shape == (n, len(DEFAULT_SCHEMA), t)
+    # about 9 blocks at the time of writing; the 3.5 MB file is 54 blocks
+    assert peak < series_bytes + 16 * block, (peak, series_bytes)
+
+
 # --------------------------------------------------------------- imputation
 
 
@@ -169,6 +473,27 @@ def test_impute_mean_schema_mismatch():
     cohort = make_cohort([[[1.0], [2.0]]], [[0]], [0])
     with pytest.raises(ConfigError):
         impute_mean(cohort, stats)
+
+
+def test_impute_and_standardize_equal_the_per_patient_transforms():
+    rng = Rng(3)
+    series = []
+    for _ in range(7):
+        s = rng.normal(loc=4.0, scale=2.0, size=(2, 5))
+        s[rng.normal(size=(2, 5)) > 0.5] = np.nan
+        series.append(s)
+    series[0][1, :] = 9.0
+    cohort = make_cohort(series, [[0]] * 7, [0] * 7)
+    stats = standardize(impute_mean(cohort)).norm_stats
+    stats = NormStats(SCHEMA2, stats.mean, np.array([stats.std[0], 0.0]))
+    got = standardize(impute_mean(cohort, stats), stats)
+    safe = np.where(stats.std > 0.0, stats.std, 1.0)[:, None]
+    for p, q in zip(cohort.patients, got.patients):
+        filled = np.where(np.isnan(p.series), stats.mean[:, None], p.series)
+        want = np.where((stats.std == 0.0)[:, None], 0.0,
+                        (filled - stats.mean[:, None]) / safe)
+        assert np.array_equal(q.series.view(np.int64), want.view(np.int64))
+    assert np.isnan(cohort.patients[0].series).any()  # input untouched
 
 
 # ----------------------------------------------------------- standardization
