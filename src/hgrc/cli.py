@@ -70,17 +70,14 @@ def _load_raw_cohort(data_dir: Path, window_hours: int) -> data_mod.Cohort:
                                 window_hours)
 
 
-def _standardized_splits(cohort, config: TrainConfig, stats: data_mod.NormStats | None = None):
-    """Split, then impute/standardize every split with ``stats``.
-
-    Without ``stats`` they come from the train split, as in training.
-    """
+def _split(cohort, config: TrainConfig):
+    """The train/val/test pieces of the raw cohort, cut as training cuts them."""
     split_rng, _, _ = derive_rng_streams(config.seed)
-    pieces = data_mod.split(cohort, config.split_ratios, split_rng)
-    if stats is None:
-        stats = data_mod.standardize(data_mod.impute_mean(pieces[0])).norm_stats
-    return tuple(data_mod.standardize(data_mod.impute_mean(piece, stats), stats)
-                 for piece in pieces)
+    return data_mod.split(cohort, config.split_ratios, split_rng)
+
+
+def _standardized(piece, stats: data_mod.NormStats):
+    return data_mod.standardize(data_mod.impute_mean(piece, stats), stats)
 
 
 def _with_threshold(ckpt: Checkpoint, threshold: float | None) -> Checkpoint:
@@ -98,8 +95,8 @@ def _checkpoint_split(args, ckpt: Checkpoint, data_dir: Path):
                           f"({list(cohort.schema)} vs {list(ckpt.schema)})")
     if cohort.code_vocab != ckpt.code_vocab:
         raise ConfigError("data code vocabulary does not match checkpoint vocabulary")
-    pieces = _standardized_splits(cohort, ckpt.config, ckpt.norm_stats)
-    return pieces[SPLITS.index(args.split)]
+    piece = _split(cohort, ckpt.config)[SPLITS.index(args.split)]
+    return _standardized(piece, ckpt.norm_stats)
 
 
 # ---------------------------------------------------------------- commands
@@ -125,7 +122,7 @@ def cmd_gen_synthetic(args) -> int:
     paths = synth_mod.write_cohort_files(cohort, out_dir, spec, seed)
     _log(f"wrote {len(cohort)} patients to {out_dir}")
     _emit({"files": paths, "n_patients": len(cohort),
-           "n_positive": int(cohort.labels().sum()), "seed": seed})
+           "n_positive": int(cohort.y.sum()), "seed": seed})
     return 0
 
 
@@ -148,7 +145,9 @@ def cmd_train(args) -> int:
     out_path = args.out or cfg.paths.checkpoint or str(data_dir / "model.hgrc")
 
     cohort = _load_raw_cohort(data_dir, tc.window_hours)
-    train_c, val_c, _ = _standardized_splits(cohort, tc)
+    train_raw, val_raw, _ = _split(cohort, tc)
+    train_c = data_mod.standardize(data_mod.impute_mean(train_raw))
+    val_c = _standardized(val_raw, train_c.norm_stats)
     for note in train_c.norm_stats.warnings:
         _log(f"warning: {note}")
     _log(f"training on {len(train_c)} patients, validating on {len(val_c)}")
@@ -202,7 +201,7 @@ def cmd_case_study(args) -> int:
     cohort = _checkpoint_split(args, ckpt, data_dir)
     carriers = data_mod.code_carriers(cohort, args.code)
     if not carriers.any():
-        code_counts = cohort.codes_matrix().sum(axis=0)
+        code_counts = cohort.icd.sum(axis=0)
         counts = sorted(
             ((code, int(count)) for code, count in zip(cohort.code_vocab, code_counts)),
             key=lambda item: -item[1])
@@ -212,7 +211,7 @@ def cmd_case_study(args) -> int:
     # the split is scored once, as `evaluate` scores it; scoring each group
     # on its own would rebuild both graphs inside the group
     scores = predict_scores(ckpt, cohort, args.eval_batch_size)
-    labels = cohort.labels()
+    labels = cohort.y
     threshold = ckpt.config.decision_threshold
     _emit({
         "code": args.code,

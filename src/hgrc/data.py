@@ -1,14 +1,15 @@
 """Cohort data model: loading, validation, imputation, standardization, splits.
 
-A cohort is an ordered list of patient records.  Each record holds an hourly
-vital-sign matrix (variables x hours, NaN marks an absent measurement), a
-binary diagnosis-code vector over the cohort's code vocabulary, and a binary
-in-hospital mortality label.
+A cohort holds its patients as columns: patient ids, one (N, M, T) array of
+hourly vital signs (variables x hours, NaN marks an absent measurement), one
+(N, g) binary diagnosis-code matrix over the cohort's code vocabulary, and
+an (N,) binary in-hospital mortality label vector.  Row i of each column is
+patient i.
 
-All transforms return new cohorts whose patients hold row views of one new
-(N, M, T) array; nothing mutates in place.  Imputation and
-standardization statistics are computed on the training split only and reused
-verbatim on validation and test data.
+Every column is C-contiguous, so reductions over it sum in one fixed order.
+Transforms return new cohorts with new arrays and never write into their
+input's.  Imputation and standardization statistics are computed on the
+training split only and reused verbatim on validation and test data.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import codecs
 import difflib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -74,46 +75,67 @@ class NormStats:
     warnings: tuple[str, ...] = ()
 
 
+def _column(name: str, value, dtype, ndim: int) -> Array:
+    """``value`` as a C-contiguous ``dtype`` array of ``ndim`` axes."""
+    try:
+        array = np.ascontiguousarray(value, dtype=dtype)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"cohort {name} is not a rectangular array: {exc}") from None
+    if array.ndim != ndim:
+        raise ConfigError(f"cohort {name} must have {ndim} axes, got shape {array.shape}")
+    return array
+
+
 @dataclass(eq=False)
 class Cohort:
-    """Ordered patients sharing one variable schema and one code vocabulary."""
+    """Patients as columns sharing one variable schema and one code vocabulary.
 
-    patients: list[PatientRecord]
+    ``patient_ids`` (N,) str, ``series`` (N, M, T) float64, ``icd`` (N, g)
+    float64 and ``y`` (N,) int64 labels; M = len(schema), g =
+    len(code_vocab).  Construction makes each column a C-contiguous array of
+    its dtype, copying only an input that is not one already.
+    """
+
+    patient_ids: Array
+    series: Array
+    icd: Array
+    y: Array
     schema: tuple[str, ...]
     code_vocab: tuple[str, ...]
     norm_stats: NormStats | None = None
 
     def __post_init__(self):
-        ids = [p.patient_id for p in self.patients]
-        if len(set(ids)) != len(ids):
+        self.patient_ids = _column("patient_ids", self.patient_ids, str, 1)
+        self.series = _column("series", self.series, np.float64, 3)
+        self.icd = _column("icd", self.icd, np.float64, 2)
+        labels = _column("labels", self.y, None, 1)
+        binary = np.isin(labels, (0, 1))
+        if not binary.all():
+            raise ConfigError(f"cohort labels must be 0 or 1, got {labels[~binary][0].item()!r}")
+        self.y = labels.astype(np.int64, copy=False)
+        n, m, g = len(self.patient_ids), len(self.schema), len(self.code_vocab)
+        if (len(self.series), len(self.icd), len(self.y)) != (n, n, n):
+            raise ConfigError(f"cohort columns disagree on the number of patients: {n} ids, "
+                              f"series {self.series.shape}, icd {self.icd.shape}, labels {self.y.shape}")
+        if self.series.shape[1] != m:
+            raise ConfigError(f"series has {self.series.shape[1]} variables, schema has {m}")
+        if self.icd.shape[1] != g:
+            raise ConfigError(f"icd matrix has {self.icd.shape[1]} codes, vocabulary has {g}")
+        if len(np.unique(self.patient_ids)) != n:
             raise ConfigError("cohort has duplicate patient_ids")
-        m, g = len(self.schema), len(self.code_vocab)
-        for p in self.patients:
-            if p.series.shape[0] != m:
-                raise ConfigError(
-                    f"patient {p.patient_id}: series has {p.series.shape[0]} variables, schema has {m}")
-            if p.icd.shape != (g,):
-                raise ConfigError(
-                    f"patient {p.patient_id}: icd vector shape {p.icd.shape}, vocabulary size {g}")
 
     def __len__(self) -> int:
-        return len(self.patients)
+        return len(self.patient_ids)
 
     def labels(self) -> Array:
-        return np.array([p.label for p in self.patients], dtype=np.int64)
+        """The label column ``y``."""
+        return self.y
 
-    def codes_matrix(self) -> Array:
-        """Stack per-patient code vectors into an (N, g) float matrix."""
-        g = len(self.code_vocab)
-        if not self.patients:
-            return np.zeros((0, g))
-        return np.stack([p.icd.astype(np.float64) for p in self.patients])
-
-    def series_stack(self) -> Array:
-        """Stack series into (N, M, T); all patients share T by construction."""
-        if not self.patients:
-            return np.zeros((0, len(self.schema), 0))
-        return np.stack([p.series for p in self.patients])
+    @property
+    def patients(self) -> list[PatientRecord]:
+        """Each patient as a PatientRecord of row views, in cohort order."""
+        return [PatientRecord(str(pid), self.series[i], self.icd[i], int(self.y[i]))
+                for i, pid in enumerate(self.patient_ids)]
 
 
 # ----------------------------------------------------------------- loading
@@ -453,15 +475,11 @@ def load_cohort(patients_path, vitals_path, window_hours: int,
     ids, labels, code_sets = _read_patients(patients_path)
     code_vocab = tuple(sorted(set().union(*code_sets))) if code_sets else ()
     code_pos = {c: j for j, c in enumerate(code_vocab)}
+    icd = np.zeros((len(ids), len(code_vocab)))
+    rows = [i for i, codes in enumerate(code_sets) for _ in codes]
+    icd[rows, [code_pos[c] for codes in code_sets for c in codes]] = 1.0
     series = _read_series(vitals_path, ids, schema, window_hours)
-
-    patients = []
-    for i, pid in enumerate(ids):
-        icd = np.zeros(len(code_vocab))
-        for c in code_sets[i]:
-            icd[code_pos[c]] = 1.0
-        patients.append(PatientRecord(pid, series[i], icd, labels[i]))
-    return Cohort(patients, schema, code_vocab)
+    return Cohort(ids, series, icd, labels, schema, code_vocab)
 
 
 # ------------------------------------------- imputation and standardization
@@ -479,13 +497,6 @@ def _observed_means(stack: Array, schema: tuple[str, ...]) -> tuple[Array, tuple
     return mean, warnings
 
 
-def _with_series(cohort: Cohort, stack: Array, stats: NormStats) -> Cohort:
-    """The cohort with patient i's series replaced by the row view stack[i]."""
-    patients = [PatientRecord(p.patient_id, series, p.icd, p.label)
-                for p, series in zip(cohort.patients, stack)]
-    return Cohort(patients, cohort.schema, cohort.code_vocab, norm_stats=stats)
-
-
 def impute_mean(cohort: Cohort, stats: NormStats | None = None) -> Cohort:
     """Replace absent cells by per-variable means.
 
@@ -494,14 +505,14 @@ def impute_mean(cohort: Cohort, stats: NormStats | None = None) -> Cohort:
     with no observations imputes to 0 and records a warning.  With ``stats``
     (validation/test) the stored means are applied verbatim.
     """
-    stack = cohort.series_stack()
     if stats is None:
-        mean, warnings = _observed_means(stack, cohort.schema)
+        mean, warnings = _observed_means(cohort.series, cohort.schema)
         stats = NormStats(cohort.schema, mean, std=None, warnings=warnings)
     elif stats.schema != cohort.schema:
         raise ConfigError(f"norm stats schema {stats.schema} does not match cohort {cohort.schema}")
-    np.copyto(stack, stats.mean[:, None], where=np.isnan(stack))
-    return _with_series(cohort, stack, stats)
+    filled = cohort.series.copy()
+    np.copyto(filled, stats.mean[:, None], where=np.isnan(filled))
+    return replace(cohort, series=filled, norm_stats=stats)
 
 
 def standardize(cohort: Cohort, stats: NormStats | None = None) -> Cohort:
@@ -512,13 +523,13 @@ def standardize(cohort: Cohort, stats: NormStats | None = None) -> Cohort:
     imputation means (or fresh means when none are recorded) and stored in
     the result's norm_stats for reuse on other splits.
     """
-    stack = cohort.series_stack()
-    if np.isnan(stack).any():
+    series = cohort.series
+    if np.isnan(series).any():
         raise ConfigError("standardize requires imputation first (absent cells remain)")
     if stats is None:
         base = cohort.norm_stats
-        mean = base.mean if base is not None else stack.mean(axis=(0, 2))
-        centered = stack - mean[None, :, None]
+        mean = base.mean if base is not None else series.mean(axis=(0, 2))
+        centered = series - mean[None, :, None]
         std = np.sqrt((centered * centered).mean(axis=(0, 2)))
         std = np.where(std <= _ZERO_VAR_TOL * np.maximum(1.0, np.abs(mean)), 0.0, std)
         stats = NormStats(cohort.schema, mean, std,
@@ -528,10 +539,10 @@ def standardize(cohort: Cohort, stats: NormStats | None = None) -> Cohort:
             raise ConfigError(f"norm stats schema {stats.schema} does not match cohort {cohort.schema}")
         if stats.std is None:
             raise ConfigError("supplied norm stats lack standard deviations")
-    stack -= stats.mean[:, None]
-    stack /= np.where(stats.std > 0.0, stats.std, 1.0)[:, None]
-    stack[:, stats.std == 0.0] = 0.0
-    return _with_series(cohort, stack, stats)
+    z = series - stats.mean[:, None]
+    z /= np.where(stats.std > 0.0, stats.std, 1.0)[:, None]
+    z[:, stats.std == 0.0] = 0.0
+    return replace(cohort, series=z, norm_stats=stats)
 
 
 # ------------------------------------------------------- split and filter
@@ -557,8 +568,8 @@ def split(cohort: Cohort, ratios: tuple[float, float, float], rng: Rng) -> tuple
     if any(len(ix) == 0 for ix in pieces):
         raise ConfigError(f"split of {n} patients at ratios {ratios} leaves an empty piece")
     return tuple(
-        Cohort([cohort.patients[i] for i in ix], cohort.schema, cohort.code_vocab,
-               cohort.norm_stats)
+        replace(cohort, patient_ids=cohort.patient_ids[ix], series=cohort.series[ix],
+                icd=cohort.icd[ix], y=cohort.y[ix])
         for ix in pieces)
 
 
@@ -568,4 +579,4 @@ def code_carriers(cohort: Cohort, code: str) -> Array:
         near = difflib.get_close_matches(code, cohort.code_vocab, n=3)
         hint = f"; nearest matches: {', '.join(near)}" if near else ""
         raise ConfigError(f"code {code!r} not in vocabulary{hint}")
-    return cohort.codes_matrix()[:, cohort.code_vocab.index(code)] == 1.0
+    return cohort.icd[:, cohort.code_vocab.index(code)] == 1.0

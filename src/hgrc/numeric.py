@@ -87,6 +87,12 @@ def softmax(x: Array, axis: int = -1) -> Array:
 # -------------------------------------------------------------------- adam
 
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba's defaults).
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPSILON = 1e-8
+
+
 @dataclass(frozen=True)
 class AdamState:
     """Per-parameter Adam accumulator; ``step`` counts completed updates."""
@@ -95,9 +101,6 @@ class AdamState:
     second_moment: Array
     learning_rate: float
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
     @classmethod
     def zeros(cls, shape, learning_rate: float) -> "AdamState":
@@ -112,11 +115,11 @@ def adam_step(param: Array, grad: Array, state: AdamState) -> tuple[Array, AdamS
     if param.shape != state.first_moment.shape:
         raise ShapeError(f"adam_step: parameter {param.shape} vs state {state.first_moment.shape}")
     t = state.step + 1
-    m = state.beta1 * state.first_moment + (1.0 - state.beta1) * grad
-    v = state.beta2 * state.second_moment + (1.0 - state.beta2) * grad * grad
-    m_hat = m / (1.0 - state.beta1 ** t)
-    v_hat = v / (1.0 - state.beta2 ** t)
-    new_param = param - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
+    m = _BETA1 * state.first_moment + (1.0 - _BETA1) * grad
+    v = _BETA2 * state.second_moment + (1.0 - _BETA2) * grad * grad
+    m_hat = m / (1.0 - _BETA1 ** t)
+    v_hat = v / (1.0 - _BETA2 ** t)
+    new_param = param - state.learning_rate * m_hat / (np.sqrt(v_hat) + _EPSILON)
     return new_param, replace(state, first_moment=m, second_moment=v, step=t)
 
 

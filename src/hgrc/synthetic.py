@@ -12,12 +12,13 @@ byte-identical CSVs for a fixed cohort.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .data import DEFAULT_SCHEMA, Cohort, PatientRecord
+from .data import DEFAULT_SCHEMA, Cohort
 from .errors import ConfigError
 from .numeric import Rng, sigmoid
 
@@ -134,20 +135,10 @@ def gen_synthetic(spec: SyntheticSpec, rng: Rng) -> Cohort:
         absent = missing_rng.random((n, m, t)) < spec.missing_rate
         series = np.where(absent, np.nan, series)
 
-    patients = [
-        PatientRecord(f"p{i:05d}", series[i], icd[i], int(y[i]))
-        for i in range(n)
-    ]
-    return Cohort(patients, synthetic_schema(m), vocab)
+    return Cohort([f"p{i:05d}" for i in range(n)], series, icd, y, synthetic_schema(m), vocab)
 
 
 # ------------------------------------------------------------ file output
-
-
-def _fmt(value: float) -> str:
-    # repr gives the shortest digits that round-trip, so files are
-    # byte-stable across runs
-    return repr(float(value))
 
 
 def write_cohort_files(cohort: Cohort, out_dir, spec: SyntheticSpec, seed: int) -> dict[str, str]:
@@ -160,19 +151,18 @@ def write_cohort_files(cohort: Cohort, out_dir, spec: SyntheticSpec, seed: int) 
 
     with open(patients_path, "w", newline="", encoding="utf-8") as fh:
         fh.write("patient_id,label,icd_codes\n")
-        for p in cohort.patients:
-            codes = ";".join(c for c, flag in zip(cohort.code_vocab, p.icd) if flag == 1.0)
-            fh.write(f"{p.patient_id},{p.label},{codes}\n")
+        for pid, label, icd in zip(cohort.patient_ids, cohort.y, cohort.icd):
+            codes = ";".join(c for c, flag in zip(cohort.code_vocab, icd) if flag == 1.0)
+            fh.write(f"{pid},{label},{codes}\n")
 
+    # repr gives the shortest digits that round-trip, so files are byte-stable
     with open(vitals_path, "w", newline="", encoding="utf-8") as fh:
         fh.write("patient_id,hour,variable,value\n")
-        for p in cohort.patients:
-            for vi, name in enumerate(cohort.schema):
-                row = p.series[vi]
-                for hour in range(row.shape[0]):
-                    v = row[hour]
-                    if not np.isnan(v):
-                        fh.write(f"{p.patient_id},{hour},{name},{_fmt(v)}\n")
+        for pid, series in zip(cohort.patient_ids, cohort.series):
+            for name, row in zip(cohort.schema, series.tolist()):
+                for hour, v in enumerate(row):
+                    if not math.isnan(v):
+                        fh.write(f"{pid},{hour},{name},{v!r}\n")
 
     meta = {"seed": int(seed), "spec": asdict(spec)}
     with open(meta_path, "w", encoding="utf-8") as fh:

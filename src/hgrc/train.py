@@ -107,17 +107,14 @@ def _batch_slices(n: int, batch_size: int) -> list[slice]:
     return slices
 
 
-def _cohort_arrays(cohort: Cohort) -> tuple[Array, Array, Array]:
-    series = cohort.series_stack()
-    if np.isnan(series).any():
+def _require_prepared(cohort: Cohort) -> None:
+    if np.isnan(cohort.series).any():
         raise ConfigError("cohort has absent cells; impute and standardize first")
-    return series, cohort.codes_matrix(), cohort.labels()
 
 
-def _predict(params: ModelParams, cfg: ModelConfig, series: Array, icd: Array,
-             labels: Array, eval_batch_size: int | None = None,
-             stage: str | None = None):
-    """Eval-mode scores over the whole set, optionally batched.
+def _predict(params: ModelParams, cfg: ModelConfig, cohort: Cohort,
+             eval_batch_size: int | None = None, stage: str | None = None):
+    """Eval-mode scores over the cohort, optionally batched.
 
     Returns (scores, stage_matrix or None).  Aggregation happens within each
     evaluation batch only.
@@ -131,7 +128,7 @@ def _predict(params: ModelParams, cfg: ModelConfig, series: Array, icd: Array,
     (glibc's ``malloc_trim``) makes the peak count only the pages the call
     itself touches.
     """
-    n = series.shape[0]
+    n = len(cohort)
     if eval_batch_size is None or eval_batch_size >= n:
         pieces = [slice(0, n)]
     else:
@@ -143,7 +140,8 @@ def _predict(params: ModelParams, cfg: ModelConfig, series: Array, icd: Array,
     scores = np.empty(n)
     stage_rows = [] if stage is not None else None
     for sl in pieces:
-        out = model_mod.forward_eval(params, Batch(series[sl], icd[sl], labels[sl]), cfg)
+        batch = Batch(cohort.series[sl], cohort.icd[sl], cohort.y[sl])
+        out = model_mod.forward_eval(params, batch, cfg)
         scores[sl] = out.scores
         if stage is not None:
             stage_rows.append(out.stages[stage])
@@ -172,7 +170,7 @@ def train(config: TrainConfig, train_cohort: Cohort, val_cohort: Cohort,
         raise ConfigError(f"training needs at least 2 patients, got {n}")
     if len(val_cohort) < 1:
         raise ConfigError("validation cohort is empty")
-    val_positive = int(val_cohort.labels().sum())
+    val_positive = int(val_cohort.y.sum())
     if val_positive in (0, len(val_cohort)):
         # each epoch's model selection reads the validation AUROC
         raise UndefinedMetricError(
@@ -184,8 +182,9 @@ def train(config: TrainConfig, train_cohort: Cohort, val_cohort: Cohort,
     params = model_mod.init_params(cfg, init_rng)
     adam_state = AdamState.zeros(params.flat.shape, learning_rate=config.learning_rate)
 
-    series, icd, labels = _cohort_arrays(train_cohort)
-    val_series, val_icd, val_labels = _cohort_arrays(val_cohort)
+    _require_prepared(train_cohort)
+    _require_prepared(val_cohort)
+    series, icd, labels = train_cohort.series, train_cohort.icd, train_cohort.y
 
     epoch_streams = loop_rng.split(config.epochs)
     log: list[dict] = []
@@ -216,8 +215,8 @@ def train(config: TrainConfig, train_cohort: Cohort, val_cohort: Cohort,
             params.flat[...] = new_flat  # in place, so every named view stays valid
             batch_losses.append(loss)
 
-        val_scores, _ = _predict(params, cfg, val_series, val_icd, val_labels)
-        val_report = compute_report(val_scores, val_labels, config.decision_threshold)
+        val_scores, _ = _predict(params, cfg, val_cohort)
+        val_report = compute_report(val_scores, val_cohort.y, config.decision_threshold)
         entry = {
             "epoch": epoch,
             "train_loss": float(np.mean(batch_losses)),
@@ -257,6 +256,7 @@ def _check_cohort_matches(ckpt: Checkpoint, cohort: Cohort) -> None:
         raise ConfigError("cohort schema does not match checkpoint schema")
     if cohort.code_vocab != ckpt.code_vocab:
         raise ConfigError("cohort code vocabulary does not match checkpoint vocabulary")
+    _require_prepared(cohort)
 
 
 def evaluate(ckpt: Checkpoint, cohort: Cohort,
@@ -265,10 +265,8 @@ def evaluate(ckpt: Checkpoint, cohort: Cohort,
     if len(cohort) == 0:
         raise UndefinedMetricError("cannot evaluate an empty cohort")
     _check_cohort_matches(ckpt, cohort)
-    series, icd, labels = _cohort_arrays(cohort)
-    scores, _ = _predict(ckpt.params, ckpt.config.model, series, icd, labels,
-                         eval_batch_size)
-    return compute_report(scores, labels, ckpt.config.decision_threshold)
+    scores, _ = _predict(ckpt.params, ckpt.config.model, cohort, eval_batch_size)
+    return compute_report(scores, cohort.y, ckpt.config.decision_threshold)
 
 
 def predict_scores(ckpt: Checkpoint, cohort: Cohort,
@@ -277,9 +275,7 @@ def predict_scores(ckpt: Checkpoint, cohort: Cohort,
     _check_cohort_matches(ckpt, cohort)
     if len(cohort) == 0:
         return np.empty(0)
-    series, icd, labels = _cohort_arrays(cohort)
-    scores, _ = _predict(ckpt.params, ckpt.config.model, series, icd, labels,
-                         eval_batch_size)
+    scores, _ = _predict(ckpt.params, ckpt.config.model, cohort, eval_batch_size)
     return scores
 
 
@@ -291,12 +287,10 @@ def export_embeddings(ckpt: Checkpoint, cohort: Cohort, stage: str, out_path,
     if len(cohort) == 0:
         raise ConfigError("cannot export embeddings for an empty cohort")
     _check_cohort_matches(ckpt, cohort)
-    series, icd, labels = _cohort_arrays(cohort)
-    _, matrix = _predict(ckpt.params, ckpt.config.model, series, icd, labels,
-                         eval_batch_size, stage=stage)
+    _, matrix = _predict(ckpt.params, ckpt.config.model, cohort, eval_batch_size, stage)
     width = matrix.shape[1]
     with open(out_path, "w", newline="") as fh:
         fh.write("patient_id,label," + ",".join(f"e{k}" for k in range(width)) + "\n")
-        for p, row in zip(cohort.patients, matrix):
-            fh.write(f"{p.patient_id},{p.label}," + ",".join(repr(float(v)) for v in row) + "\n")
+        for pid, label, row in zip(cohort.patient_ids, cohort.y, matrix):
+            fh.write(f"{pid},{label}," + ",".join(map(repr, row.tolist())) + "\n")
     return str(out_path)

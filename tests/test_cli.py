@@ -110,13 +110,28 @@ def test_evaluate_and_case_study_default_to_the_trained_threshold(workspace, tmp
     report, _ = run_json(["evaluate", "--config", str(cfg_path)])
     assert report["decision_threshold"] == 0.3
     tr = train_split(workspace)  # the same split: seed 1
-    labels = tr.labels()
+    labels = tr.y
     mixed = next(code for j, code in enumerate(tr.code_vocab)
-                 if len(set(labels[tr.codes_matrix()[:, j] == 1.0])) == 2)
+                 if len(set(labels[tr.icd[:, j] == 1.0])) == 2)
     result, _ = run_json(["case-study", "--config", str(cfg_path),
                           "--split", "train", "--code", mixed])
     assert result["group_i"]["metrics"]["decision_threshold"] == 0.3
     assert result["group_ii"]["metrics"]["decision_threshold"] == 0.3
+
+
+def test_evaluate_prepares_only_the_requested_split(workspace, monkeypatch):
+    from hgrc import data
+    calls = []
+    for name in ("impute_mean", "standardize"):
+        def counted(cohort, stats=None, _name=name, _real=getattr(data, name)):
+            calls.append((_name, len(cohort), stats))
+            return _real(cohort, stats)
+        monkeypatch.setattr(data, name, counted)
+    report, _ = run_json(eval_args(workspace, "--split", "val"))
+    assert report["n_patients"] == 6
+    # the checkpoint's stats are applied to the val split alone
+    assert [(name, n) for name, n, _ in calls] == [("impute_mean", 6), ("standardize", 6)]
+    assert all(stats is not None for _, _, stats in calls)
 
 
 def test_evaluate_supports_batched_scoring(workspace):
@@ -135,8 +150,8 @@ def train_split(workspace):
 
 def test_case_study_splits_by_code(workspace):
     tr = train_split(workspace)
-    codes = tr.codes_matrix()
-    labels = tr.labels()
+    codes = tr.icd
+    labels = tr.y
     mixed = next(code for j, code in enumerate(tr.code_vocab)
                  if len(set(labels[codes[:, j] == 1.0])) == 2)
     result, _ = run_json(["case-study", "--checkpoint", str(workspace["ckpt"]),
@@ -163,8 +178,8 @@ def test_case_study_reports_each_group_from_the_splits_scores(workspace):
     ckpt = load_checkpoint(workspace["ckpt"])
     tr = standardize(impute_mean(train_split(workspace), ckpt.norm_stats), ckpt.norm_stats)
     scores = predict_scores(ckpt, tr)
-    codes = tr.codes_matrix()
-    labels = tr.labels()
+    codes = tr.icd
+    labels = tr.y
     j, mixed = next((j, code) for j, code in enumerate(tr.code_vocab)
                     if len(set(labels[codes[:, j] == 1.0])) == 2)
     result, _ = run_json(["case-study", "--checkpoint", str(workspace["ckpt"]),
@@ -179,8 +194,8 @@ def test_case_study_reports_each_group_from_the_splits_scores(workspace):
 
 def test_case_study_single_class_group_fails_cleanly(workspace):
     tr = train_split(workspace)
-    codes = tr.codes_matrix()
-    labels = tr.labels()
+    codes = tr.icd
+    labels = tr.y
     lonely = next((code for j, code in enumerate(tr.code_vocab)
                    if len(set(labels[codes[:, j] == 1.0])) == 1), None)
     if lonely is None:
@@ -212,7 +227,7 @@ def test_case_study_code_absent_from_the_split_lists_common_codes(tmp_path):
     from hgrc.train import derive_rng_streams
     cohort = load_cohort(data_dir / "patients.csv", data_dir / "vitals.csv", window_hours=48)
     test = split(cohort, (0.7, 0.15, 0.15), derive_rng_streams(1)[0])[2]
-    counts = test.codes_matrix().sum(axis=0)
+    counts = test.icd.sum(axis=0)
     absent = test.code_vocab[int(np.flatnonzero(counts == 0)[0])]
     top = sorted(zip(test.code_vocab, counts), key=lambda item: -item[1])[:5]
     code, out, err = run_cli(["case-study", "--checkpoint", str(ckpt_path),

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hgrc import data
-from hgrc.data import (DEFAULT_SCHEMA, VALID_WINDOWS, Cohort, NormStats, PatientRecord,
-                       code_carriers, impute_mean, load_cohort, split, standardize)
+from hgrc.data import (DEFAULT_SCHEMA, VALID_WINDOWS, Cohort, NormStats, code_carriers,
+                       impute_mean, load_cohort, split, standardize)
 from hgrc.errors import ConfigError, ParseError
 from hgrc.numeric import Rng
 
@@ -27,11 +27,9 @@ def write_files(tmp_path, patients: str, vitals: str):
 
 
 def make_cohort(series_list, icd_list, labels, schema=SCHEMA2, vocab=("428.0",)):
-    patients = [
-        PatientRecord(f"p{i}", np.array(s, dtype=float), np.array(c, dtype=float), y)
-        for i, (s, c, y) in enumerate(zip(series_list, icd_list, labels))
-    ]
-    return Cohort(patients, schema, vocab)
+    ids = [f"p{i}" for i in range(len(labels))]
+    return Cohort(ids, np.array(series_list, dtype=float), np.array(icd_list, dtype=float),
+                  labels, schema, vocab)
 
 
 # ------------------------------------------------- row-by-row loader (oracle)
@@ -119,13 +117,11 @@ def load_cohort_rows(patients_path, vitals_path, window_hours: int,
                              path=vitals_path, line=lineno)
         series[row_of[pid], var_index[variable], hour] = value
 
-    patients = []
-    for i, pid in enumerate(ids):
-        icd = np.zeros(len(code_vocab))
+    icd = np.zeros((n, len(code_vocab)))
+    for i in range(n):
         for c in code_sets[i]:
-            icd[code_pos[c]] = 1.0
-        patients.append(PatientRecord(pid, series[i], icd, labels[i]))
-    return Cohort(patients, schema, code_vocab)
+            icd[i, code_pos[c]] = 1.0
+    return Cohort(ids, series, icd, labels, schema, code_vocab)
 
 
 # ---------------------------------------------------------------- loading
@@ -148,14 +144,13 @@ def test_load_cohort_roundtrip_values(tmp_path):
     cohort = load_cohort(p, v, window_hours=24, schema=SCHEMA2)
     assert len(cohort) == 2
     assert cohort.code_vocab == ("250.00", "428.0")
-    a, b = cohort.patients
-    assert a.series.shape == (2, 24)
-    assert a.series[0, 0] == 88.5
-    assert a.series[1, 23] == 37.2
-    assert np.isnan(a.series[0, 1])
-    assert np.array_equal(a.icd, [1.0, 1.0])
-    assert np.array_equal(b.icd, [0.0, 0.0])
-    assert a.label == 1 and b.label == 0
+    assert list(cohort.patient_ids) == ["a", "b"]
+    assert cohort.series.shape == (2, 2, 24)
+    assert cohort.series[0, 0, 0] == 88.5
+    assert cohort.series[0, 1, 23] == 37.2
+    assert np.isnan(cohort.series[0, 0, 1])
+    assert np.array_equal(cohort.icd, [[1.0, 1.0], [0.0, 0.0]])
+    assert cohort.y.dtype == np.int64 and list(cohort.y) == [1, 0]
 
 
 def test_load_cohort_last_measurement_in_an_hour_wins(tmp_path):
@@ -167,7 +162,7 @@ def test_load_cohort_last_measurement_in_an_hour_wins(tmp_path):
         "a,3,heart_rate,75\n",
     )
     cohort = load_cohort(p, v, window_hours=24, schema=SCHEMA2)
-    assert cohort.patients[0].series[0, 3] == 75.0
+    assert cohort.series[0, 0, 3] == 75.0
 
 
 def test_load_cohort_window_validation(tmp_path):
@@ -223,7 +218,7 @@ def test_load_cohort_blank_lines_skipped(tmp_path):
         "patient_id,hour,variable,value\n\na,0,heart_rate,70\n",
     )
     cohort = load_cohort(p, v, window_hours=24, schema=SCHEMA2)
-    assert cohort.patients[0].series[0, 0] == 70.0
+    assert cohort.series[0, 0, 0] == 70.0
 
 
 def test_load_cohort_rejects_a_repeated_schema_name(tmp_path):
@@ -300,12 +295,12 @@ def cohort_files(draw):
 
 
 def assert_same_cohort(got, want):
-    assert [p.patient_id for p in got.patients] == [p.patient_id for p in want.patients]
-    assert np.array_equal(got.labels(), want.labels())
+    assert list(got.patient_ids) == list(want.patient_ids)
+    assert np.array_equal(got.y, want.y)
     assert got.code_vocab == want.code_vocab and got.schema == want.schema
-    assert np.array_equal(got.codes_matrix(), want.codes_matrix())
+    assert np.array_equal(got.icd, want.icd)
     # int64 views compare NaN cells and signed zeros bit for bit
-    assert np.array_equal(got.series_stack().view(np.int64), want.series_stack().view(np.int64))
+    assert np.array_equal(got.series.view(np.int64), want.series.view(np.int64))
 
 
 def load_both(root, patients: bytes, vitals: bytes, block_bytes: int, schema=SCHEMA2):
@@ -426,7 +421,7 @@ def test_load_cohort_memory_is_bounded_by_its_blocks(tmp_path, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert cohort.series_stack().shape == (n, len(DEFAULT_SCHEMA), t)
+    assert cohort.series.shape == (n, len(DEFAULT_SCHEMA), t)
     # about 9 blocks at the time of writing; the 3.5 MB file is 54 blocks
     assert peak < series_bytes + 16 * block, (peak, series_bytes)
 
@@ -442,19 +437,19 @@ def test_impute_mean_uses_observed_cells_only():
     cohort = make_cohort(series, [[0], [0]], [0, 0])
     filled = impute_mean(cohort)
     # heart_rate observed cells: 1, 3 -> mean 2
-    assert filled.patients[0].series[0, 1] == 2.0
-    assert filled.patients[1].series[0, 1] == 2.0
+    assert filled.series[0, 0, 1] == 2.0
+    assert filled.series[1, 0, 1] == 2.0
     # temperature observed: 10, 10, 30
-    assert np.isclose(filled.patients[1].series[1, 0], 50.0 / 3.0)
+    assert np.isclose(filled.series[1, 1, 0], 50.0 / 3.0)
     assert filled.norm_stats.mean[0] == 2.0
-    assert not np.isnan(filled.series_stack()).any()
+    assert not np.isnan(filled.series).any()
 
 
 def test_impute_mean_all_absent_variable_warns_and_zeros():
     series = [[[np.nan, np.nan], [1.0, 2.0]]]
     cohort = make_cohort(series, [[0]], [0])
     filled = impute_mean(cohort)
-    assert filled.patients[0].series[0, 0] == 0.0
+    assert filled.series[0, 0, 0] == 0.0
     assert any("heart_rate" in w for w in filled.norm_stats.warnings)
 
 
@@ -462,10 +457,10 @@ def test_impute_mean_reuses_supplied_stats():
     stats = NormStats(SCHEMA2, np.array([100.0, 37.0]))
     cohort = make_cohort([[[np.nan, 2.0], [np.nan, np.nan]]], [[1]], [1])
     filled = impute_mean(cohort, stats)
-    assert filled.patients[0].series[0, 0] == 100.0
-    assert filled.patients[0].series[1, 1] == 37.0
+    assert filled.series[0, 0, 0] == 100.0
+    assert filled.series[0, 1, 1] == 37.0
     # original cohort untouched
-    assert np.isnan(cohort.patients[0].series[0, 0])
+    assert np.isnan(cohort.series[0, 0, 0])
 
 
 def test_impute_mean_schema_mismatch():
@@ -488,12 +483,12 @@ def test_impute_and_standardize_equal_the_per_patient_transforms():
     stats = NormStats(SCHEMA2, stats.mean, np.array([stats.std[0], 0.0]))
     got = standardize(impute_mean(cohort, stats), stats)
     safe = np.where(stats.std > 0.0, stats.std, 1.0)[:, None]
-    for p, q in zip(cohort.patients, got.patients):
-        filled = np.where(np.isnan(p.series), stats.mean[:, None], p.series)
+    for before, after in zip(cohort.series, got.series):
+        filled = np.where(np.isnan(before), stats.mean[:, None], before)
         want = np.where((stats.std == 0.0)[:, None], 0.0,
                         (filled - stats.mean[:, None]) / safe)
-        assert np.array_equal(q.series.view(np.int64), want.view(np.int64))
-    assert np.isnan(cohort.patients[0].series).any()  # input untouched
+        assert np.array_equal(after.view(np.int64), want.view(np.int64))
+    assert np.isnan(cohort.series[0]).any()  # input untouched
 
 
 # ----------------------------------------------------------- standardization
@@ -504,9 +499,8 @@ def test_standardize_zero_mean_unit_std():
     series = [rng.normal(loc=5.0, scale=3.0, size=(2, 40)) for _ in range(8)]
     cohort = make_cohort(series, [[0]] * 8, [0] * 8)
     z = standardize(impute_mean(cohort))
-    stack = z.series_stack()
-    assert np.allclose(stack.mean(axis=(0, 2)), 0.0, atol=1e-12)
-    assert np.allclose(stack.std(axis=(0, 2)), 1.0, atol=1e-12)
+    assert np.allclose(z.series.mean(axis=(0, 2)), 0.0, atol=1e-12)
+    assert np.allclose(z.series.std(axis=(0, 2)), 1.0, atol=1e-12)
 
 
 def test_standardize_requires_imputation():
@@ -519,7 +513,7 @@ def test_standardize_constant_variable_maps_to_zero():
     series = [[[7.0, 7.0], [1.0, 2.0]], [[7.0, 7.0], [3.0, 4.0]]]
     cohort = make_cohort(series, [[0], [0]], [0, 1])
     z = standardize(impute_mean(cohort))
-    assert np.all(z.series_stack()[:, 0, :] == 0.0)
+    assert np.all(z.series[:, 0, :] == 0.0)
     assert z.norm_stats.std[0] == 0.0
     assert z.norm_stats.std[1] > 0.0
 
@@ -531,8 +525,8 @@ def test_standardize_applies_train_stats_to_other_split():
     other = make_cohort([[[4.0, 4.0], [9.0, 9.0]]], [[1]], [1])
     other_z = standardize(impute_mean(other, stats), stats)
     # (4 - 1) / 1 for heart_rate; temperature is constant in train -> 0
-    assert np.allclose(other_z.patients[0].series[0], 3.0)
-    assert np.all(other_z.patients[0].series[1] == 0.0)
+    assert np.allclose(other_z.series[0, 0], 3.0)
+    assert np.all(other_z.series[0, 1] == 0.0)
 
 
 def test_standardize_round_trip_stats_reuse_requires_std():
@@ -553,10 +547,17 @@ def test_split_sizes_use_floor_of_cumulative_ratios():
 
 def test_split_is_a_partition():
     n = 23
-    cohort = make_cohort([np.full((2, 1), i) for i in range(n)], [[0]] * n, [0] * n)
-    tr, va, te = split(cohort, (0.5, 0.25, 0.25), Rng(9))
-    ids = [p.patient_id for c in (tr, va, te) for p in c.patients]
-    assert sorted(ids) == sorted(p.patient_id for p in cohort.patients)
+    cohort = make_cohort([np.full((2, 1), i) for i in range(n)], [[i % 2] for i in range(n)],
+                         [i % 3 == 0 for i in range(n)])
+    pieces = split(cohort, (0.5, 0.25, 0.25), Rng(9))
+    ids = [pid for c in pieces for pid in c.patient_ids]
+    assert sorted(ids) == sorted(cohort.patient_ids)
+    # every column of a piece keeps its rows together
+    for piece in pieces:
+        rows = [int(pid[1:]) for pid in piece.patient_ids]
+        assert np.array_equal(piece.series, cohort.series[rows])
+        assert np.array_equal(piece.icd, cohort.icd[rows])
+        assert np.array_equal(piece.y, cohort.y[rows])
 
 
 def test_split_deterministic_given_stream():
@@ -564,7 +565,7 @@ def test_split_deterministic_given_stream():
     a = split(cohort, (0.7, 0.15, 0.15), Rng(4))
     b = split(cohort, (0.7, 0.15, 0.15), Rng(4))
     for ca, cb in zip(a, b):
-        assert [p.patient_id for p in ca.patients] == [p.patient_id for p in cb.patients]
+        assert list(ca.patient_ids) == list(cb.patient_ids)
 
 
 def test_split_validation():
@@ -583,7 +584,7 @@ def test_split_partition_property(n, seed):
     cohort = make_cohort([np.zeros((2, 1))] * n, [[0]] * n, [0] * n)
     tr, va, te = split(cohort, (0.7, 0.15, 0.15), Rng(seed))
     assert len(tr) + len(va) + len(te) == n
-    ids = {p.patient_id for c in (tr, va, te) for p in c.patients}
+    ids = {pid for c in (tr, va, te) for pid in c.patient_ids}
     assert len(ids) == n
 
 
@@ -594,9 +595,8 @@ def test_code_carriers_partitions():
     cohort = make_cohort([np.zeros((2, 1))] * 3, [[1], [0], [1]], [1, 0, 0])
     carriers = code_carriers(cohort, "428.0")
     assert carriers.dtype == bool and carriers.shape == (3,)
-    ids = np.array([p.patient_id for p in cohort.patients])
-    assert list(ids[carriers]) == ["p0", "p2"]
-    assert list(ids[~carriers]) == ["p1"]
+    assert list(cohort.patient_ids[carriers]) == ["p0", "p2"]
+    assert list(cohort.patient_ids[~carriers]) == ["p1"]
 
 
 def test_code_carriers_unknown_code_suggests():
@@ -608,24 +608,65 @@ def test_code_carriers_unknown_code_suggests():
 # ------------------------------------------------------------------- cohort
 
 
+def cohort_columns(n=2, labels=None):
+    """Keyword arguments for a valid Cohort of n patients over 2 variables and 1 code."""
+    return dict(patient_ids=[f"p{i}" for i in range(n)], series=np.zeros((n, 2, 3)),
+                icd=np.zeros((n, 1)), y=[0] * n if labels is None else labels,
+                schema=SCHEMA2, code_vocab=("428.0",))
+
+
 def test_cohort_rejects_duplicate_ids():
-    p = PatientRecord("a", np.zeros((2, 1)), np.zeros(1), 0)
-    q = PatientRecord("a", np.zeros((2, 1)), np.zeros(1), 1)
     with pytest.raises(ConfigError, match="duplicate"):
-        Cohort([p, q], SCHEMA2, ("428.0",))
+        Cohort(**{**cohort_columns(), "patient_ids": ["a", "a"]})
 
 
 def test_cohort_rejects_shape_mismatches():
-    p = PatientRecord("a", np.zeros((3, 1)), np.zeros(1), 0)
-    with pytest.raises(ConfigError):
-        Cohort([p], SCHEMA2, ("428.0",))
-    q = PatientRecord("b", np.zeros((2, 1)), np.zeros(2), 0)
-    with pytest.raises(ConfigError):
-        Cohort([q], SCHEMA2, ("428.0",))
+    cases = [
+        # the columns disagree on N
+        ("patient_ids", ["p0", "p1", "p2"], "number of patients"),
+        ("series", np.zeros((3, 2, 3)), "number of patients"),
+        ("icd", np.zeros((1, 1)), "number of patients"),
+        ("y", [0, 1, 1], "number of patients"),
+        # widths that disagree with the schema and the vocabulary
+        ("series", np.zeros((2, 3, 3)), "schema has 2"),
+        ("icd", np.zeros((2, 2)), "vocabulary has 1"),
+        # patients with a 48- and a 24-hour series make no (N, M, T) array
+        ("series", [np.zeros((2, 48)), np.zeros((2, 24))], "rectangular"),
+        ("series", np.zeros((2, 2)), "3 axes"),
+        ("icd", np.zeros(2), "2 axes"),
+        ("y", [[0], [1]], "1 axes"),
+    ]
+    for column, value, fragment in cases:
+        with pytest.raises(ConfigError, match=fragment):
+            Cohort(**{**cohort_columns(), column: value})
 
 
-def test_cohort_stacks():
+@pytest.mark.parametrize("labels", [[0, 7], [0, -1], [0.5, 1], [True, 2], ["0", "1"]])
+def test_cohort_rejects_labels_that_are_not_0_or_1(labels):
+    with pytest.raises(ConfigError, match="0 or 1"):
+        Cohort(**cohort_columns(labels=labels))
+
+
+def test_cohort_columns_are_c_contiguous_arrays_of_their_dtype():
+    fortran = np.asfortranarray(np.arange(12.0).reshape(2, 2, 3))
+    cohort = Cohort(**{**cohort_columns(labels=[True, False]), "series": fortran,
+                       "icd": [[1], [0]], "patient_ids": ("a", "b")})
+    assert cohort.series.flags.c_contiguous and np.array_equal(cohort.series, fortran)
+    assert cohort.icd.dtype == np.float64 and cohort.y.dtype == np.int64
+    assert list(cohort.y) == [1, 0] and list(cohort.patient_ids) == ["a", "b"]
+    empty = Cohort(**cohort_columns(n=0))
+    assert len(empty) == 0 and empty.series.shape == (0, 2, 3) and empty.patients == []
+
+
+def test_cohort_patients_are_row_views_of_its_columns():
     cohort = make_cohort([[[1.0], [2.0]], [[3.0], [4.0]]], [[1], [0]], [1, 0])
-    assert cohort.series_stack().shape == (2, 2, 1)
-    assert np.array_equal(cohort.codes_matrix(), [[1.0], [0.0]])
+    assert cohort.series.shape == (2, 2, 1)
+    assert np.array_equal(cohort.icd, [[1.0], [0.0]])
     assert np.array_equal(cohort.labels(), [1, 0])
+    records = cohort.patients
+    assert [(p.patient_id, p.label) for p in records] == [("p0", 1), ("p1", 0)]
+    assert all(type(p.patient_id) is str and type(p.label) is int for p in records)
+    for i, p in enumerate(records):
+        assert np.shares_memory(p.series, cohort.series) and p.series.shape == (2, 1)
+        assert np.array_equal(p.series, cohort.series[i])
+        assert np.array_equal(p.icd, cohort.icd[i])

@@ -18,11 +18,10 @@ SMALL = SyntheticSpec(n_patients=60, n_variables=3, window_hours=24, n_codes=5)
 def test_generation_is_deterministic():
     a = gen_synthetic(SMALL, Rng(5))
     b = gen_synthetic(SMALL, Rng(5))
-    for pa, pb in zip(a.patients, b.patients):
-        assert pa.patient_id == pb.patient_id
-        assert pa.label == pb.label
-        assert np.array_equal(pa.series, pb.series, equal_nan=True)
-        assert np.array_equal(pa.icd, pb.icd)
+    assert np.array_equal(a.patient_ids, b.patient_ids)
+    assert np.array_equal(a.y, b.y)
+    assert np.array_equal(a.series, b.series, equal_nan=True)
+    assert np.array_equal(a.icd, b.icd)
 
 
 def test_shapes_vocab_and_schema():
@@ -30,10 +29,11 @@ def test_shapes_vocab_and_schema():
     assert len(cohort) == 60
     assert cohort.schema == ("var_000", "var_001", "var_002")
     assert cohort.code_vocab == CURATED_CODES[:5]
-    p = cohort.patients[0]
-    assert p.series.shape == (3, 24)
-    assert p.icd.shape == (5,)
-    assert set(np.unique(np.concatenate([q.icd for q in cohort.patients]))) <= {0.0, 1.0}
+    assert cohort.patient_ids[0] == "p00000" and cohort.patient_ids.shape == (60,)
+    assert cohort.series.shape == (60, 3, 24)
+    assert cohort.icd.shape == (60, 5)
+    assert cohort.y.shape == (60,)
+    assert set(np.unique(cohort.icd)) <= {0.0, 1.0}
 
 
 def test_default_spec_uses_clinical_schema():
@@ -57,15 +57,14 @@ def test_positive_fraction_and_missing_rate_are_respected():
     cohort = gen_synthetic(spec, Rng(3))
     frac = cohort.labels().mean()
     assert abs(frac - 0.25) < 0.03
-    stack = cohort.series_stack()
-    assert abs(np.isnan(stack).mean() - 0.3) < 0.01
+    assert abs(np.isnan(cohort.series).mean() - 0.3) < 0.01
 
 
 def test_class_separation_shifts_series_means():
     spec = SyntheticSpec(n_patients=800, n_variables=4, window_hours=12,
                          n_codes=0, missing_rate=0.0, class_separation=2.0)
     cohort = gen_synthetic(spec, Rng(2))
-    stack = cohort.series_stack()
+    stack = cohort.series
     y = cohort.labels().astype(bool)
     gap = np.abs(stack[y].mean(axis=(0, 2)) - stack[~y].mean(axis=(0, 2)))
     assert np.all(gap > 1.0)
@@ -75,7 +74,7 @@ def test_code_signal_separates_classes():
     spec = SyntheticSpec(n_patients=1500, n_variables=2, window_hours=6,
                          missing_rate=0.0, code_signal_strength=3.0)
     cohort = gen_synthetic(spec, Rng(8))
-    codes = cohort.codes_matrix()
+    codes = cohort.icd
     y = cohort.labels().astype(bool)
     gap = np.abs(codes[y].mean(axis=0) - codes[~y].mean(axis=0))
     # logit shift of 3 moves every prevalence by a wide margin
@@ -89,11 +88,10 @@ def test_null_spec_removes_both_signals():
     nullled = replace(base, class_separation=0.0, code_signal_strength=0.0)
     cohort = gen_synthetic(nullled, Rng(4))
     y = cohort.labels().astype(bool)
-    stack = cohort.series_stack()
+    stack = cohort.series
     gap = np.abs(stack[y].mean(axis=(0, 2)) - stack[~y].mean(axis=(0, 2)))
     assert np.all(gap < 0.2)
-    codes_gap = np.abs(cohort.codes_matrix()[y].mean(axis=0)
-                       - cohort.codes_matrix()[~y].mean(axis=0))
+    codes_gap = np.abs(cohort.icd[y].mean(axis=0) - cohort.icd[~y].mean(axis=0))
     assert np.all(codes_gap < 0.1)
 
 
@@ -116,12 +114,11 @@ def test_written_files_load_back_identically(tmp_path):
     loaded = load_cohort(paths["patients"], paths["vitals"], window_hours=24,
                          schema=cohort.schema)
     assert loaded.code_vocab == cohort.code_vocab
-    for orig, back in zip(cohort.patients, loaded.patients):
-        assert orig.patient_id == back.patient_id
-        assert orig.label == back.label
-        # repr round trip keeps every float bit-exact
-        assert np.array_equal(orig.series, back.series, equal_nan=True)
-        assert np.array_equal(orig.icd, back.icd)
+    assert np.array_equal(cohort.patient_ids, loaded.patient_ids)
+    assert np.array_equal(cohort.y, loaded.y)
+    # repr round trip keeps every float bit-exact
+    assert np.array_equal(cohort.series.view(np.int64), loaded.series.view(np.int64))
+    assert np.array_equal(cohort.icd, loaded.icd)
     meta = json.loads((tmp_path / "meta.json").read_text())
     assert meta["seed"] == 6
     assert meta["spec"]["n_patients"] == 25

@@ -3,15 +3,16 @@
 import importlib
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from hgrc.data import impute_mean, split, standardize
+from hgrc.data import impute_mean, load_cohort, split, standardize
 from hgrc.errors import ConfigError, TrainingError, UndefinedMetricError
 from hgrc.model import ModelConfig
 from hgrc.numeric import Rng
-from hgrc.synthetic import SyntheticSpec, gen_synthetic
+from hgrc.synthetic import SyntheticSpec, gen_synthetic, write_cohort_files
 from hgrc.train import (TrainConfig, _batch_slices, derive_rng_streams,
                         evaluate, export_embeddings, predict_scores, train)
 
@@ -32,6 +33,12 @@ def prepared_splits(spec=SMALL_SPEC, gen_seed=3, split_seed=1):
     va = standardize(impute_mean(va, stats), stats)
     te = standardize(impute_mean(te, stats), stats)
     return tr, va, te
+
+
+def rows(cohort, keep):
+    """The cohort's patients at ``keep``, a mask, index array or slice."""
+    return replace(cohort, patient_ids=cohort.patient_ids[keep], series=cohort.series[keep],
+                   icd=cohort.icd[keep], y=cohort.y[keep])
 
 
 @pytest.fixture(scope="module")
@@ -155,13 +162,12 @@ def test_train_rejects_unprepared_cohorts(splits):
     with pytest.raises(ConfigError, match="normalization stats"):
         train(cfg, raw, va)
     with pytest.raises(ConfigError, match="empty"):
-        train(cfg, tr, type(va)((), va.schema, va.code_vocab, va.norm_stats))
+        train(cfg, tr, rows(va, slice(0, 0)))
 
 
 def test_train_rejects_one_class_validation_before_the_first_step(splits):
     tr, va, _ = splits
-    negatives = type(va)(tuple(p for p in va.patients if p.label == 0),
-                         va.schema, va.code_vocab, va.norm_stats)
+    negatives = rows(va, va.y == 0)
     seen = []
     # a late failure, from the first epoch's validation report, reads "auroc needs ..."
     with pytest.raises(UndefinedMetricError, match="validation cohort needs both classes"):
@@ -172,7 +178,7 @@ def test_train_rejects_one_class_validation_before_the_first_step(splits):
 def test_train_rejects_mismatched_vocabularies(splits):
     tr, va, _ = splits
     renamed = va.code_vocab[:-1] + ("zzz.9",)
-    other = type(va)(va.patients, va.schema, renamed, va.norm_stats)
+    other = replace(va, code_vocab=renamed)
     with pytest.raises(ConfigError, match="disagree"):
         train(TrainConfig(**SMALL_CONFIG), tr, other)
 
@@ -215,15 +221,14 @@ def test_evaluate_reports_cohort_size(trained, splits):
 
 def test_evaluate_rejects_schema_mismatch(trained, splits):
     _, _, te = splits
-    other = type(te)(te.patients, ("alien",) * len(te.schema), te.code_vocab,
-                     te.norm_stats)
+    other = replace(te, schema=("alien",) * len(te.schema))
     with pytest.raises(ConfigError, match="schema"):
         evaluate(trained, other)
 
 
 def test_evaluate_rejects_empty_cohort(trained, splits):
     _, _, te = splits
-    empty = type(te)((), te.schema, te.code_vocab, te.norm_stats)
+    empty = rows(te, slice(0, 0))
     with pytest.raises(UndefinedMetricError):
         evaluate(trained, empty)
 
@@ -238,11 +243,46 @@ def test_predict_scores_are_probabilities(trained, splits):
 
 def test_predict_scores_of_an_empty_cohort_is_empty(trained, splits):
     _, _, te = splits
-    empty = type(te)((), te.schema, te.code_vocab, te.norm_stats)
+    empty = rows(te, slice(0, 0))
     scores = predict_scores(trained, empty)
     assert scores.shape == (0,)
     assert scores.dtype == np.float64
     assert predict_scores(trained, empty, eval_batch_size=4).shape == (0,)
+
+
+def columns(cohort):
+    return (cohort.patient_ids, cohort.series, cohort.icd, cohort.y)
+
+
+def bits(array):
+    # int64 views compare NaN cells and signed zeros too
+    return array.view(np.int64) if array.dtype == np.float64 else array
+
+
+def test_cohort_transforms_leave_inputs_alone_and_return_c_contiguous_arrays(
+        trained, splits, tmp_path):
+    def unchanged_by(transform, cohort):
+        before = [column.copy() for column in columns(cohort)]
+        result = transform()
+        assert all(np.array_equal(bits(now), bits(then))
+                   for now, then in zip(columns(cohort), before))
+        return result
+
+    generated = gen_synthetic(SMALL_SPEC, Rng(3))
+    paths = write_cohort_files(generated, tmp_path, SMALL_SPEC, seed=3)
+    raw = load_cohort(paths["patients"], paths["vitals"], window_hours=24,
+                      schema=generated.schema)
+    pieces = unchanged_by(lambda: split(raw, (0.6, 0.2, 0.2), Rng(1)), raw)
+    imputed = unchanged_by(lambda: impute_mean(pieces[0]), pieces[0])
+    tr = unchanged_by(lambda: standardize(imputed), imputed)
+    stats = tr.norm_stats
+    other = unchanged_by(lambda: impute_mean(pieces[1], stats), pieces[1])
+    va = unchanged_by(lambda: standardize(other, stats), other)
+    _, _, te = splits
+    scores = unchanged_by(lambda: predict_scores(trained, te), te)
+    batched = unchanged_by(lambda: predict_scores(trained, te, eval_batch_size=3), te)
+    arrays = [column for c in (raw, *pieces, imputed, tr, other, va) for column in columns(c)]
+    assert all(a.flags.c_contiguous for a in arrays + [scores, batched])
 
 
 def test_heap_trim_before_scoring_leaves_scores_alone(trained, splits, monkeypatch):
@@ -280,7 +320,7 @@ def test_export_embeddings_csv(trained, splits, tmp_path):
         assert lines[0] == "patient_id,label," + ",".join(f"e{k}" for k in range(width))
         assert len(lines) == len(te) + 1
         first = lines[1].split(",")
-        assert first[0] == te.patients[0].patient_id
+        assert first[0] == te.patient_ids[0]
         assert first[1] in {"0", "1"}
         values = [float(v) for v in first[2:]]
         assert len(values) == width
@@ -291,6 +331,6 @@ def test_export_embeddings_validation(trained, splits, tmp_path):
     _, _, te = splits
     with pytest.raises(ConfigError, match="stage"):
         export_embeddings(trained, te, "logits", tmp_path / "x.csv")
-    empty = type(te)((), te.schema, te.code_vocab, te.norm_stats)
+    empty = rows(te, slice(0, 0))
     with pytest.raises(ConfigError, match="empty"):
         export_embeddings(trained, empty, "gru", tmp_path / "x.csv")
