@@ -17,11 +17,11 @@ candidate.  The backward pass is hand-derived backpropagation through time;
 see encode_batch_backward.
 
 Training runs the whole batch through each step and caches every step for
-the backward pass.  Evaluation keeps no cache and runs the rows in blocks
-of at most 256, each block to its last step before the next starts, so a
-block's buffers and inputs stay in L2; blocks are near-equal and never fall
-to 20 rows, where OpenBLAS would round differently, so the states equal the
-whole-batch ones bit for bit (see encode_batch).
+the backward pass.  Evaluation keeps no cache and runs the rows in the
+near-equal blocks of at most 256 that ``numeric.row_blocks`` cuts, each
+block to its last step before the next starts, so a block's buffers and
+inputs stay in L2 and the states equal the whole-batch ones bit for bit
+(see encode_batch).
 """
 
 from __future__ import annotations
@@ -29,10 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ShapeError
-from .numeric import Array, Rng, glorot_init, sigmoid
-
-# most rows an eval-mode block holds; see encode_batch
-_EVAL_BLOCK_ROWS = 256
+from .numeric import Array, Rng, glorot_init, row_blocks, sigmoid
 
 
 def init_gru_params(p: dict[str, Array], rng: Rng) -> None:
@@ -56,14 +53,11 @@ def encode_batch(series_batch: Array, p: dict[str, Array], keep_cache: bool = Tr
     z, r and candidate values, in (T, N, d) arrays.  Each step writes into
     buffers allocated up front, so no call's time hangs on page faults.
 
-    Without ``keep_cache`` the cache is None and the rows run in
-    ceil(N / 256) blocks of near-equal size, each to its last step before
-    the next starts (see _encode_block).  A block's working set then stays
-    in L2 instead of streaming (N, 3d) temporaries through L3 at every step.
-    The split is equal rather than 256 rows plus a ragged tail because a
-    block of 20 rows or fewer takes another OpenBLAS kernel path and rounds
-    differently in the last bit; equal blocks of an N above 256 hold more
-    than 128 rows, so every row's state equals the whole-batch one bit for bit.
+    Without ``keep_cache`` the cache is None and the rows run in the
+    near-equal blocks of ``numeric.row_blocks``, each to its last step
+    before the next starts (see _encode_block).  A block's working set then
+    stays in L2 instead of streaming (N, 3d) temporaries through L3 at every
+    step, and every row's state equals the whole-batch one bit for bit.
     """
     series_batch = np.asarray(series_batch, dtype=np.float64)
     if series_batch.ndim != 3:
@@ -78,10 +72,8 @@ def encode_batch(series_batch: Array, p: dict[str, Array], keep_cache: bool = Tr
         raise ShapeError("encode_batch: absent cells remain; impute first")
     if not keep_cache:
         final = np.empty((n, d))
-        n_blocks = max(1, -(-n // _EVAL_BLOCK_ROWS))  # an empty batch is one empty block
-        for block, out in zip(np.array_split(series_batch, n_blocks),
-                              np.array_split(final, n_blocks)):
-            _encode_block(block, p, out)
+        for rows in row_blocks(n):
+            _encode_block(series_batch[rows], p, final[rows])
         return final, None
     hs = np.zeros((t + 1, n, d))  # hs[step] is the state that step reads
     zs, rs, cs = (np.empty((t, n, d)) for _ in range(3))

@@ -4,20 +4,25 @@ Forward pipeline per batch of N patients:
 
     series (N, M, T) --GRU--> h (N, d) --fuse icd--> x (N, d+g)
     x --residual hypergraph stack--> z (N, d+g)
-    z --similarity + threshold--> adjacency (N, N)
-    z --GCN aggregation--> x_star (N, q)
+    z --similarity + threshold--> adjacency A' (N, N)
+    z, A' --GCN aggregation--> x_star (N, q)
     x_star --FFN ensemble + attention--> member probs (L, N, 2), beta (N, L), loss
 
-Training mode uses the sigmoid-relaxed threshold and dropout masks;
-evaluation mode uses the strict hard threshold and no dropout.  The backward
-pass chains the hand-derived gradients of each stage.  There is one code
-path: tanh in every layer after the GRU (hypergraph convolution, GCN
-aggregation, FFN hidden layers), scaled dot-product similarity, per-patient
-attention gating of the loss, and beta-weighted prediction.  tanh is smooth,
-so finite-difference checks hold at every point, and on the hard synthetic
-regime it scored ahead of both relu and sigmoid.  Two ablation knobs exist
+Training mode uses the sigmoid-relaxed threshold and dropout masks, and
+holds A' and its normalization as dense (N, N) float64 arrays for the
+backward pass.  Evaluation mode uses the strict hard threshold and no
+dropout: A' is an (N, N) bool array, and the GRU, the similarities and the
+aggregation run in row blocks of at most 256 patients, so no (N, N) float
+array exists (the simgraph docstring says when the result equals a dense
+computation's bit for bit).  The backward pass chains the hand-derived
+gradients of each stage.  There is one code path: tanh in every layer
+after the GRU (hypergraph convolution, GCN aggregation, FFN hidden layers),
+scaled dot-product similarity, per-patient attention gating of the loss,
+and beta-weighted prediction.  tanh is smooth, so finite-difference checks
+hold at every point, and on the hard synthetic regime it scored ahead of
+both relu and sigmoid.  Two ablation knobs exist
 for controlled comparisons: hconv_layers=0 removes the hypergraph stack,
-use_similarity=False forces an empty adjacency so aggregation sees
+use_similarity=False forces an empty bool adjacency so aggregation sees
 self-loops only.
 
 Parameters live in one contiguous float64 buffer (ModelParams.flat).  The
@@ -193,13 +198,16 @@ def _forward(params: ModelParams, batch: Batch, config: ModelConfig, mode: str, 
     hg = hypergraph.build_hypergraph(batch.icd)
     z, hconv_cache = hypergraph.hconv_stack(fused, hg, params.thetas)
 
-    if config.use_similarity:
+    if not config.use_similarity:
+        a_prime = np.zeros((z.shape[0], z.shape[0]), dtype=bool)
+    elif mode == "eval":
+        a_prime = simgraph.hard_adjacency(z, float(params.zeta), config.temperature)
+    else:
         a_prime = simgraph.threshold(simgraph.similarity(z), float(params.zeta),
                                      config.temperature, mode)
-    else:
-        a_prime = np.zeros((z.shape[0], z.shape[0]))
 
-    x_star, gcn_cache = simgraph.gcn_aggregate(z, a_prime, params.phi)
+    x_star, gcn_cache = simgraph.gcn_aggregate(z, a_prime, params.phi,
+                                               keep_cache=mode != "eval")
     member_probs, beta, head_cache = head.head_forward(x_star, params.ffn, params.attn, masks)
     stages = {"gru": h, "hconv": z, "aggregated": x_star}
     cache = (gru_cache, hconv_cache, z, a_prime, gcn_cache, head_cache)

@@ -1,9 +1,10 @@
 """Dense float64 numerics shared by every layer.
 
 The logistic sigmoid, softmax, Adam, inverted dropout, Glorot initialization,
-a splittable deterministic RNG, and a finite-difference gradient checker that
-every hand-derived backward pass in this package is verified against.  The
-layers' one nonlinearity is numpy's tanh, which each layer calls directly.
+a splittable deterministic RNG, a finite-difference gradient checker that
+every hand-derived backward pass in this package is verified against, and
+the row blocks that evaluation-mode layers work in.  The layers' one
+nonlinearity is numpy's tanh, which each layer calls directly.
 
 All arrays are ``numpy.float64``.  Reductions are delegated to numpy/BLAS,
 which is deterministic for a fixed platform and thread count; all randomness
@@ -82,6 +83,30 @@ def softmax(x: Array, axis: int = -1) -> Array:
     shifted = x - np.max(x, axis=axis, keepdims=True)
     e = np.exp(shifted)
     return e / np.sum(e, axis=axis, keepdims=True)
+
+
+# -------------------------------------------------------------- row blocks
+
+
+# most rows an evaluation-mode block holds; see row_blocks
+_EVAL_BLOCK_ROWS = 256
+
+
+def row_blocks(n: int) -> list[slice]:
+    """ceil(n / 256) contiguous, near-equal row windows covering range(n).
+
+    Evaluation keeps no cache for a backward pass, so the GRU and the
+    similarity graph work through the rows one block at a time and a
+    block's working set stays in cache.  The split is equal rather than 256
+    rows plus a ragged tail because a matrix product over 20 rows or fewer
+    takes another OpenBLAS kernel path and rounds differently in the last
+    bit; equal blocks of an n above 256 hold at least 128 rows.  An empty
+    range is one empty block.
+    """
+    n_blocks = max(1, -(-n // _EVAL_BLOCK_ROWS))
+    size, extra = divmod(n, n_blocks)
+    bounds = [k * size + min(k, extra) for k in range(n_blocks + 1)]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
 # -------------------------------------------------------------------- adam

@@ -12,6 +12,21 @@ symmetric normalization
 with Dt the row-sum degrees of A' + I; the cached output X* gives the tanh
 derivative 1 - X*^2.  Every backward pass here is hand-derived and covered
 by finite-difference checks.
+
+Training builds every stage as a dense (N, N) float64 array and caches it
+for the backward pass; N is at most the batch size.  Evaluation scores
+whole cohorts and needs no backward, so hard_adjacency builds the graph as
+one (N, N) bool array, thresholding the similarities of one row block at a
+time (``numeric.row_blocks``), and gcn_aggregate without a cache normalizes
+and multiplies one row block of A' + I at a time.  No (N, N) float array
+exists then.  Given the same adjacency, the blocked aggregation equals the
+dense one bit for bit at the model's widths: a row's degree is the same row
+sum, and a block's rows of the final product equal the whole product's.
+(OpenBLAS sends an untransposed product of at most 10^6 multiply-adds to a
+small-matrix kernel, so at narrow widths a block can round apart.)  A
+block's similarities can differ in the last bits from those of the whole
+symmetric product, so the blocked adjacency matches a dense one except
+where a similarity lies within that rounding of zeta.
 """
 
 from __future__ import annotations
@@ -19,19 +34,24 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .numeric import Array, sigmoid
+from .numeric import Array, row_blocks, sigmoid
 
 
 # ------------------------------------------------------------- similarity
 
 
-def similarity(x: Array) -> Array:
-    """Scaled dot-product similarity A = X X^T / width^2 (symmetric)."""
+def similarity(x: Array, y: Array | None = None) -> Array:
+    """Scaled dot-product similarity A = X Y^T / width^2; Y defaults to X.
+
+    With Y = X the result is symmetric; hard_adjacency passes a block of
+    rows as X and all rows as Y.
+    """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ShapeError(f"similarity expects (N, width), got {x.shape}")
+    y = x if y is None else np.asarray(y, dtype=np.float64)
+    if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[1]:
+        raise ShapeError(f"similarity expects (N, width) rows, got {x.shape} and {y.shape}")
     width = x.shape[1]
-    a = x @ x.T
+    a = x @ y.T
     a /= float(width * width)
     return a
 
@@ -48,8 +68,8 @@ def similarity_backward(d_a: Array, x: Array) -> Array:
 def threshold(a: Array, zeta: float, temperature: float, mode: str) -> Array:
     """Adjacency from similarities.
 
-    train: sigmoid(temperature * (a - zeta)), entries in (0, 1).
-    eval:  strict indicator (a > zeta) as floats; a == zeta maps to 0.
+    train: sigmoid(temperature * (a - zeta)), float entries in (0, 1).
+    eval:  strict indicator (a > zeta) as bools; a == zeta maps to False.
     """
     if temperature <= 0.0:
         raise ConfigError(f"temperature must be positive, got {temperature}")
@@ -57,8 +77,22 @@ def threshold(a: Array, zeta: float, temperature: float, mode: str) -> Array:
     if mode == "train":
         return sigmoid(temperature * (a - zeta))
     if mode == "eval":
-        return (a > zeta).astype(np.float64)
+        return a > zeta
     raise ConfigError(f"threshold mode must be 'train' or 'eval', got {mode!r}")
+
+
+def hard_adjacency(x: Array, zeta: float, temperature: float) -> Array:
+    """Eval-mode adjacency 1[similarity(x) > zeta] as an (N, N) bool array.
+
+    Built one row block at a time, so the largest float array it holds is
+    one block's (rows, N) similarities.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    n = x.shape[0]
+    adjacency = np.empty((n, n), dtype=bool)
+    for rows in row_blocks(n):
+        adjacency[rows] = threshold(similarity(x[rows], x), zeta, temperature, "eval")
+    return adjacency
 
 
 def threshold_backward(d_aprime: Array, soft: Array, temperature: float):
@@ -72,28 +106,58 @@ def threshold_backward(d_aprime: Array, soft: Array, temperature: float):
 # ------------------------------------------------------------ aggregation
 
 
-def gcn_aggregate(x: Array, a_prime: Array, phi: Array):
-    """tanh(Dt^-1/2 (A' + I) Dt^-1/2 X Phi); returns (output, cache)."""
+def gcn_aggregate(x: Array, a_prime: Array, phi: Array, keep_cache: bool = True):
+    """tanh(Dt^-1/2 (A' + I) Dt^-1/2 X Phi); returns (output, cache).
+
+    a_prime may be float or bool.  Without ``keep_cache`` the cache is None
+    and A' + I is built one row block at a time, twice: once for the
+    degrees, once to normalize the block and multiply it into X Phi.
+    """
     x = np.asarray(x, dtype=np.float64)
     phi = np.asarray(phi, dtype=np.float64)
+    a_prime = np.asarray(a_prime)
     n = x.shape[0]
-    # a fresh copy: a_prime itself stays as given, threshold_backward reads it
-    a_tilde = np.array(a_prime, dtype=np.float64)
-    if a_tilde.shape != (n, n):
-        raise ShapeError(f"adjacency shape {a_tilde.shape}, expected ({n}, {n})")
+    if a_prime.shape != (n, n):
+        raise ShapeError(f"adjacency shape {a_prime.shape}, expected ({n}, {n})")
     if phi.shape[0] != x.shape[1]:
         raise ShapeError(f"phi rows {phi.shape[0]} vs feature width {x.shape[1]}")
-    a_tilde[np.diag_indices(n)] += 1.0
+    m = x @ phi
+    if not keep_cache:
+        blocks = row_blocks(n)
+        deg = np.empty(n)
+        for rows in blocks:
+            deg[rows] = _a_tilde_rows(a_prime, rows).sum(axis=1)
+        inv_sqrt = _inv_sqrt_degrees(deg)
+        out = np.empty((n, phi.shape[1]))
+        for rows in blocks:
+            s_norm = _a_tilde_rows(a_prime, rows)
+            s_norm *= inv_sqrt[rows, None]
+            s_norm *= inv_sqrt[None, :]
+            np.matmul(s_norm, m, out=out[rows])
+        np.tanh(out, out=out)
+        return out, None
+    # a fresh copy: a_prime itself stays as given, threshold_backward reads it
+    a_tilde = _a_tilde_rows(a_prime, slice(0, n))
     deg = a_tilde.sum(axis=1)
-    if np.any(deg <= 0.0):
-        raise ConfigError("aggregation degrees must be positive (negative adjacency?)")
-    inv_sqrt = 1.0 / np.sqrt(deg)
+    inv_sqrt = _inv_sqrt_degrees(deg)
     s_norm = a_tilde * inv_sqrt[:, None]
     s_norm *= inv_sqrt[None, :]
-    m = x @ phi
     out = s_norm @ m
     np.tanh(out, out=out)
     return out, (x, a_tilde, deg, inv_sqrt, s_norm, m, out)
+
+
+def _a_tilde_rows(a_prime: Array, rows: slice) -> Array:
+    """Rows ``rows`` of A' + I as a fresh float64 array."""
+    a_tilde = np.array(a_prime[rows], dtype=np.float64)
+    a_tilde[np.arange(a_tilde.shape[0]), np.arange(rows.start, rows.stop)] += 1.0
+    return a_tilde
+
+
+def _inv_sqrt_degrees(deg: Array) -> Array:
+    if np.any(deg <= 0.0):
+        raise ConfigError("aggregation degrees must be positive (negative adjacency?)")
+    return 1.0 / np.sqrt(deg)
 
 
 def gcn_aggregate_backward(d_out: Array, cache, phi: Array):

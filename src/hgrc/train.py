@@ -119,14 +119,16 @@ def _predict(params: ModelParams, cfg: ModelConfig, cohort: Cohort,
     Returns (scores, stage_matrix or None).  Aggregation happens within each
     evaluation batch only.
 
-    The dense N x N graph stages set the process's peak memory.  Work done
-    before the call leaves free but still resident pages in the C heap, and
-    whether those stages reuse them or grow the heap past them hangs on
-    where one small live block happens to sit: a process that trained on
-    2000 patients and then scored 2000 more peaked at 207 MB in some runs
-    and 218 MB in others.  Handing the free pages back to the OS first
-    (glibc's ``malloc_trim``) makes the peak count only the pages the call
-    itself touches.
+    Eval mode builds the similarity graph as an (N, N) bool adjacency in
+    row blocks and holds no (N, N) float array, so a scoring call no longer
+    sets the process's peak memory; in a process that trains and then
+    scores, the training steps' caches and loading a cohort do.  The call
+    still hands the C heap's free pages back to the OS first (glibc's
+    ``malloc_trim``).  Work done before it leaves free but resident pages,
+    and whether later allocations reuse them or grow the heap past them
+    hangs on where small live blocks happen to sit: over ten runs that
+    trained on 2000 patients at batch 256 and scored 2000 more, median
+    peak RSS read 135.5 MB with the trim and 136.6 MB without.
     """
     n = len(cohort)
     if eval_batch_size is None or eval_batch_size >= n:

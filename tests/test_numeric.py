@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from hgrc.errors import ConfigError, GradientCheckError, ShapeError
 from hgrc.numeric import (AdamState, Rng, adam_step, dropout_mask, finite_diff_check,
-                          glorot_init, sigmoid, softmax)
+                          glorot_init, row_blocks, sigmoid, softmax)
 
 # ---------------------------------------------------------------------- rng
 
@@ -104,6 +104,22 @@ def test_softmax_rows_are_distributions(seed, n, k):
     # shift invariance along the softmax axis
     shifted = softmax(x + Rng(seed + 1).normal(size=(n, 1)), axis=1)
     assert np.allclose(out, shifted, rtol=0, atol=1e-12)
+
+
+# --------------------------------------------------------------- row blocks
+
+
+@pytest.mark.parametrize("n", [0, 1, 20, 255, 256, 257, 300, 512, 513, 4096, 4097])
+def test_row_blocks_are_near_equal_and_cover_the_rows(n):
+    blocks = row_blocks(n)
+    sizes = [b.stop - b.start for b in blocks]
+    assert blocks[0].start == 0 and blocks[-1].stop == n
+    assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+    assert len(blocks) == max(1, math.ceil(n / 256))
+    assert max(sizes) <= 256 and max(sizes) - min(sizes) <= 1
+    # never a block of 20 rows or fewer once the rows need two blocks
+    assert n <= 256 or min(sizes) >= 128
+    assert sizes == [len(p) for p in np.array_split(np.arange(n), len(blocks))]
 
 
 # --------------------------------------------------------------------- adam

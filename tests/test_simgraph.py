@@ -1,12 +1,59 @@
 """Similarity graph: pairwise scores, learnable threshold, GCN aggregation."""
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from hgrc import head
+from hgrc.data import impute_mean, standardize
 from hgrc.errors import ConfigError, ShapeError
+from hgrc.model import Batch, ModelConfig, forward_eval, init_params
 from hgrc.numeric import Rng, finite_diff_check, sigmoid
-from hgrc.simgraph import (gcn_aggregate, gcn_aggregate_backward, similarity,
-                           similarity_backward, threshold, threshold_backward)
+from hgrc.simgraph import (gcn_aggregate, gcn_aggregate_backward, hard_adjacency,
+                           similarity, similarity_backward, threshold, threshold_backward)
+from hgrc.synthetic import SyntheticSpec, gen_synthetic
+from hgrc.train import Checkpoint, TrainConfig, predict_scores
+
+
+def dense_eval_graph(z, zeta, phi):
+    """The eval-mode graph as whole (N, N) float64 arrays: the bit-for-bit oracle.
+
+    This is how evaluation built A, 1[A > zeta], A' + I and its normalization
+    before it moved to row blocks; the blocked path must equal it exactly.
+    """
+    n, width = z.shape
+    a = z @ z.T
+    a /= float(width * width)
+    a_tilde = (a > zeta).astype(np.float64)
+    a_tilde[np.diag_indices(n)] += 1.0
+    inv_sqrt = 1.0 / np.sqrt(a_tilde.sum(axis=1))
+    s_norm = a_tilde * inv_sqrt[:, None]
+    s_norm *= inv_sqrt[None, :]
+    out = s_norm @ (z @ phi)
+    return np.tanh(out, out=out)
+
+
+def oracle_scores(params, x_star):
+    member_probs, beta, _ = head.head_forward(x_star, params.ffn, params.attn, None)
+    return head.ensemble_predict(member_probs, beta)[:, 1]
+
+
+def zeta_between_similarities(z):
+    """A zeta midway across the widest gap between similarities near their median.
+
+    The oracle takes the similarities from one whole product and the model
+    from row blocks, and the two may differ in the last bits; a zeta within
+    that rounding of a similarity would leave its edge to the BLAS kernel.
+    """
+    a = np.sort(similarity(z), axis=None)
+    if a.size == 1:
+        return float(a[0]) + 1.0
+    lo, hi = (4 * a.size) // 10, max((6 * a.size) // 10, (4 * a.size) // 10 + 1)
+    i = lo + int(np.argmax(np.diff(a[lo:hi + 1])))
+    return float(0.5 * (a[i] + a[i + 1]))
+
 
 # ------------------------------------------------------------- similarity
 
@@ -25,6 +72,10 @@ def test_similarity_scaling_uses_squared_width():
     assert np.allclose(similarity(z), (z @ z.T) / 25.0, rtol=0, atol=1e-15)
     with pytest.raises(ShapeError):
         similarity(np.zeros(4))
+    with pytest.raises(ShapeError):
+        similarity(z, np.zeros((3, 4)))
+    # a block of rows against all rows gives those rows of the whole matrix
+    assert np.allclose(similarity(z[1:], z), similarity(z)[1:], rtol=0, atol=1e-15)
 
 
 def test_similarity_backward_matches_finite_differences():
@@ -52,6 +103,7 @@ def test_threshold_eval_is_strict_indicator():
     a = np.array([[0.39, 0.4], [0.41, 0.9]])
     out = threshold(a, zeta=0.4, temperature=50.0, mode="eval")
     # ties at zeta fall on the disconnected side
+    assert out.dtype == bool
     assert np.array_equal(out, [[0.0, 0.0], [1.0, 1.0]])
 
 
@@ -117,16 +169,32 @@ def test_similarity_and_gcn_equal_their_formulas_bitwise(mode):
     assert np.array_equal(cache[1], a_tilde)
     assert np.array_equal(cache[4], s_norm)
     assert np.array_equal(out, np.tanh(s_norm @ (z @ phi)))
+    blocked, none = gcn_aggregate(z, a_prime, phi, keep_cache=False)
+    assert none is None and np.array_equal(blocked, out)
+
+
+@pytest.mark.parametrize("n", [300, 513])
+def test_blocked_aggregation_equals_the_cached_one_bitwise(n):
+    # a soft adjacency too: each block's rows, degrees and products must
+    # equal the whole-matrix arithmetic's, not only for 0/1 entries
+    rng = Rng(14)
+    x = rng.normal(size=(n, 7))
+    phi = rng.normal(size=(7, 37))  # the default phi_width; see SMALL_MODEL
+    a_prime = sigmoid(rng.normal(size=(n, n)))
+    cached, _ = gcn_aggregate(x, a_prime, phi)
+    blocked, _ = gcn_aggregate(x, a_prime, phi, keep_cache=False)
+    assert np.array_equal(blocked, cached)
 
 
 def test_gcn_validation():
-    with pytest.raises(ShapeError):
-        gcn_aggregate(np.zeros((3, 2)), np.zeros((2, 2)), np.zeros((2, 2)))
-    with pytest.raises(ShapeError):
-        gcn_aggregate(np.zeros((3, 2)), np.zeros((3, 3)), np.zeros((3, 2)))
-    with pytest.raises(ConfigError, match="degrees"):
-        gcn_aggregate(np.zeros((2, 2)), np.array([[-2.0, 0.0], [0.0, 0.0]]),
-                      np.zeros((2, 2)))
+    for keep_cache in (True, False):
+        with pytest.raises(ShapeError):
+            gcn_aggregate(np.zeros((3, 2)), np.zeros((2, 2)), np.zeros((2, 2)), keep_cache)
+        with pytest.raises(ShapeError):
+            gcn_aggregate(np.zeros((3, 2)), np.zeros((3, 3)), np.zeros((3, 2)), keep_cache)
+        with pytest.raises(ConfigError, match="degrees"):
+            gcn_aggregate(np.zeros((2, 2)), np.array([[-2.0, 0.0], [0.0, 0.0]]),
+                          np.zeros((2, 2)), keep_cache)
 
 
 def test_gcn_backward_matches_finite_differences():
@@ -168,3 +236,95 @@ def test_gcn_degree_correction_is_exercised():
 
     assert finite_diff_check(loss, {"a": a_prime}, {"a": d_a_tilde}) < 1e-6
     assert finite_diff_check(loss, {"a": a_prime}, {"a": naive}) > 1e-3
+
+
+# ------------------------------------------------------ blocked eval graph
+
+# The default graph widths (79 features, phi_width 37) on few variables and
+# hours.  The widths matter: OpenBLAS sends an untransposed product of at
+# most 10^6 multiply-adds to a small-matrix kernel, so at narrow widths a
+# block's rows of the aggregation product can round apart from the whole's.
+SMALL_MODEL = ModelConfig(n_variables=3)
+
+
+def small_batch(n, seed):
+    rng = Rng(seed)
+    return Batch(rng.normal(size=(n, 3, 4)), (rng.random((n, 20)) < 0.15).astype(np.float64),
+                 np.zeros(n, dtype=np.int64))
+
+
+def model_params(cfg, seed):
+    """Initial parameters with a random FFN output layer, so scores vary."""
+    params = init_params(cfg, Rng(seed))
+    params.ffn["wy"][...] = Rng(seed + 1).normal(size=params.ffn["wy"].shape)
+    return params
+
+
+@pytest.mark.parametrize("n", [1, 2, 20, 21, 255, 256, 257, 300, 511, 513, 1000])
+def test_blocked_eval_graph_equals_the_dense_one_bitwise(n):
+    # row blocks of at most 256; N = 21 is the smallest a block may hold,
+    # 257 the first N with two blocks and 513 the first with three
+    params = model_params(SMALL_MODEL, n)
+    batch = small_batch(n, 1000 + n)
+    z = forward_eval(params, batch, SMALL_MODEL).stages["hconv"]
+    edges = {"none": np.inf, "some": zeta_between_similarities(z), "all": -np.inf}
+    for name, zeta in edges.items():
+        params.zeta[...] = zeta
+        out = forward_eval(params, batch, SMALL_MODEL)
+        assert np.array_equal(out.stages["hconv"], z)
+        n_edges = int(hard_adjacency(z, zeta, SMALL_MODEL.temperature).sum())
+        if name == "some":
+            assert n == 1 or 0 < n_edges < n * n
+        else:
+            assert n_edges == {"none": 0, "all": n * n}[name]
+        x_star = dense_eval_graph(z, zeta, params.phi)
+        assert np.array_equal(out.stages["aggregated"], x_star), name
+        assert np.array_equal(out.scores, oracle_scores(params, x_star)), name
+    # the ablation aggregates over self-loops only, whatever zeta says
+    ablated = replace(SMALL_MODEL, use_similarity=False)
+    out = forward_eval(params, batch, ablated)
+    x_star = dense_eval_graph(z, np.inf, params.phi)
+    assert np.array_equal(out.stages["aggregated"], x_star)
+    assert np.array_equal(out.scores, oracle_scores(params, x_star))
+
+
+@pytest.mark.parametrize("eval_batch_size", [1, 32, 300, None])
+def test_blocked_scoring_equals_the_dense_graph_per_batch(eval_batch_size):
+    spec = SyntheticSpec(n_patients=700, n_variables=3, window_hours=24, n_codes=20,
+                         missing_rate=0.2)
+    cohort = standardize(impute_mean(gen_synthetic(spec, Rng(15))))
+    cfg = replace(SMALL_MODEL, n_variables=len(cohort.schema),
+                  n_codes=len(cohort.code_vocab))
+    params = model_params(cfg, 16)
+    whole = Batch(cohort.series, cohort.icd, cohort.y)
+    params.zeta[...] = zeta_between_similarities(forward_eval(params, whole, cfg).stages["hconv"])
+    ckpt = Checkpoint(config=TrainConfig(window_hours=24, model=cfg), schema=cohort.schema,
+                      code_vocab=cohort.code_vocab, norm_stats=cohort.norm_stats,
+                      params=params)
+    scores = predict_scores(ckpt, cohort, eval_batch_size)
+    step = eval_batch_size or len(cohort)
+    for start in range(0, len(cohort), step):
+        rows = slice(start, start + step)
+        batch = Batch(cohort.series[rows], cohort.icd[rows], cohort.y[rows])
+        z = forward_eval(params, batch, cfg).stages["hconv"]
+        x_star = dense_eval_graph(z, float(params.zeta), params.phi)
+        assert np.array_equal(scores[rows], oracle_scores(params, x_star)), rows
+
+
+def test_eval_forward_never_holds_an_n_by_n_float_array():
+    # at the default widths, forward_eval at N = 2048 must peak below one
+    # (N, N) float64 array, 33.5 MB; the dense graph held several at once
+    n = 2048
+    cfg = ModelConfig()
+    params = init_params(cfg, Rng(17))
+    rng = Rng(18)
+    batch = Batch(rng.normal(size=(n, cfg.n_variables, 6)),
+                  (rng.random((n, cfg.n_codes)) < 0.15).astype(np.float64),
+                  np.zeros(n, dtype=np.int64))
+    tracemalloc.start()
+    try:
+        forward_eval(params, batch, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8, peak
