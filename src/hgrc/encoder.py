@@ -19,9 +19,10 @@ see encode_batch_backward.
 Training runs the whole batch through each step and caches every step for
 the backward pass.  Evaluation keeps no cache and runs the rows in the
 near-equal blocks of at most 256 that ``numeric.row_blocks`` cuts, each
-block to its last step before the next starts, so a block's buffers and
-inputs stay in L2 and the states equal the whole-batch ones bit for bit
-(see encode_batch).
+block to its last step in one thread's own buffers, so a block's buffers
+and inputs stay in L2 and the states equal the whole-batch ones bit for
+bit.  The blocks are independent, so ``numeric.run_row_blocks`` spreads
+them over the process's cores when BLAS runs one thread (see encode_batch).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ShapeError
-from .numeric import Array, Rng, glorot_init, row_blocks, sigmoid
+from .numeric import Array, Rng, glorot_init, run_row_blocks, sigmoid
 
 
 def init_gru_params(p: dict[str, Array], rng: Rng) -> None:
@@ -55,9 +56,13 @@ def encode_batch(series_batch: Array, p: dict[str, Array], keep_cache: bool = Tr
 
     Without ``keep_cache`` the cache is None and the rows run in the
     near-equal blocks of ``numeric.row_blocks``, each to its last step
-    before the next starts (see _encode_block).  A block's working set then
-    stays in L2 instead of streaming (N, 3d) temporaries through L3 at every
-    step, and every row's state equals the whole-batch one bit for bit.
+    before its thread takes another (see _encode_block).  A block's working
+    set then stays in L2 instead of streaming (N, 3d) temporaries through L3
+    at every step, and every row's state equals the whole-batch one bit for
+    bit.  ``numeric.run_row_blocks`` runs the blocks on one thread per core
+    when BLAS runs one thread, and on the calling thread alone otherwise;
+    each thread gets its own set of block buffers, allocated here before any
+    block starts, and writes only its blocks' rows of the result.
     """
     series_batch = np.asarray(series_batch, dtype=np.float64)
     if series_batch.ndim != 3:
@@ -72,8 +77,9 @@ def encode_batch(series_batch: Array, p: dict[str, Array], keep_cache: bool = Tr
         raise ShapeError("encode_batch: absent cells remain; impute first")
     if not keep_cache:
         final = np.empty((n, d))
-        for rows in row_blocks(n):
-            _encode_block(series_batch[rows], p, final[rows])
+        run_row_blocks(
+            n, lambda rows, bufs: _encode_block(series_batch[rows], p, final[rows], bufs),
+            lambda rows: _block_buffers(rows, m, t, d))
         return final, None
     hs = np.zeros((t + 1, n, d))  # hs[step] is the state that step reads
     zs, rs, cs = (np.empty((t, n, d)) for _ in range(3))
@@ -93,18 +99,28 @@ def encode_batch(series_batch: Array, p: dict[str, Array], keep_cache: bool = Tr
     return hs[t].copy(), (series_batch, hs, zs, rs, cs)
 
 
-def _encode_block(series: Array, p: dict[str, Array], out: Array) -> None:
+def _block_buffers(rows: int, m: int, t: int, d: int) -> tuple[Array, ...]:
+    """One thread's _encode_block buffers, for blocks of up to ``rows`` rows.
+
+    The (T, rows, M) time-major input copy, then h, h_next, a, zr, c and tmp.
+    """
+    widths = (d, d, 3 * d, 2 * d, d, d)
+    return (np.empty((t, rows, m)),) + tuple(np.empty((rows, w)) for w in widths)
+
+
+def _encode_block(series: Array, p: dict[str, Array], out: Array, bufs: tuple[Array, ...]) -> None:
     """The eval-mode recurrence over one row block; final states go to ``out``.
 
-    The same arithmetic as encode_batch's cached loop, in the block's own
-    buffers: each step reads its inputs from a contiguous time-major copy,
-    z and r stay views of the gate buffer, and two state buffers take turns.
+    The same arithmetic as encode_batch's cached loop, in the leading rows
+    of ``bufs`` (see _block_buffers): each step reads its inputs from a
+    contiguous time-major copy, z and r stay views of the gate buffer, and
+    two state buffers take turns.
     """
     n, d = out.shape
-    xs = np.ascontiguousarray(series.transpose(2, 0, 1))  # (T, n, M)
-    h, h_next = np.zeros((n, d)), np.empty((n, d))
-    a, zr = np.empty((n, 3 * d)), np.empty((n, 2 * d))
-    c, tmp = np.empty((n, d)), np.empty((n, d))
+    xs = bufs[0][:, :n]
+    np.copyto(xs, series.transpose(2, 0, 1))  # each xs[step] is a contiguous (n, M) block
+    h, h_next, a, zr, c, tmp = (buf[:n] for buf in bufs[1:])
+    h[...] = 0.0
     z, r = zr[:, :d], zr[:, d:]
     for x in xs:
         np.add(np.matmul(x, p["w"].T, out=a), p["b"], out=a)

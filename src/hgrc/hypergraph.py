@@ -94,8 +94,12 @@ def _layer_backward(d_out: Array, layer_cache, factors: tuple[Array, Array], the
     return d_x, d_theta
 
 
-def hconv_stack(x: Array, hg: Hypergraph, thetas: list[Array]):
-    """Apply the layers in sequence; returns (output, cache for backward)."""
+def hconv_stack(x: Array, hg: Hypergraph, thetas: list[Array], keep_cache: bool = True):
+    """Apply the layers in sequence; returns (output, cache for backward).
+
+    Without ``keep_cache`` (evaluation) the cache is None, so no layer's
+    intermediates outlive the call; the output is the same bit for bit.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.shape[0] != hg.n_nodes:
         raise ShapeError(f"{x.shape[0]} feature rows vs {hg.n_nodes} nodes")
@@ -105,8 +109,9 @@ def hconv_stack(x: Array, hg: Hypergraph, thetas: list[Array]):
         if theta.shape != (x.shape[1], x.shape[1]):
             raise ShapeError(f"theta shape {theta.shape}, expected square of side {x.shape[1]}")
         x, layer_cache = _layer_forward(x, factors, theta)
-        layer_caches.append(layer_cache)
-    return x, (factors, layer_caches)
+        if keep_cache:
+            layer_caches.append(layer_cache)
+    return x, (factors, layer_caches) if keep_cache else None
 
 
 def hconv_stack_backward(d_out: Array, cache, thetas: list[Array]):

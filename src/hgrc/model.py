@@ -14,7 +14,9 @@ backward pass.  Evaluation mode uses the strict hard threshold and no
 dropout: A' is an (N, N) bool array, and the GRU, the similarities and the
 aggregation run in row blocks of at most 256 patients, so no (N, N) float
 array exists (the simgraph docstring says when the result equals a dense
-computation's bit for bit).  The backward pass chains the hand-derived
+computation's bit for bit).  No stage keeps a cache, and the GRU's blocks
+run on every core a one-thread BLAS leaves idle; the graph stages' blocks
+run on the calling thread.  The backward pass chains the hand-derived
 gradients of each stage.  There is one code path: tanh in every layer
 after the GRU (hypergraph convolution, GCN aggregation, FFN hidden layers),
 scaled dot-product similarity, per-patient attention gating of the loss,
@@ -196,7 +198,7 @@ def _forward(params: ModelParams, batch: Batch, config: ModelConfig, mode: str, 
     h, gru_cache = encoder.encode_batch(batch.series, params.gru, keep_cache=mode != "eval")
     fused = encoder.fuse_batch(h, batch.icd)
     hg = hypergraph.build_hypergraph(batch.icd)
-    z, hconv_cache = hypergraph.hconv_stack(fused, hg, params.thetas)
+    z, hconv_cache = hypergraph.hconv_stack(fused, hg, params.thetas, keep_cache=mode != "eval")
 
     if not config.use_similarity:
         a_prime = np.zeros((z.shape[0], z.shape[0]), dtype=bool)

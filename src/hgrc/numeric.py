@@ -3,18 +3,28 @@
 The logistic sigmoid, softmax, Adam, inverted dropout, Glorot initialization,
 a splittable deterministic RNG, a finite-difference gradient checker that
 every hand-derived backward pass in this package is verified against, and
-the row blocks that evaluation-mode layers work in.  The layers' one
-nonlinearity is numpy's tanh, which each layer calls directly.
+the row blocks that evaluation-mode layers work in, with the thread pool
+that runs independent blocks on every core a one-thread BLAS leaves idle.
+The layers' one nonlinearity is numpy's tanh, which each layer calls
+directly.
 
 All arrays are ``numpy.float64``.  Reductions are delegated to numpy/BLAS,
 which is deterministic for a fixed platform and thread count; all randomness
-flows through :class:`Rng`.
+flows through :class:`Rng`.  Which thread runs a row block changes none of
+its arithmetic, so the pool's worker count changes no result.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
 import math
+import os
+import threading
+from collections.abc import Callable
 from dataclasses import dataclass, replace
+from typing import Any
 
 import numpy as np
 
@@ -107,6 +117,102 @@ def row_blocks(n: int) -> list[slice]:
     size, extra = divmod(n, n_blocks)
     bounds = [k * size + min(k, extra) for k in range(n_blocks + 1)]
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def run_row_blocks(n: int, fn: Callable[[slice, Any], None],
+                   new_slot: Callable[[int], Any]) -> None:
+    """Call ``fn(rows, slot)`` once for each of ``row_blocks(n)``, on every core BLAS leaves free.
+
+    The blocks go to ``_eval_workers`` threads, the calling thread among
+    them, each taking the next block left until none is.  ``new_slot(rows)``
+    makes one worker's scratch state for blocks of up to ``rows`` rows; it
+    runs in the calling thread, once per worker before any block starts, and
+    each slot is only ever passed to its own worker.  So ``fn`` must write
+    nothing but its own rows and its slot.  numpy drops the interpreter lock
+    inside ufunc loops and BLAS calls, so the threads' arithmetic overlaps;
+    each block's arithmetic is the same whichever thread runs it.
+
+    Every thread is joined before this returns, also when a block raises;
+    then the first error raised is raised again and no block starts after it.
+    ``fn`` runs on other threads, so it must not call into anything that keeps
+    per-process state, such as a tracer's span stack.
+    """
+    blocks = row_blocks(n)
+    largest = blocks[0].stop - blocks[0].start
+    slots = [new_slot(largest) for _ in range(_eval_workers(len(blocks)))]
+    todo = iter(blocks)
+    lock = threading.Lock()
+    errors: list[BaseException] = []
+
+    def work(slot) -> None:
+        while True:
+            with lock:
+                rows = None if errors else next(todo, None)
+            if rows is None:
+                return
+            try:
+                fn(rows, slot)
+            except BaseException as exc:  # raised again below, once every thread is joined
+                with lock:
+                    errors.append(exc)
+                return
+
+    started = []
+    try:
+        for slot in slots[1:]:
+            thread = threading.Thread(target=work, args=(slot,), name="hgrc-row-block")
+            thread.start()
+            started.append(thread)
+        work(slots[0])
+    finally:
+        for thread in started:
+            thread.join()
+    if errors:
+        raise errors[0]
+
+
+# OpenBLAS thread-count getters, newest build first: numpy's bundled
+# scipy-openblas, a 64-bit-index OpenBLAS, a plain OpenBLAS
+_BLAS_THREAD_SYMBOLS = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                        "openblas_get_num_threads")
+
+
+@functools.cache
+def _blas_thread_query() -> Callable[[], int] | None:
+    """The thread-count getter of numpy's bundled OpenBLAS, or None if not found.
+
+    numpy has loaded the library already, so opening it again by its path
+    returns the same copy, whose count reflects ``OPENBLAS_NUM_THREADS``
+    and any later ``openblas_set_num_threads``.
+    """
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _BLAS_THREAD_SYMBOLS:
+            query = getattr(lib, name, None)
+            if query is not None:
+                query.argtypes, query.restype = [], ctypes.c_int
+                return query
+    return None
+
+
+def _eval_workers(n_blocks: int) -> int:
+    """Threads for ``n_blocks`` independent blocks: one per core when BLAS runs one thread.
+
+    A multi-threaded BLAS already spreads each product over the cores, and
+    two workers on top of a 2-thread BLAS slowed a 4096-patient scoring call
+    on 2 cores from 540-585 to 795-870 ms; so any count other than 1, or
+    none read, gives one worker.
+    """
+    query = _blas_thread_query()
+    if query is None or query() != 1:
+        return 1
+    if not hasattr(os, "sched_getaffinity"):  # not Linux: the usable cores are unknown
+        return 1
+    return min(len(os.sched_getaffinity(0)), n_blocks)
 
 
 # -------------------------------------------------------------------- adam

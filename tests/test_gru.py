@@ -1,10 +1,12 @@
 """GRU encoder: forward values, BPTT gradients, fusion."""
 
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from hgrc import encoder, numeric
 from hgrc.encoder import encode_batch, encode_batch_backward, fuse_batch, init_gru_params
 from hgrc.errors import ShapeError
 from hgrc.numeric import Rng, finite_diff_check
@@ -130,19 +132,39 @@ def test_blocked_eval_equals_the_whole_batch_bitwise(n):
     assert np.array_equal(blocked, cached)
 
 
-def test_eval_encoder_memory_is_bounded_by_its_blocks():
+def test_eval_encoder_memory_is_bounded_by_its_blocks(monkeypatch):
     # the whole-batch loop held about 11 (N, d) arrays; blocked, the eval
-    # encoder holds the (N, d) result and one block's buffers
+    # encoder holds the (N, d) result and one block's buffers per worker
     n, d = 4097, 59
     p = gru_params(16, d, Rng(42))
     series = Rng(43).normal(size=(n, 16, 3))
-    tracemalloc.start()
-    try:
+    for workers in (1, 2):
+        monkeypatch.setattr(numeric, "_eval_workers", lambda n_blocks, w=workers: w)
+        tracemalloc.start()
+        try:
+            encode_batch(series, p, keep_cache=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * n * d * 8, (workers, peak)
+
+
+def test_a_failing_eval_block_raises_its_error_and_joins_every_thread(monkeypatch):
+    monkeypatch.setattr(numeric, "_eval_workers", lambda n_blocks: 2)
+    p = gru_params(3, 4, Rng(44))
+    series = Rng(45).normal(size=(1025, 3, 2))  # five blocks of 205 rows
+    encode_block = encoder._encode_block
+
+    def failing(block, p, out, bufs):
+        if np.shares_memory(block, series[410:615]):
+            raise FloatingPointError("block failed")
+        encode_block(block, p, out, bufs)
+
+    monkeypatch.setattr(encoder, "_encode_block", failing)
+    start = threading.active_count()
+    with pytest.raises(FloatingPointError, match="block failed"):
         encode_batch(series, p, keep_cache=False)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * n * d * 8, peak
+    assert threading.active_count() == start
 
 
 def test_encode_batch_input_validation():

@@ -146,6 +146,18 @@ def test_hconv_layer_validation():
         hconv_stack(np.zeros((3, 4)), hg, [np.zeros((4, 4)), np.zeros((3, 3))])
 
 
+def test_eval_stack_keeps_no_cache_and_the_same_output():
+    rng = Rng(301)
+    icd = random_hypergraph(rng)
+    x = rng.normal(size=(icd.shape[0], 6))
+    thetas = [glorot_init(6, 6, s) for s in rng.split(3)]
+    hg = build_hypergraph(icd)
+    cached, cache = hconv_stack(x, hg, thetas)
+    out, none = hconv_stack(x, hg, thetas, keep_cache=False)
+    assert cache is not None and none is None
+    assert np.array_equal(out, cached)
+
+
 def test_empty_stack_is_identity_with_empty_cache():
     hg = build_hypergraph(np.ones((2, 1)))
     x = Rng(0).normal(size=(2, 3))

@@ -8,6 +8,7 @@ central difference measures only float cancellation noise.
 import numpy as np
 import pytest
 
+from hgrc import hypergraph, model
 from hgrc.errors import ConfigError
 from hgrc.head import ensemble_predict
 from hgrc.model import (Batch, ModelConfig, backward, forward_eval, forward_train,
@@ -173,6 +174,17 @@ def test_forward_eval_outputs_are_probabilities_with_stages():
     assert out.stages["gru"].shape == (5, 3)
     assert out.stages["hconv"].shape == (5, 7)
     assert out.stages["aggregated"].shape == (5, 3)
+
+
+def test_eval_forward_keeps_no_hypergraph_cache_and_the_same_scores(monkeypatch):
+    cfg, params, batch = tiny_fixture()
+    _, _, _, cache = model._forward(params, batch, cfg, "eval", None)
+    assert cache[0] is None and cache[1] is None and cache[4] is None
+    scores = forward_eval(params, batch, cfg).scores
+    stack = hypergraph.hconv_stack
+    monkeypatch.setattr(hypergraph, "hconv_stack",
+                        lambda x, hg, thetas, keep_cache: stack(x, hg, thetas, keep_cache=True))
+    assert np.array_equal(forward_eval(params, batch, cfg).scores, scores)
 
 
 def test_eval_and_train_adjacencies_differ():

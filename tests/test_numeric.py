@@ -1,15 +1,24 @@
 """Numeric building blocks: rng, sigmoid, softmax, Adam, dropout, checker."""
 
 import math
+import os
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hgrc import numeric
 from hgrc.errors import ConfigError, GradientCheckError, ShapeError
 from hgrc.numeric import (AdamState, Rng, adam_step, dropout_mask, finite_diff_check,
-                          glorot_init, row_blocks, sigmoid, softmax)
+                          glorot_init, row_blocks, run_row_blocks, sigmoid, softmax)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 # ---------------------------------------------------------------------- rng
 
@@ -120,6 +129,103 @@ def test_row_blocks_are_near_equal_and_cover_the_rows(n):
     # never a block of 20 rows or fewer once the rows need two blocks
     assert n <= 256 or min(sizes) >= 128
     assert sizes == [len(p) for p in np.array_split(np.arange(n), len(blocks))]
+
+
+def record_blocks(n, workers, monkeypatch, fail_at=None, ran=None, delay=0.0):
+    """run_row_blocks over n rows on ``workers`` threads, recording who did what.
+
+    Appends each block run to ``ran`` after ``delay`` seconds and returns
+    (ran, {slot: threads that used it}, threads that made slots).  The block
+    starting at row ``fail_at`` raises instead of running.
+    """
+    monkeypatch.setattr(numeric, "_eval_workers", lambda n_blocks: workers)
+    ran = [] if ran is None else ran
+    users, makers = {}, []
+
+    def new_slot(rows):
+        makers.append(threading.get_ident())
+        return len(makers) - 1
+
+    def fn(rows, slot):
+        users.setdefault(slot, set()).add(threading.get_ident())
+        if rows.start == fail_at:
+            raise KeyError(rows.start)
+        time.sleep(delay)
+        ran.append(rows)
+
+    run_row_blocks(n, fn, new_slot)
+    return ran, users, makers
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 8])
+def test_run_row_blocks_runs_each_block_once_and_each_slot_on_one_thread(workers, monkeypatch):
+    n = 1025  # five blocks of 205
+    # the delay keeps other threads busy after the caller's last block, so
+    # a return before every thread is joined would miss blocks
+    ran, users, makers = record_blocks(n, workers, monkeypatch, delay=0.02)
+    assert sorted(b.start for b in ran) == [b.start for b in row_blocks(n)]
+    assert makers == [threading.get_ident()] * workers
+    assert all(len(threads) == 1 for threads in users.values())
+    assert len({t for threads in users.values() for t in threads}) == len(users)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_run_row_blocks_joins_its_threads_and_raises_the_block_error(workers, monkeypatch):
+    start = threading.active_count()
+    ran = []
+    with pytest.raises(KeyError, match="410"):
+        record_blocks(1025, workers, monkeypatch, fail_at=410, ran=ran)
+    assert threading.active_count() == start
+    if workers == 1:  # in order, and none after the error
+        assert [b.start for b in ran] == [0, 205]
+
+
+def test_run_row_blocks_under_fast_thread_switching_loses_no_block(monkeypatch):
+    # more workers than cores and a switch every microsecond: a block taken
+    # twice or dropped by the shared queue would break the cover
+    n = 256 * 40
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        ran, _, _ = record_blocks(n, 8, monkeypatch)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(b.start for b in ran) == [b.start for b in row_blocks(n)]
+
+
+def test_eval_workers_is_one_unless_blas_reads_one_thread(monkeypatch):
+    cores = len(os.sched_getaffinity(0))
+    monkeypatch.setattr(numeric, "_blas_thread_query", lambda: None)
+    assert numeric._eval_workers(16) == 1
+    for threads, workers in ((0, 1), (2, 1), (8, 1), (1, min(cores, 16))):
+        monkeypatch.setattr(numeric, "_blas_thread_query", lambda t=threads: lambda: t)
+        assert numeric._eval_workers(16) == workers, threads
+    assert numeric._eval_workers(1) == 1
+
+
+@pytest.mark.parametrize("found", [[], ["/nonexistent/libscipy_openblas64_.so"]])
+def test_blas_thread_query_is_none_when_the_library_is_not_found(found, monkeypatch):
+    monkeypatch.setattr(numeric.glob, "glob", lambda pattern: found)
+    assert numeric._blas_thread_query.__wrapped__() is None
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_eval_workers_follow_the_blas_thread_count(threads):
+    # OpenBLAS reads its thread count when numpy loads it, so each count
+    # needs a fresh interpreter
+    probe = ("import os; from hgrc import numeric; q = numeric._blas_thread_query(); "
+             "print(-1 if q is None else q(), numeric._eval_workers(16), "
+             "len(os.sched_getaffinity(0)))")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": str(SRC)}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout.split()
+    read, workers, cores = map(int, out)
+    if read == -1:
+        pytest.skip("numpy does not bundle OpenBLAS here")
+    if threads == "1":
+        assert (read, workers) == (1, min(cores, 16))
+    else:  # OpenBLAS caps its count at the cores, so one core reads 1 here
+        assert read == min(2, cores) and workers == (1 if read > 1 else min(cores, 16))
 
 
 # --------------------------------------------------------------------- adam

@@ -1,5 +1,6 @@
 """Training loop: batching, determinism, early stopping, evaluation helpers."""
 
+import functools
 import importlib
 import json
 import math
@@ -7,13 +8,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from hgrc import numeric
 from hgrc.data import impute_mean, load_cohort, split, standardize
+from hgrc.encoder import encode_batch
 from hgrc.errors import ConfigError, TrainingError, UndefinedMetricError
-from hgrc.model import ModelConfig
+from hgrc.model import ModelConfig, init_params
 from hgrc.numeric import Rng
 from hgrc.synthetic import SyntheticSpec, gen_synthetic, write_cohort_files
-from hgrc.train import (TrainConfig, _batch_slices, derive_rng_streams,
+from hgrc.train import (Checkpoint, TrainConfig, _batch_slices, derive_rng_streams,
                         evaluate, export_embeddings, predict_scores, train)
 
 SMALL_SPEC = SyntheticSpec(n_patients=40, n_variables=3, window_hours=24,
@@ -239,6 +244,53 @@ def test_predict_scores_are_probabilities(trained, splits):
     assert scores.shape == (len(te),)
     assert np.all((scores >= 0.0) & (scores <= 1.0))
     assert np.array_equal(scores, predict_scores(trained, te))
+
+
+@functools.cache
+def wide_checkpoint_and_cohort():
+    """Nudged default-width parameters and 1100 standardized patients.
+
+    Training would take too long here; the nudge moves the FFN output
+    layers off their zero start, so the scores differ between patients.
+    """
+    cohort = standardize(impute_mean(gen_synthetic(SyntheticSpec(n_patients=1100), Rng(21))))
+    model = ModelConfig(n_variables=cohort.series.shape[1], n_codes=cohort.icd.shape[1])
+    params = init_params(model, Rng(22))
+    nudge = Rng(23)
+    for arr in params.named_arrays().values():
+        if arr.ndim:
+            arr += nudge.normal(scale=0.3, size=arr.shape)
+    ckpt = Checkpoint(config=TrainConfig(model=model), schema=cohort.schema,
+                      code_vocab=cohort.code_vocab, norm_stats=cohort.norm_stats, params=params)
+    return ckpt, cohort
+
+
+# row counts at and around the eval block edges (numeric.row_blocks)
+EDGE_ROWS = (1, 255, 256, 257, 512, 1025)
+
+
+@settings(max_examples=3, deadline=None)
+@given(n=st.sampled_from(EDGE_ROWS), start=st.integers(0, 1100 - max(EDGE_ROWS)))
+@example(n=1, start=0)
+@example(n=255, start=0)
+@example(n=256, start=0)
+@example(n=257, start=0)
+@example(n=512, start=0)
+@example(n=1025, start=0)
+def test_the_eval_worker_count_changes_no_bit(n, start):
+    ckpt, cohort = wide_checkpoint_and_cohort()
+    part = rows(cohort, slice(start, start + n))
+    runs = []
+    for workers in (1, 2, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(numeric, "_eval_workers", lambda n_blocks, w=workers: w)
+            states, _ = encode_batch(part.series, ckpt.params.gru, keep_cache=False)
+            runs.append((states, predict_scores(ckpt, part)))
+    whole, _ = encode_batch(part.series, ckpt.params.gru, keep_cache=True)
+    for states, scores in runs:
+        assert np.array_equal(states, whole)
+        assert np.array_equal(scores, runs[0][1])
+    assert np.ptp(runs[0][1]) > 0.0 or n == 1
 
 
 def test_predict_scores_of_an_empty_cohort_is_empty(trained, splits):
