@@ -16,21 +16,38 @@ product for all three gates, one for the z/r recurrence and one for the
 candidate.  The backward pass is hand-derived backpropagation through time;
 see encode_batch_backward.
 
-Training runs the whole batch through each step and caches every step for
-the backward pass.  Evaluation keeps no cache and runs the rows in the
-near-equal blocks of at most 256 that ``numeric.row_blocks`` cuts, each
-block to its last step in one thread's own buffers, so a block's buffers
-and inputs stay in L2 and the states equal the whole-batch ones bit for
-bit.  The blocks are independent, so ``numeric.run_row_blocks`` spreads
-them over the process's cores when BLAS runs one thread (see encode_batch).
+Training caches every step for the backward pass.  Evaluation keeps no
+cache and runs the rows in the near-equal blocks of at most 256 that
+``numeric.row_blocks`` cuts, each block to its last step in one thread's
+own buffers, so a block's buffers and inputs stay in L2 and the states
+equal the whole-batch ones bit for bit.  The blocks are independent, so
+``numeric.run_row_blocks`` spreads them over the process's cores when BLAS
+runs one thread (see encode_batch).  Under the same rule a training batch
+of more than 128 rows runs its cached forward in row blocks on one thread
+per core, and its backward on two threads, one running the recurrence and
+one adding up the weight gradients (see encode_batch_backward); a smaller
+batch, or a multi-threaded BLAS, runs the whole batch on the calling
+thread.  Every thread count gives the same arithmetic, so training logs,
+checkpoints and scores are the same bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import numeric
 from .errors import ShapeError
-from .numeric import Array, Rng, glorot_init, run_row_blocks, sigmoid
+from .numeric import Array, Rng, glorot_init, run_pipelined, run_row_blocks, sigmoid
+
+# most rows a training-mode GRU block holds, and the largest batch that runs
+# on the calling thread alone.  Below it, threads lose more to the
+# interpreter lock than they gain: with one BLAS thread on a shared 2-core
+# Xeon, two threads ran the forward at 0.47x the one-thread speed at 32
+# rows and 0.88x at 120, and the backward at 0.54x and 0.98x; at 160 rows
+# they ran at 1.31x and 1.29x.
+_TRAIN_BLOCK_ROWS = 128
+# slots in the backward's ring of per-step gate gradients (numeric.run_pipelined)
+_RING_SLOTS = 4
 
 
 def init_gru_params(p: dict[str, Array], rng: Rng) -> None:
@@ -53,6 +70,11 @@ def encode_batch(series_batch: Array, p: dict[str, Array], keep_cache: bool = Tr
     h_0 = 0.  The cache holds the series and every step's previous state and
     z, r and candidate values, in (T, N, d) arrays.  Each step writes into
     buffers allocated up front, so no call's time hangs on page faults.
+    When _train_threaded, the cached loop runs in the near-equal blocks of
+    at most 128 rows that ``numeric.row_blocks`` cuts, on the threads of
+    ``numeric.run_row_blocks``, each block writing its own rows of the
+    cache arrays; each row's products round as in the whole batch (see the
+    row_blocks docstring), so the cache is the same bit for bit.
 
     Without ``keep_cache`` the cache is None and the rows run in the
     near-equal blocks of ``numeric.row_blocks``, each to its last step
@@ -83,11 +105,45 @@ def encode_batch(series_batch: Array, p: dict[str, Array], keep_cache: bool = Tr
         return final, None
     hs = np.zeros((t + 1, n, d))  # hs[step] is the state that step reads
     zs, rs, cs = (np.empty((t, n, d)) for _ in range(3))
-    a, zr, tmp = np.empty((n, 3 * d)), np.empty((n, 2 * d)), np.empty((n, d))
-    for step in range(t):
+    if _train_threaded(n):
+        run_row_blocks(
+            n, lambda rows, bufs: _cached_block(
+                series_batch[rows], p, hs[:, rows], zs[:, rows], rs[:, rows], cs[:, rows], bufs),
+            lambda rows: _cached_buffers(rows, d), most=_TRAIN_BLOCK_ROWS)
+    else:
+        _cached_block(series_batch, p, hs, zs, rs, cs, _cached_buffers(n, d))
+    # a copy, so that holding the final state does not hold the whole cache
+    return hs[t].copy(), (series_batch, hs, zs, rs, cs)
+
+
+def _train_threaded(n: int) -> bool:
+    """Whether a training batch of ``n`` rows runs its GRU on more than one thread.
+
+    That takes more than one block of _TRAIN_BLOCK_ROWS and a one-thread
+    BLAS on a process with two cores or more (``numeric._workers``).
+    """
+    return n > _TRAIN_BLOCK_ROWS and numeric._workers(2) > 1
+
+
+def _cached_buffers(rows: int, d: int) -> tuple[Array, ...]:
+    """One thread's _cached_block buffers, for blocks of up to ``rows`` rows: a, zr and tmp."""
+    return tuple(np.empty((rows, w)) for w in (3 * d, 2 * d, d))
+
+
+def _cached_block(series: Array, p: dict[str, Array], hs: Array, zs: Array, rs: Array,
+                  cs: Array, bufs: tuple[Array, ...]) -> None:
+    """The training-mode recurrence over the rows of ``series``, writing every step to the cache.
+
+    ``hs``, ``zs``, ``rs`` and ``cs`` are those rows of encode_batch's cache
+    arrays, with hs[0] already zero; the scratch products go to the leading
+    rows of ``bufs`` (see _cached_buffers).
+    """
+    n, d = hs.shape[1:]
+    a, zr, tmp = (buf[:n] for buf in bufs)
+    for step in range(series.shape[2]):
         h, h_next = hs[step], hs[step + 1]
         z, r, c = zs[step], rs[step], cs[step]
-        np.add(np.matmul(series_batch[:, :, step], p["w"].T, out=a), p["b"], out=a)
+        np.add(np.matmul(series[:, :, step], p["w"].T, out=a), p["b"], out=a)
         np.add(np.matmul(h, p["u_zr"].T, out=zr), a[:, :2 * d], out=zr)
         sigmoid(zr, out=zr)
         z[...], r[...] = zr[:, :d], zr[:, d:]
@@ -95,8 +151,6 @@ def encode_batch(series_batch: Array, p: dict[str, Array], keep_cache: bool = Tr
         np.tanh(c, out=c)
         np.multiply(np.subtract(1.0, z, out=tmp), h, out=tmp)
         np.add(tmp, np.multiply(z, c, out=h_next), out=h_next)
-    # a copy, so that holding the final state does not hold the whole cache
-    return hs[t].copy(), (series_batch, hs, zs, rs, cs)
 
 
 def _block_buffers(rows: int, m: int, t: int, d: int) -> tuple[Array, ...]:
@@ -150,27 +204,59 @@ def encode_batch_backward(d_h: Array, cache, p: dict[str, Array], grads: dict[st
         da_r    = dr * r * (1 - r)           da_z = dz * z * (1 - z)
         dh_prev += [da_z, da_r] @ u_zr
         dx_t    = da @ w
+
+    When _train_threaded, the calling thread runs the recurrence (da and
+    dh) over the whole batch and hands each step's da, through a ring of
+    four (N, 3d) slots, to a second thread, which adds the weight and input
+    gradients step by step in the same order (``numeric.run_pipelined``).
+    Every product keeps its operands, so the gradients are the same bit for
+    bit.  The recurrence is not split by rows like the forward: its
+    (N, 2d) @ (2d, d) ``da_zr @ u_zr`` takes OpenBLAS's small-matrix kernel
+    on a block under 144 rows at d = 59, which rounds differently from the
+    whole batch (see ``numeric.row_blocks``), and a 256-row batch cannot be
+    cut into two blocks of 144 rows.
     """
     series, hs, zs, rs, cs = cache
     n, m, t = series.shape
     d = d_h.shape[1]
     d_series = np.zeros((n, m, t))
-    da = np.empty((n, 3 * d))
-    da_z, da_r, da_h = da[:, :d], da[:, d:2 * d], da[:, 2 * d:]
-    da_zr = da[:, :2 * d]
     dh = np.array(d_h, dtype=np.float64)
-    for step in reversed(range(t)):
+
+    # recur fills a step's da and carries dh back a step; add_step adds the
+    # step's weight and input gradients from that da.  Both take da with its
+    # views, made once per buffer: slicing even the views' tuple at every
+    # step slowed a train-b32 step by 3%.
+    def gate_views(da: Array) -> tuple[Array, ...]:  # da, da_zr, da_h, da_z, da_r
+        return da, da[:, :2 * d], da[:, 2 * d:], da[:, :d], da[:, d:2 * d]
+
+    def recur(step: int, gates: tuple[Array, ...]) -> None:
+        nonlocal dh
+        da, da_zr, da_h, da_z, da_r = gates
         h_prev, z, r, c = hs[step], zs[step], rs[step], cs[step]
         np.multiply(dh * z, 1.0 - c * c, out=da_h)
-        grads["u_h"] += da_h.T @ (r * h_prev)
         d_rh = da_h @ p["u_h"]
         np.multiply(dh * (c - h_prev), z * (1.0 - z), out=da_z)
         np.multiply(d_rh * h_prev, r * (1.0 - r), out=da_r)
+        dh = dh * (1.0 - z) + d_rh * r + da_zr @ p["u_zr"]
+
+    def add_step(step: int, gates: tuple[Array, ...]) -> None:
+        da, da_zr, da_h, _, _ = gates
+        h_prev = hs[step]
+        grads["u_h"] += da_h.T @ (rs[step] * h_prev)
         grads["w"] += da.T @ series[:, :, step]
         grads["u_zr"] += da_zr.T @ h_prev
         grads["b"] += da.sum(axis=0)
-        dh = dh * (1.0 - z) + d_rh * r + da_zr @ p["u_zr"]
         d_series[:, :, step] = da @ p["w"]
+
+    steps = range(t - 1, -1, -1)
+    if _train_threaded(n):
+        ring = [gate_views(np.empty((n, 3 * d))) for _ in range(_RING_SLOTS)]
+        run_pipelined(steps, recur, add_step, ring)
+    else:
+        gates = gate_views(np.empty((n, 3 * d)))
+        for step in steps:
+            recur(step, gates)
+            add_step(step, gates)
     return grads, d_series
 
 

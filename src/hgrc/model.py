@@ -16,8 +16,10 @@ aggregation run in row blocks of at most 256 patients, so no (N, N) float
 array exists (the simgraph docstring says when the result equals a dense
 computation's bit for bit).  No stage keeps a cache, and the GRU's blocks
 run on every core a one-thread BLAS leaves idle; the graph stages' blocks
-run on the calling thread.  The backward pass chains the hand-derived
-gradients of each stage.  There is one code path: tanh in every layer
+run on the calling thread.  In training only the GRU uses those cores, on
+batches of more than 128 patients (see the encoder docstring).  The
+backward pass chains the hand-derived gradients of each stage.  There is
+one code path: tanh in every layer
 after the GRU (hypergraph convolution, GCN aggregation, FFN hidden layers),
 scaled dot-product similarity, per-patient attention gating of the loss,
 and beta-weighted prediction.  tanh is smooth, so finite-difference checks

@@ -3,15 +3,17 @@
 The logistic sigmoid, softmax, Adam, inverted dropout, Glorot initialization,
 a splittable deterministic RNG, a finite-difference gradient checker that
 every hand-derived backward pass in this package is verified against, and
-the row blocks that evaluation-mode layers work in, with the thread pool
-that runs independent blocks on every core a one-thread BLAS leaves idle.
-The layers' one nonlinearity is numpy's tanh, which each layer calls
-directly.
+the thread helpers that put a one-thread BLAS's idle cores to work: the row
+blocks that evaluation-mode layers and the training GRU's forward work in,
+with the pool that runs independent blocks on every core, and the
+two-thread pipeline that overlaps the training GRU's weight gradients with
+its backward recurrence.  The layers' one nonlinearity is numpy's tanh,
+which each layer calls directly.
 
 All arrays are ``numpy.float64``.  Reductions are delegated to numpy/BLAS,
 which is deterministic for a fixed platform and thread count; all randomness
-flows through :class:`Rng`.  Which thread runs a row block changes none of
-its arithmetic, so the pool's worker count changes no result.
+flows through :class:`Rng`.  Which thread runs a row block or a pipeline's
+side changes none of its arithmetic, so the worker count changes no result.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import glob
 import math
 import os
 import threading
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
 from typing import Any
 
@@ -102,28 +104,35 @@ def softmax(x: Array, axis: int = -1) -> Array:
 _EVAL_BLOCK_ROWS = 256
 
 
-def row_blocks(n: int) -> list[slice]:
-    """ceil(n / 256) contiguous, near-equal row windows covering range(n).
+def row_blocks(n: int, most: int = _EVAL_BLOCK_ROWS) -> list[slice]:
+    """ceil(n / most) contiguous, near-equal row windows covering range(n).
 
     Evaluation keeps no cache for a backward pass, so the GRU and the
     similarity graph work through the rows one block at a time and a
-    block's working set stays in cache.  The split is equal rather than 256
-    rows plus a ragged tail because a matrix product over 20 rows or fewer
-    takes another OpenBLAS kernel path and rounds differently in the last
-    bit; equal blocks of an n above 256 hold at least 128 rows.  An empty
-    range is one empty block.
+    block's working set stays in cache; training's GRU forward splits a
+    large batch the same way, in smaller blocks, to spread it over threads.
+    The split is equal rather than ``most`` rows plus a ragged tail because
+    a block's rows must round like the whole batch's.  OpenBLAS runs an NN
+    product (``a @ b``, both C-ordered) through a small-matrix kernel when
+    M·N·K <= 10**6, and that kernel rounds differently in the last bit: the
+    GRU backward's (N, 118) @ (118, 59) ``da_zr @ u_zr`` rows change below
+    144 rows.  The NT products of the GRU forward (``x @ w.T``) gave equal
+    rows for every N from 2 to 700 in blocks of 64 rows or more (they part
+    only in blocks of about 10 rows or fewer), and equal blocks of an n
+    above ``most`` hold at least ``most // 2`` rows.  An empty range is one
+    empty block.
     """
-    n_blocks = max(1, -(-n // _EVAL_BLOCK_ROWS))
+    n_blocks = max(1, -(-n // most))
     size, extra = divmod(n, n_blocks)
     bounds = [k * size + min(k, extra) for k in range(n_blocks + 1)]
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
 def run_row_blocks(n: int, fn: Callable[[slice, Any], None],
-                   new_slot: Callable[[int], Any]) -> None:
-    """Call ``fn(rows, slot)`` once for each of ``row_blocks(n)``, on every core BLAS leaves free.
+                   new_slot: Callable[[int], Any], most: int = _EVAL_BLOCK_ROWS) -> None:
+    """Call ``fn(rows, slot)`` for each of ``row_blocks(n, most)``, on every core BLAS leaves free.
 
-    The blocks go to ``_eval_workers`` threads, the calling thread among
+    The blocks go to ``_workers`` threads, the calling thread among
     them, each taking the next block left until none is.  ``new_slot(rows)``
     makes one worker's scratch state for blocks of up to ``rows`` rows; it
     runs in the calling thread, once per worker before any block starts, and
@@ -137,9 +146,9 @@ def run_row_blocks(n: int, fn: Callable[[slice, Any], None],
     ``fn`` runs on other threads, so it must not call into anything that keeps
     per-process state, such as a tracer's span stack.
     """
-    blocks = row_blocks(n)
+    blocks = row_blocks(n, most)
     largest = blocks[0].stop - blocks[0].start
-    slots = [new_slot(largest) for _ in range(_eval_workers(len(blocks)))]
+    slots = [new_slot(largest) for _ in range(_workers(len(blocks)))]
     todo = iter(blocks)
     lock = threading.Lock()
     errors: list[BaseException] = []
@@ -167,6 +176,56 @@ def run_row_blocks(n: int, fn: Callable[[slice, Any], None],
     finally:
         for thread in started:
             thread.join()
+    if errors:
+        raise errors[0]
+
+
+def run_pipelined(items: Sequence[Any], produce: Callable[[Any, Any], None],
+                  consume: Callable[[Any, Any], None], slots: list[Any]) -> None:
+    """Call ``produce(item, slot)`` then ``consume(item, slot)`` for each item, on two threads.
+
+    The calling thread runs every ``produce`` in the order of ``items``, and
+    one worker thread runs every ``consume`` in the same order, so consuming
+    an item overlaps producing the next ones.  The slots are a ring:
+    ``produce`` fills ``slots[k % len(slots)]`` for the k-th item once the
+    item ``len(slots)`` places before it has been consumed, and ``consume``
+    reads it.  So the two must share nothing but the slots, which ``consume``
+    only reads.  ``consume`` runs on another thread, so it must not call into
+    anything that keeps per-process state, such as a tracer's span stack.
+
+    When either side raises, the other stops at its next item, neither waits
+    for the other again, the worker is joined, and the first error raised is
+    raised again.
+    """
+    ready, free = threading.Semaphore(0), threading.Semaphore(len(slots))
+    errors: list[BaseException] = []
+
+    def work() -> None:
+        try:
+            for k, item in enumerate(items):
+                ready.acquire()
+                if errors:
+                    return
+                consume(item, slots[k % len(slots)])
+                free.release()
+        except BaseException as exc:  # raised again below, once the worker is joined
+            errors.append(exc)
+            free.release(len(items))  # the calling thread never waits for a slot again
+
+    worker = threading.Thread(target=work, name="hgrc-pipeline")
+    worker.start()
+    try:
+        for k, item in enumerate(items):
+            free.acquire()
+            if errors:
+                break
+            produce(item, slots[k % len(slots)])
+            ready.release()
+    except BaseException as exc:  # raised again below, once the worker is joined
+        errors.append(exc)
+    finally:
+        ready.release()  # a worker waiting for an item that never comes sees the error
+        worker.join()
     if errors:
         raise errors[0]
 
@@ -199,8 +258,8 @@ def _blas_thread_query() -> Callable[[], int] | None:
     return None
 
 
-def _eval_workers(n_blocks: int) -> int:
-    """Threads for ``n_blocks`` independent blocks: one per core when BLAS runs one thread.
+def _workers(n_blocks: int) -> int:
+    """Threads for ``n_blocks`` independent parts: one per core when BLAS runs one thread.
 
     A multi-threaded BLAS already spreads each product over the cores, and
     two workers on top of a 2-thread BLAS slowed a 4096-patient scoring call

@@ -1,10 +1,13 @@
 """GRU encoder: forward values, BPTT gradients, fusion."""
 
+import os
 import threading
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from hgrc import encoder, numeric
 from hgrc.encoder import encode_batch, encode_batch_backward, fuse_batch, init_gru_params
@@ -139,7 +142,7 @@ def test_eval_encoder_memory_is_bounded_by_its_blocks(monkeypatch):
     p = gru_params(16, d, Rng(42))
     series = Rng(43).normal(size=(n, 16, 3))
     for workers in (1, 2):
-        monkeypatch.setattr(numeric, "_eval_workers", lambda n_blocks, w=workers: w)
+        monkeypatch.setattr(numeric, "_workers", lambda n_blocks, w=workers: w)
         tracemalloc.start()
         try:
             encode_batch(series, p, keep_cache=False)
@@ -150,7 +153,7 @@ def test_eval_encoder_memory_is_bounded_by_its_blocks(monkeypatch):
 
 
 def test_a_failing_eval_block_raises_its_error_and_joins_every_thread(monkeypatch):
-    monkeypatch.setattr(numeric, "_eval_workers", lambda n_blocks: 2)
+    monkeypatch.setattr(numeric, "_workers", lambda n_blocks: 2)
     p = gru_params(3, 4, Rng(44))
     series = Rng(45).normal(size=(1025, 3, 2))  # five blocks of 205 rows
     encode_block = encoder._encode_block
@@ -165,6 +168,146 @@ def test_a_failing_eval_block_raises_its_error_and_joins_every_thread(monkeypatc
     with pytest.raises(FloatingPointError, match="block failed"):
         encode_batch(series, p, keep_cache=False)
     assert threading.active_count() == start
+
+
+# batch sizes at and around the training block edges: one block of 128 rows
+# or fewer runs on the calling thread, blocks hold 64 rows or more, and the
+# recurrence's da_zr @ u_zr changes kernel at 144 rows
+TRAIN_EDGE_ROWS = (2, 21, 128, 129, 143, 144, 200, 256, 257, 385)
+
+
+def gru_pass(series, p, d_h):
+    """Every array the cached forward and the backward return, in a list."""
+    h, cache = encode_batch(series, p)
+    grads, d_series = encode_batch_backward(d_h, cache, p, zero_grads(p))
+    return [h, *cache[1:], *grads.values(), d_series]
+
+
+def started_threads(monkeypatch):
+    """A list that records the name of every thread started from here on."""
+    names = []
+    start = threading.Thread.start
+
+    def recording(thread):
+        names.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recording)
+    return names
+
+
+# one_blas_thread is the same for every example
+@settings(max_examples=3, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(n=st.sampled_from(TRAIN_EDGE_ROWS), seed=st.integers(0, 2 ** 16))
+@example(n=2, seed=0)
+@example(n=21, seed=0)
+@example(n=128, seed=0)
+@example(n=129, seed=0)
+@example(n=143, seed=0)
+@example(n=144, seed=0)
+@example(n=200, seed=0)
+@example(n=256, seed=0)
+@example(n=257, seed=0)
+@example(n=385, seed=0)
+def test_the_training_worker_count_changes_no_bit(n, seed, one_blas_thread):
+    # the model's widths, so every product takes the kernel path training takes
+    p = gru_params(16, 59, Rng(seed))
+    data = Rng(seed + 1)
+    series, d_h = data.normal(size=(n, 16, 4)), data.normal(size=(n, 59))
+    runs = []
+    for workers in (1, 2, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(numeric, "_workers", lambda n_blocks, w=workers: w)
+            threads = started_threads(mp)
+            runs.append(gru_pass(series, p, d_h))
+        assert bool(threads) == (workers > 1 and n > 128), (workers, threads)
+    for run in runs[1:]:
+        assert len(run) == len(runs[0]) == 10
+        assert all(np.array_equal(a, b) for a, b in zip(run, runs[0]))
+
+
+class FailingRead:
+    """A cache array whose step ``step`` raises when read."""
+
+    def __init__(self, array, step):
+        self.array, self.step, self.shape = array, step, array.shape
+
+    def __getitem__(self, key):
+        if (key[-1] if isinstance(key, tuple) else key) == self.step:
+            raise FloatingPointError(f"step {self.step} failed")
+        return self.array[key]
+
+
+def error_within_a_minute(call):
+    """The error ``call()`` raises, from a thread that must end within 60 s."""
+    errors = []
+
+    def run():
+        try:
+            call()
+        except FloatingPointError as exc:
+            errors.append(exc)
+
+    caller = threading.Thread(target=run, daemon=True)  # a hang fails here, not at exit
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive(), "the GRU hung after an error"
+    assert len(errors) == 1
+    return errors[0]
+
+
+def test_a_failing_training_forward_block_raises_its_error(monkeypatch):
+    monkeypatch.setattr(numeric, "_workers", lambda n_blocks: 2)
+    p = gru_params(3, 4, Rng(46))
+    series = Rng(47).normal(size=(385, 3, 2))  # four blocks of 97, 96, 96 and 96 rows
+    cached_block = encoder._cached_block
+
+    def failing(block, *args):
+        if np.shares_memory(block, series[193:289]):
+            raise FloatingPointError("block failed")
+        cached_block(block, *args)
+
+    monkeypatch.setattr(encoder, "_cached_block", failing)
+    exc = error_within_a_minute(lambda: encode_batch(series, p))
+    assert str(exc) == "block failed"
+
+
+# the cache index each side reads: the recurrence alone reads cs, and the
+# weight gradients alone read the series
+@pytest.mark.parametrize("side, index", [("recurrence", 4), ("weight gradients", 0)])
+@pytest.mark.parametrize("step", [5, 3, 0])  # first, middle and last of the backward's steps
+def test_a_failing_backward_side_raises_its_error(side, index, step, monkeypatch):
+    monkeypatch.setattr(numeric, "_workers", lambda n_blocks: 2)
+    p = gru_params(3, 4, Rng(48))
+    data = Rng(49)
+    series, d_h = data.normal(size=(256, 3, 6)), data.normal(size=(256, 4))
+    _, cache = encode_batch(series, p)
+    cache = list(cache)
+    cache[index] = FailingRead(cache[index], step)
+    threads = started_threads(monkeypatch)
+    exc = error_within_a_minute(lambda: encode_batch_backward(d_h, cache, p, zero_grads(p)))
+    assert str(exc) == f"step {step} failed"
+    assert "hgrc-pipeline" in threads
+
+
+@pytest.mark.parametrize("blas_threads", [None, 2, 8])
+def test_training_starts_no_thread_unless_blas_runs_one(blas_threads, monkeypatch,
+                                                        one_blas_thread):
+    # the query is faked; the real BLAS runs one thread, so the threaded run
+    # below must equal the whole-batch one
+    query = None if blas_threads is None else (lambda: blas_threads)
+    monkeypatch.setattr(numeric, "_blas_thread_query", lambda: query)
+    p = gru_params(16, 59, Rng(50))
+    data = Rng(51)
+    series, d_h = data.normal(size=(256, 16, 3)), data.normal(size=(256, 59))
+    threads = started_threads(monkeypatch)
+    whole = gru_pass(series, p, d_h)
+    assert threads == []
+    if len(os.sched_getaffinity(0)) > 1:  # the same batch with a one-thread BLAS
+        monkeypatch.setattr(numeric, "_blas_thread_query", lambda: lambda: 1)
+        threaded = gru_pass(series, p, d_h)
+        assert threads and all(np.array_equal(a, b) for a, b in zip(threaded, whole))
 
 
 def test_encode_batch_input_validation():

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 from hgrc import numeric
 from hgrc.errors import ConfigError, GradientCheckError, ShapeError
 from hgrc.numeric import (AdamState, Rng, adam_step, dropout_mask, finite_diff_check,
-                          glorot_init, row_blocks, run_row_blocks, sigmoid, softmax)
+                          glorot_init, row_blocks, run_pipelined, run_row_blocks, sigmoid,
+                          softmax)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -120,15 +121,15 @@ def test_softmax_rows_are_distributions(seed, n, k):
 
 @pytest.mark.parametrize("n", [0, 1, 20, 255, 256, 257, 300, 512, 513, 4096, 4097])
 def test_row_blocks_are_near_equal_and_cover_the_rows(n):
-    blocks = row_blocks(n)
-    sizes = [b.stop - b.start for b in blocks]
-    assert blocks[0].start == 0 and blocks[-1].stop == n
-    assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
-    assert len(blocks) == max(1, math.ceil(n / 256))
-    assert max(sizes) <= 256 and max(sizes) - min(sizes) <= 1
-    # never a block of 20 rows or fewer once the rows need two blocks
-    assert n <= 256 or min(sizes) >= 128
-    assert sizes == [len(p) for p in np.array_split(np.arange(n), len(blocks))]
+    for most, blocks in ((256, row_blocks(n)), (128, row_blocks(n, 128))):
+        sizes = [b.stop - b.start for b in blocks]
+        assert blocks[0].start == 0 and blocks[-1].stop == n
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+        assert len(blocks) == max(1, math.ceil(n / most))
+        assert max(sizes) <= most and max(sizes) - min(sizes) <= 1
+        # never a block under half the most once the rows need two blocks
+        assert n <= most or min(sizes) >= most // 2
+        assert sizes == [len(p) for p in np.array_split(np.arange(n), len(blocks))]
 
 
 def record_blocks(n, workers, monkeypatch, fail_at=None, ran=None, delay=0.0):
@@ -138,7 +139,7 @@ def record_blocks(n, workers, monkeypatch, fail_at=None, ran=None, delay=0.0):
     (ran, {slot: threads that used it}, threads that made slots).  The block
     starting at row ``fail_at`` raises instead of running.
     """
-    monkeypatch.setattr(numeric, "_eval_workers", lambda n_blocks: workers)
+    monkeypatch.setattr(numeric, "_workers", lambda n_blocks: workers)
     ran = [] if ran is None else ran
     users, makers = {}, []
 
@@ -193,14 +194,89 @@ def test_run_row_blocks_under_fast_thread_switching_loses_no_block(monkeypatch):
     assert sorted(b.start for b in ran) == [b.start for b in row_blocks(n)]
 
 
+def record_pipeline(items, n_slots, fail=None, produce_delay=0.0, consume_delay=0.0):
+    """run_pipelined over ``items``, each slot filled with its item; returns what was seen.
+
+    Returns (produced, consumed, the consume thread ids).  ``fail`` is
+    ("produce" or "consume", item): that call raises instead of running.
+    Each produce waits ``produce_delay`` seconds before it fills its slot,
+    so a consume that read its slot before it was filled would see the old
+    item; each consume waits ``consume_delay`` seconds first, so the
+    producer runs a full ring ahead and waits for a slot.
+    """
+    produced, consumed, consumers = [], [], set()
+    slots = [np.full(4, -1.0) for _ in range(n_slots)]
+
+    def produce(item, slot):
+        if fail == ("produce", item):
+            raise KeyError(item)
+        time.sleep(produce_delay)
+        slot[...] = item
+        produced.append(item)
+
+    def consume(item, slot):
+        consumers.add(threading.get_ident())
+        time.sleep(consume_delay)
+        if fail == ("consume", item):
+            raise KeyError(item)
+        consumed.append((item, slot.copy()))
+
+    run_pipelined(items, produce, consume, slots)
+    return produced, consumed, consumers
+
+
+@pytest.mark.parametrize("n_slots", [1, 4])
+def test_run_pipelined_consumes_each_item_in_order_on_one_other_thread(n_slots):
+    items = range(39, -1, -1)
+    produced, consumed, consumers = record_pipeline(items, n_slots, produce_delay=0.001)
+    assert produced == list(items)
+    # each slot read only after its own item filled it and before the next refilled it
+    assert [item for item, _ in consumed] == list(items)
+    assert all(np.all(seen == item) for item, seen in consumed)
+    assert len(consumers) == 1 and threading.get_ident() not in consumers
+
+
+@pytest.mark.parametrize("side", ["produce", "consume"])
+@pytest.mark.parametrize("at", [0, 5, 19])
+def test_run_pipelined_joins_its_worker_and_raises_either_side_error(side, at):
+    failed = []
+
+    def run():
+        try:  # the consumer lags, so a failing consumer leaves the producer waiting for a slot
+            record_pipeline(range(20), 4, fail=(side, at), consume_delay=0.005)
+        except KeyError as exc:
+            failed.append(exc)
+
+    start = threading.active_count()
+    caller = threading.Thread(target=run, daemon=True)  # a hang fails here, not at exit
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive(), "run_pipelined hung after an error"
+    assert [exc.args for exc in failed] == [(at,)]
+    assert threading.active_count() == start
+
+
+def test_run_pipelined_under_fast_thread_switching_loses_no_item():
+    # a switch every microsecond: a slot refilled before it was read, or an
+    # item dropped by the ring, breaks the ordered, matching record
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _, consumed, _ = record_pipeline(range(2000), 4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert [item for item, _ in consumed] == list(range(2000))
+    assert all(np.all(seen == item) for item, seen in consumed)
+
+
 def test_eval_workers_is_one_unless_blas_reads_one_thread(monkeypatch):
     cores = len(os.sched_getaffinity(0))
     monkeypatch.setattr(numeric, "_blas_thread_query", lambda: None)
-    assert numeric._eval_workers(16) == 1
+    assert numeric._workers(16) == 1
     for threads, workers in ((0, 1), (2, 1), (8, 1), (1, min(cores, 16))):
         monkeypatch.setattr(numeric, "_blas_thread_query", lambda t=threads: lambda: t)
-        assert numeric._eval_workers(16) == workers, threads
-    assert numeric._eval_workers(1) == 1
+        assert numeric._workers(16) == workers, threads
+    assert numeric._workers(1) == 1
 
 
 @pytest.mark.parametrize("found", [[], ["/nonexistent/libscipy_openblas64_.so"]])
@@ -214,7 +290,7 @@ def test_eval_workers_follow_the_blas_thread_count(threads):
     # OpenBLAS reads its thread count when numpy loads it, so each count
     # needs a fresh interpreter
     probe = ("import os; from hgrc import numeric; q = numeric._blas_thread_query(); "
-             "print(-1 if q is None else q(), numeric._eval_workers(16), "
+             "print(-1 if q is None else q(), numeric._workers(16), "
              "len(os.sched_getaffinity(0)))")
     env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": str(SRC)}
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,

@@ -5,6 +5,7 @@ import importlib
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hgrc import numeric
+from hgrc.checkpoint import save_checkpoint
 from hgrc.data import impute_mean, load_cohort, split, standardize
 from hgrc.encoder import encode_batch
 from hgrc.errors import ConfigError, TrainingError, UndefinedMetricError
@@ -283,7 +285,7 @@ def test_the_eval_worker_count_changes_no_bit(n, start):
     runs = []
     for workers in (1, 2, 3):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(numeric, "_eval_workers", lambda n_blocks, w=workers: w)
+            mp.setattr(numeric, "_workers", lambda n_blocks, w=workers: w)
             states, _ = encode_batch(part.series, ckpt.params.gru, keep_cache=False)
             runs.append((states, predict_scores(ckpt, part)))
     whole, _ = encode_batch(part.series, ckpt.params.gru, keep_cache=True)
@@ -291,6 +293,25 @@ def test_the_eval_worker_count_changes_no_bit(n, start):
         assert np.array_equal(states, whole)
         assert np.array_equal(scores, runs[0][1])
     assert np.ptp(runs[0][1]) > 0.0 or n == 1
+
+
+def test_the_training_worker_count_changes_no_checkpoint_bit(tmp_path, one_blas_thread):
+    # batch 256 at the model's widths: a 256-row batch runs its GRU on two
+    # threads, then a 44-row one on the calling thread
+    tr, va, te = prepared_splits(SyntheticSpec(n_patients=500), gen_seed=5, split_seed=6)
+    assert len(tr) == 300
+    config = TrainConfig(epochs=2, patience=2, seed=7)
+    runs = []
+    for workers in (1, 2):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(numeric, "_workers", lambda n_blocks, w=workers: w)
+            ckpt = train(config, tr, va)
+            path = save_checkpoint(ckpt, tmp_path / f"{workers}.hgrc")
+            runs.append((json.dumps(ckpt.training_log), Path(path).read_bytes(),
+                         predict_scores(ckpt, te)))
+    (log_1, bytes_1, scores_1), (log_2, bytes_2, scores_2) = runs
+    assert log_1 == log_2 and bytes_1 == bytes_2
+    assert np.array_equal(scores_1, scores_2)
 
 
 def test_predict_scores_of_an_empty_cohort_is_empty(trained, splits):
