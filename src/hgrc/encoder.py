@@ -16,19 +16,18 @@ product for all three gates, one for the z/r recurrence and one for the
 candidate.  The backward pass is hand-derived backpropagation through time;
 see encode_batch_backward.
 
-Training caches every step for the backward pass.  Evaluation keeps no
-cache and runs the rows in the near-equal blocks of at most 256 that
-``numeric.row_blocks`` cuts, each block to its last step in one thread's
-own buffers, so a block's buffers and inputs stay in L2 and the states
-equal the whole-batch ones bit for bit.  The blocks are independent, so
-``numeric.run_row_blocks`` spreads them over the process's cores when BLAS
-runs one thread (see encode_batch).  Under the same rule a training batch
-of more than 128 rows runs its cached forward in row blocks on one thread
-per core, and its backward on two threads, one running the recurrence and
-one adding up the weight gradients (see encode_batch_backward); a smaller
-batch, or a multi-threaded BLAS, runs the whole batch on the calling
-thread.  Every thread count gives the same arithmetic, so training logs,
-checkpoints and scores are the same bit for bit.
+One recurrence, _gru_block, serves training and scoring.  It runs a block
+of rows to its last step; training writes every step to a cache for the
+backward pass, and scoring keeps none.  ``numeric.run_row_blocks`` runs
+the blocks on one thread per core when BLAS runs one thread, and on the
+calling thread otherwise.  Scoring cuts blocks of at most 256 rows, so a
+block's working set stays in L2.  Training cuts blocks of at most 128 rows
+for a batch of more than 128 on two cores or more, and otherwise runs the
+whole batch as one block; under the same rule its backward runs on two
+threads, one for the recurrence and one for the weight gradients (see
+encode_batch_backward).  Every block size and thread count gives the same
+arithmetic, so training logs, checkpoints and scores are the same bit for
+bit.
 """
 
 from __future__ import annotations
@@ -67,24 +66,24 @@ def init_gru_params(p: dict[str, Array], rng: Rng) -> None:
 def encode_batch(series_batch: Array, p: dict[str, Array], keep_cache: bool = True):
     """Run the GRU over (N, M, T) series; returns final states (N, d) + cache.
 
-    h_0 = 0.  The cache holds the series and every step's previous state and
-    z, r and candidate values, in (T, N, d) arrays.  Each step writes into
-    buffers allocated up front, so no call's time hangs on page faults.
-    When _train_threaded, the cached loop runs in the near-equal blocks of
-    at most 128 rows that ``numeric.row_blocks`` cuts, on the threads of
-    ``numeric.run_row_blocks``, each block writing its own rows of the
-    cache arrays; each row's products round as in the whole batch (see the
-    row_blocks docstring), so the cache is the same bit for bit.
+    h_0 = 0.  The cache holds the (T, N, M) time-major copy of the series,
+    then every step's previous state and z, r and candidate values, in
+    (T, N, d) arrays; without ``keep_cache`` it is None.  Either way the
+    rows run in the near-equal blocks that ``numeric.row_blocks`` cuts,
+    through the one recurrence of _gru_block, on the threads of
+    ``numeric.run_row_blocks``; only the block size differs:
 
-    Without ``keep_cache`` the cache is None and the rows run in the
-    near-equal blocks of ``numeric.row_blocks``, each to its last step
-    before its thread takes another (see _encode_block).  A block's working
-    set then stays in L2 instead of streaming (N, 3d) temporaries through L3
-    at every step, and every row's state equals the whole-batch one bit for
-    bit.  ``numeric.run_row_blocks`` runs the blocks on one thread per core
-    when BLAS runs one thread, and on the calling thread alone otherwise;
-    each thread gets its own set of block buffers, allocated here before any
-    block starts, and writes only its blocks' rows of the result.
+    - without a cache, blocks of at most 256 rows, each run to its last
+      step in one thread's own buffers, so its working set stays in L2
+      instead of streaming (N, 3d) temporaries through L3 at every step;
+    - with a cache, blocks of at most 128 rows when _train_threaded, and
+      otherwise one block of the whole batch, which runs on the calling
+      thread.  Each block writes its own rows of the cache arrays.
+
+    Each row's products round as in the whole batch (see the row_blocks
+    docstring), so states and cache are the same bit for bit for any block
+    size and thread count.  Every buffer is allocated before any block
+    starts, so no step allocates.
     """
     series_batch = np.asarray(series_batch, dtype=np.float64)
     if series_batch.ndim != 3:
@@ -97,23 +96,18 @@ def encode_batch(series_batch: Array, p: dict[str, Array], keep_cache: bool = Tr
         raise ShapeError("encode_batch: empty time axis")
     if np.isnan(series_batch).any():
         raise ShapeError("encode_batch: absent cells remain; impute first")
-    if not keep_cache:
-        final = np.empty((n, d))
-        run_row_blocks(
-            n, lambda rows, bufs: _encode_block(series_batch[rows], p, final[rows], bufs),
-            lambda rows: _block_buffers(rows, m, t, d))
-        return final, None
-    hs = np.zeros((t + 1, n, d))  # hs[step] is the state that step reads
-    zs, rs, cs = (np.empty((t, n, d)) for _ in range(3))
-    if _train_threaded(n):
-        run_row_blocks(
-            n, lambda rows, bufs: _cached_block(
-                series_batch[rows], p, hs[:, rows], zs[:, rows], rs[:, rows], cs[:, rows], bufs),
-            lambda rows: _cached_buffers(rows, d), most=_TRAIN_BLOCK_ROWS)
-    else:
-        _cached_block(series_batch, p, hs, zs, rs, cs, _cached_buffers(n, d))
-    # a copy, so that holding the final state does not hold the whole cache
-    return hs[t].copy(), (series_batch, hs, zs, rs, cs)
+    cache, most = None, numeric._EVAL_BLOCK_ROWS
+    if keep_cache:  # xs, hs (hs[step] is the state that step reads), zs, rs, cs
+        cache = (np.empty((t, n, m)), np.empty((t + 1, n, d)),
+                 *(np.empty((t, n, d)) for _ in range(3)))
+        most = _TRAIN_BLOCK_ROWS if _train_threaded(n) else max(n, 1)
+    final = np.empty((n, d))
+    run_row_blocks(
+        n, lambda rows, bufs: _gru_block(
+            series_batch[rows], p, final[rows], bufs,
+            None if cache is None else [a[:, rows] for a in cache]),
+        lambda rows: _gru_buffers(rows, m, t, d, keep_cache), most=most)
+    return final, cache
 
 
 def _train_threaded(n: int) -> bool:
@@ -125,25 +119,46 @@ def _train_threaded(n: int) -> bool:
     return n > _TRAIN_BLOCK_ROWS and numeric._workers(2) > 1
 
 
-def _cached_buffers(rows: int, d: int) -> tuple[Array, ...]:
-    """One thread's _cached_block buffers, for blocks of up to ``rows`` rows: a, zr and tmp."""
-    return tuple(np.empty((rows, w)) for w in (3 * d, 2 * d, d))
+def _gru_buffers(rows: int, m: int, t: int, d: int, cached: bool) -> tuple[Array, ...]:
+    """One thread's _gru_block buffers, for blocks of up to ``rows`` rows.
 
-
-def _cached_block(series: Array, p: dict[str, Array], hs: Array, zs: Array, rs: Array,
-                  cs: Array, bufs: tuple[Array, ...]) -> None:
-    """The training-mode recurrence over the rows of ``series``, writing every step to the cache.
-
-    ``hs``, ``zs``, ``rs`` and ``cs`` are those rows of encode_batch's cache
-    arrays, with hs[0] already zero; the scratch products go to the leading
-    rows of ``bufs`` (see _cached_buffers).
+    a, zr and tmp; without a cache also the (T, rows, M) time-major input
+    copy and h, h_next and c.
     """
-    n, d = hs.shape[1:]
-    a, zr, tmp = (buf[:n] for buf in bufs)
-    for step in range(series.shape[2]):
-        h, h_next = hs[step], hs[step + 1]
-        z, r, c = zs[step], rs[step], cs[step]
-        np.add(np.matmul(series[:, :, step], p["w"].T, out=a), p["b"], out=a)
+    bufs = tuple(np.empty((rows, w)) for w in (3 * d, 2 * d, d))
+    if cached:
+        return bufs
+    return bufs + (np.empty((t, rows, m)),) + tuple(np.empty((rows, d)) for _ in range(3))
+
+
+def _gru_block(series: Array, p: dict[str, Array], out: Array, bufs: tuple[Array, ...],
+               cache: list[Array] | None = None) -> None:
+    """The recurrence over the rows of ``series``; final states go to ``out``.
+
+    ``cache`` is those rows of encode_batch's cache arrays, and each step
+    writes its input, state and gates there.  Without it they go to the
+    leading rows of ``bufs`` (see _gru_buffers): two state buffers take
+    turns, and the same c buffer serves every step.  z and r are then views
+    of the gate buffer zr, and numpy skips a copy onto the same memory, so
+    the step's copy of the gates costs nothing; separate z and r buffers
+    made a 2000-patient scoring call 3% slower.  Scratch products always go to
+    ``bufs``.  Each step reads its inputs from the contiguous time-major
+    copy ``xs``.
+    """
+    n, d = out.shape
+    t = series.shape[2]
+    a, zr, tmp = (buf[:n] for buf in bufs[:3])
+    if cache is None:
+        xs = bufs[3][:, :n]
+        h, h_next, c = (buf[:n] for buf in bufs[4:])
+        z, r = zr[:, :d], zr[:, d:]
+        hs, zs, rs, cs = [h, h_next] * (t // 2 + 1), [z] * t, [r] * t, [c] * t
+    else:
+        xs, hs, zs, rs, cs = cache
+    np.copyto(xs, series.transpose(2, 0, 1))  # each xs[step] is a contiguous (n, M) block
+    hs[0][...] = 0.0
+    for x, h, h_next, z, r, c in zip(xs, hs, hs[1:], zs, rs, cs):
+        np.add(np.matmul(x, p["w"].T, out=a), p["b"], out=a)
         np.add(np.matmul(h, p["u_zr"].T, out=zr), a[:, :2 * d], out=zr)
         sigmoid(zr, out=zr)
         z[...], r[...] = zr[:, :d], zr[:, d:]
@@ -151,49 +166,17 @@ def _cached_block(series: Array, p: dict[str, Array], hs: Array, zs: Array, rs: 
         np.tanh(c, out=c)
         np.multiply(np.subtract(1.0, z, out=tmp), h, out=tmp)
         np.add(tmp, np.multiply(z, c, out=h_next), out=h_next)
-
-
-def _block_buffers(rows: int, m: int, t: int, d: int) -> tuple[Array, ...]:
-    """One thread's _encode_block buffers, for blocks of up to ``rows`` rows.
-
-    The (T, rows, M) time-major input copy, then h, h_next, a, zr, c and tmp.
-    """
-    widths = (d, d, 3 * d, 2 * d, d, d)
-    return (np.empty((t, rows, m)),) + tuple(np.empty((rows, w)) for w in widths)
-
-
-def _encode_block(series: Array, p: dict[str, Array], out: Array, bufs: tuple[Array, ...]) -> None:
-    """The eval-mode recurrence over one row block; final states go to ``out``.
-
-    The same arithmetic as encode_batch's cached loop, in the leading rows
-    of ``bufs`` (see _block_buffers): each step reads its inputs from a
-    contiguous time-major copy, z and r stay views of the gate buffer, and
-    two state buffers take turns.
-    """
-    n, d = out.shape
-    xs = bufs[0][:, :n]
-    np.copyto(xs, series.transpose(2, 0, 1))  # each xs[step] is a contiguous (n, M) block
-    h, h_next, a, zr, c, tmp = (buf[:n] for buf in bufs[1:])
-    h[...] = 0.0
-    z, r = zr[:, :d], zr[:, d:]
-    for x in xs:
-        np.add(np.matmul(x, p["w"].T, out=a), p["b"], out=a)
-        np.add(np.matmul(h, p["u_zr"].T, out=zr), a[:, :2 * d], out=zr)
-        sigmoid(zr, out=zr)
-        np.add(np.matmul(np.multiply(r, h, out=tmp), p["u_h"].T, out=c), a[:, 2 * d:], out=c)
-        np.tanh(c, out=c)
-        np.multiply(np.subtract(1.0, z, out=tmp), h, out=tmp)
-        np.add(tmp, np.multiply(z, c, out=h_next), out=h_next)
-        h, h_next = h_next, h
-    out[...] = h
+    out[...] = h_next
 
 
 def encode_batch_backward(d_h: Array, cache, p: dict[str, Array], grads: dict[str, Array]):
     """Backpropagation through time from the final-state gradient.
 
     d_h is dLoss/dh_T with shape (N, d).  Returns (grads, dLoss/dseries
-    with shape (N, M, T)).  The weight gradients are added into ``grads``,
-    zeroed arrays keyed like p (views of the model's gradient buffer).
+    with shape (N, M, T)); the latter is a view of a time-major array, so
+    each step writes one contiguous block.  The weight gradients are added
+    into ``grads``, zeroed arrays keyed like p (views of the model's
+    gradient buffer).
     Derivation per step, with a_* the pre-activations of the gates and
     da = [da_z, da_r, da_h] stacked like the parameters:
 
@@ -216,10 +199,10 @@ def encode_batch_backward(d_h: Array, cache, p: dict[str, Array], grads: dict[st
     whole batch (see ``numeric.row_blocks``), and a 256-row batch cannot be
     cut into two blocks of 144 rows.
     """
-    series, hs, zs, rs, cs = cache
-    n, m, t = series.shape
+    xs, hs, zs, rs, cs = cache
+    t, n, m = xs.shape
     d = d_h.shape[1]
-    d_series = np.zeros((n, m, t))
+    d_xs = np.empty((t, n, m))  # dLoss/dxs, time-major like xs
     dh = np.array(d_h, dtype=np.float64)
 
     # recur fills a step's da and carries dh back a step; add_step adds the
@@ -243,10 +226,10 @@ def encode_batch_backward(d_h: Array, cache, p: dict[str, Array], grads: dict[st
         da, da_zr, da_h, _, _ = gates
         h_prev = hs[step]
         grads["u_h"] += da_h.T @ (rs[step] * h_prev)
-        grads["w"] += da.T @ series[:, :, step]
+        grads["w"] += da.T @ xs[step]
         grads["u_zr"] += da_zr.T @ h_prev
         grads["b"] += da.sum(axis=0)
-        d_series[:, :, step] = da @ p["w"]
+        np.matmul(da, p["w"], out=d_xs[step])
 
     steps = range(t - 1, -1, -1)
     if _train_threaded(n):
@@ -257,7 +240,7 @@ def encode_batch_backward(d_h: Array, cache, p: dict[str, Array], grads: dict[st
         for step in steps:
             recur(step, gates)
             add_step(step, gates)
-    return grads, d_series
+    return grads, d_xs.transpose(1, 2, 0)
 
 
 def fuse_batch(h: Array, icd: Array) -> Array:

@@ -24,7 +24,7 @@ import glob
 import math
 import os
 import threading
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, replace
 from typing import Any
 
@@ -236,13 +236,12 @@ _BLAS_THREAD_SYMBOLS = ("scipy_openblas_get_num_threads64_", "openblas_get_num_t
                         "openblas_get_num_threads")
 
 
-@functools.cache
-def _blas_thread_query() -> Callable[[], int] | None:
-    """The thread-count getter of numpy's bundled OpenBLAS, or None if not found.
+def _openblas_libs() -> Iterator[ctypes.CDLL]:
+    """numpy's bundled OpenBLAS libraries, each opened again by its path.
 
-    numpy has loaded the library already, so opening it again by its path
-    returns the same copy, whose count reflects ``OPENBLAS_NUM_THREADS``
-    and any later ``openblas_set_num_threads``.
+    numpy has loaded them already, so each is the copy numpy calls, whose
+    thread count reflects ``OPENBLAS_NUM_THREADS`` and any later
+    ``openblas_set_num_threads``.  A path that does not open is skipped.
     """
     libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
     for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
@@ -250,6 +249,13 @@ def _blas_thread_query() -> Callable[[], int] | None:
             lib = ctypes.CDLL(path)
         except OSError:
             continue
+        yield lib
+
+
+@functools.cache
+def _blas_thread_query() -> Callable[[], int] | None:
+    """The thread-count getter of numpy's bundled OpenBLAS, or None if not found."""
+    for lib in _openblas_libs():
         for name in _BLAS_THREAD_SYMBOLS:
             query = getattr(lib, name, None)
             if query is not None:

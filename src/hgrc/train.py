@@ -17,7 +17,6 @@ non-improving epochs.
 
 from __future__ import annotations
 
-import ctypes
 import math
 from dataclasses import dataclass, field, replace
 
@@ -31,11 +30,6 @@ from .model import Batch, ModelConfig, ModelParams
 from .numeric import AdamState, Array, Rng, adam_step
 
 EMBED_STAGES = ("gru", "hconv", "aggregated")
-
-try:  # glibc only; elsewhere evaluation leaves the C heap as it is
-    _malloc_trim = ctypes.CDLL(None).malloc_trim
-except (AttributeError, OSError, TypeError):
-    _malloc_trim = None
 
 
 @dataclass(frozen=True)
@@ -122,13 +116,7 @@ def _predict(params: ModelParams, cfg: ModelConfig, cohort: Cohort,
     Eval mode builds the similarity graph as an (N, N) bool adjacency in
     row blocks and holds no (N, N) float array, so a scoring call no longer
     sets the process's peak memory; in a process that trains and then
-    scores, the training steps' caches and loading a cohort do.  The call
-    still hands the C heap's free pages back to the OS first (glibc's
-    ``malloc_trim``).  Work done before it leaves free but resident pages,
-    and whether later allocations reuse them or grow the heap past them
-    hangs on where small live blocks happen to sit: over ten runs that
-    trained on 2000 patients at batch 256 and scored 2000 more, median
-    peak RSS read 135.5 MB with the trim and 136.6 MB without.
+    scores, the training steps' caches and loading a cohort do.
     """
     n = len(cohort)
     if eval_batch_size is None or eval_batch_size >= n:
@@ -137,8 +125,6 @@ def _predict(params: ModelParams, cfg: ModelConfig, cohort: Cohort,
         if eval_batch_size < 1:
             raise ConfigError(f"eval batch size must be >= 1, got {eval_batch_size}")
         pieces = [slice(s, min(s + eval_batch_size, n)) for s in range(0, n, eval_batch_size)]
-    if _malloc_trim is not None:
-        _malloc_trim(0)
     scores = np.empty(n)
     stage_rows = [] if stage is not None else None
     for sl in pieces:

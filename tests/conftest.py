@@ -8,11 +8,8 @@ of as a slow or hung suite later.
 """
 
 import ctypes
-import glob
-import os
 import threading
 
-import numpy as np
 import pytest
 
 from hgrc import numeric
@@ -36,9 +33,7 @@ def one_blas_thread():
     multi-threaded BLAS splits a large product over its own threads, and the
     rows of a block then need not round like the whole batch's.
     """
-    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
-    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
-        lib = ctypes.CDLL(path)
+    for lib in numeric._openblas_libs():
         for getter in numeric._BLAS_THREAD_SYMBOLS:
             get = getattr(lib, getter, None)
             set_ = getattr(lib, getter.replace("_get_", "_set_"), None)

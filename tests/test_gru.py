@@ -124,10 +124,12 @@ def test_encode_batch_without_cache_gives_the_same_states():
 
 
 @pytest.mark.parametrize("n", [257, 300, 4097])
-def test_blocked_eval_equals_the_whole_batch_bitwise(n):
+def test_blocked_eval_equals_the_whole_batch_bitwise(n, monkeypatch):
     # without a cache the rows run in near-equal blocks of at most 256; rows
-    # are independent, so every state must equal the whole-batch loop's.
-    # N = 257 is where a fixed 256-row block would leave a 1-row tail
+    # are independent, so every state must equal that of the cached pass,
+    # held here to one block of the whole batch.  N = 257 is where a fixed
+    # 256-row block would leave a 1-row tail
+    monkeypatch.setattr(encoder, "_train_threaded", lambda n: False)
     p = gru_params(16, 59, Rng(40))
     series = Rng(41).normal(size=(n, 16, 3))
     cached, _ = encode_batch(series, p, keep_cache=True)
@@ -152,24 +154,6 @@ def test_eval_encoder_memory_is_bounded_by_its_blocks(monkeypatch):
         assert peak < 4 * n * d * 8, (workers, peak)
 
 
-def test_a_failing_eval_block_raises_its_error_and_joins_every_thread(monkeypatch):
-    monkeypatch.setattr(numeric, "_workers", lambda n_blocks: 2)
-    p = gru_params(3, 4, Rng(44))
-    series = Rng(45).normal(size=(1025, 3, 2))  # five blocks of 205 rows
-    encode_block = encoder._encode_block
-
-    def failing(block, p, out, bufs):
-        if np.shares_memory(block, series[410:615]):
-            raise FloatingPointError("block failed")
-        encode_block(block, p, out, bufs)
-
-    monkeypatch.setattr(encoder, "_encode_block", failing)
-    start = threading.active_count()
-    with pytest.raises(FloatingPointError, match="block failed"):
-        encode_batch(series, p, keep_cache=False)
-    assert threading.active_count() == start
-
-
 # batch sizes at and around the training block edges: one block of 128 rows
 # or fewer runs on the calling thread, blocks hold 64 rows or more, and the
 # recurrence's da_zr @ u_zr changes kernel at 144 rows
@@ -180,7 +164,7 @@ def gru_pass(series, p, d_h):
     """Every array the cached forward and the backward return, in a list."""
     h, cache = encode_batch(series, p)
     grads, d_series = encode_batch_backward(d_h, cache, p, zero_grads(p))
-    return [h, *cache[1:], *grads.values(), d_series]
+    return [h, *cache, *grads.values(), d_series]
 
 
 def started_threads(monkeypatch):
@@ -218,12 +202,12 @@ def test_the_training_worker_count_changes_no_bit(n, seed, one_blas_thread):
     runs = []
     for workers in (1, 2, 3):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(numeric, "_workers", lambda n_blocks, w=workers: w)
+            mp.setattr(numeric, "_workers", lambda n_blocks, w=workers: min(w, n_blocks))
             threads = started_threads(mp)
             runs.append(gru_pass(series, p, d_h))
         assert bool(threads) == (workers > 1 and n > 128), (workers, threads)
     for run in runs[1:]:
-        assert len(run) == len(runs[0]) == 10
+        assert len(run) == len(runs[0]) == 11
         assert all(np.array_equal(a, b) for a, b in zip(run, runs[0]))
 
 
@@ -257,24 +241,30 @@ def error_within_a_minute(call):
     return errors[0]
 
 
-def test_a_failing_training_forward_block_raises_its_error(monkeypatch):
-    monkeypatch.setattr(numeric, "_workers", lambda n_blocks: 2)
-    p = gru_params(3, 4, Rng(46))
-    series = Rng(47).normal(size=(385, 3, 2))  # four blocks of 97, 96, 96 and 96 rows
-    cached_block = encoder._cached_block
+@pytest.mark.parametrize("keep_cache", [False, True])
+def test_a_failing_gru_block_raises_its_error_and_joins_every_thread(keep_cache, monkeypatch):
+    monkeypatch.setattr(numeric, "_workers", lambda n_blocks: min(2, n_blocks))
+    p = gru_params(3, 4, Rng(44))
+    if keep_cache:  # four blocks of 97, 96, 96 and 96 rows
+        series, failing_rows = Rng(47).normal(size=(385, 3, 2)), slice(193, 289)
+    else:  # five blocks of 205 rows
+        series, failing_rows = Rng(45).normal(size=(1025, 3, 2)), slice(410, 615)
+    gru_block = encoder._gru_block
 
     def failing(block, *args):
-        if np.shares_memory(block, series[193:289]):
+        if np.shares_memory(block, series[failing_rows]):
             raise FloatingPointError("block failed")
-        cached_block(block, *args)
+        gru_block(block, *args)
 
-    monkeypatch.setattr(encoder, "_cached_block", failing)
-    exc = error_within_a_minute(lambda: encode_batch(series, p))
+    monkeypatch.setattr(encoder, "_gru_block", failing)
+    start = threading.active_count()
+    exc = error_within_a_minute(lambda: encode_batch(series, p, keep_cache=keep_cache))
     assert str(exc) == "block failed"
+    assert threading.active_count() == start
 
 
 # the cache index each side reads: the recurrence alone reads cs, and the
-# weight gradients alone read the series
+# weight gradients alone read the time-major input copy
 @pytest.mark.parametrize("side, index", [("recurrence", 4), ("weight gradients", 0)])
 @pytest.mark.parametrize("step", [5, 3, 0])  # first, middle and last of the backward's steps
 def test_a_failing_backward_side_raises_its_error(side, index, step, monkeypatch):

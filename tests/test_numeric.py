@@ -269,7 +269,7 @@ def test_run_pipelined_under_fast_thread_switching_loses_no_item():
     assert all(np.all(seen == item) for item, seen in consumed)
 
 
-def test_eval_workers_is_one_unless_blas_reads_one_thread(monkeypatch):
+def test_workers_is_one_unless_blas_reads_one_thread(monkeypatch):
     cores = len(os.sched_getaffinity(0))
     monkeypatch.setattr(numeric, "_blas_thread_query", lambda: None)
     assert numeric._workers(16) == 1
@@ -286,7 +286,7 @@ def test_blas_thread_query_is_none_when_the_library_is_not_found(found, monkeypa
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
-def test_eval_workers_follow_the_blas_thread_count(threads):
+def test_workers_follow_the_blas_thread_count(threads):
     # OpenBLAS reads its thread count when numpy loads it, so each count
     # needs a fresh interpreter
     probe = ("import os; from hgrc import numeric; q = numeric._blas_thread_query(); "

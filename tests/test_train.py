@@ -1,7 +1,6 @@
 """Training loop: batching, determinism, early stopping, evaluation helpers."""
 
 import functools
-import importlib
 import json
 import math
 from dataclasses import replace
@@ -356,19 +355,6 @@ def test_cohort_transforms_leave_inputs_alone_and_return_c_contiguous_arrays(
     batched = unchanged_by(lambda: predict_scores(trained, te, eval_batch_size=3), te)
     arrays = [column for c in (raw, *pieces, imputed, tr, other, va) for column in columns(c)]
     assert all(a.flags.c_contiguous for a in arrays + [scores, batched])
-
-
-def test_heap_trim_before_scoring_leaves_scores_alone(trained, splits, monkeypatch):
-    # the trim runs once per call where glibc has it and is skipped elsewhere
-    train_mod = importlib.import_module("hgrc.train")
-    _, _, te = splits
-    reference = predict_scores(trained, te)
-    calls = []
-    monkeypatch.setattr(train_mod, "_malloc_trim", lambda pad: calls.append(pad) or 1)
-    assert np.array_equal(predict_scores(trained, te), reference)
-    assert calls == [0]
-    monkeypatch.setattr(train_mod, "_malloc_trim", None)
-    assert np.array_equal(predict_scores(trained, te), reference)
 
 
 def test_eval_batching_changes_the_graph_not_the_contract(trained, splits):
