@@ -4,8 +4,9 @@ Patients' hourly vitals run through a GRU; the final hidden state is fused
 with binary diagnosis codes.  Diagnosis codes define per-batch hyperedges,
 and a stacked residual hypergraph convolution mixes the representations of
 co-diagnosed patients.  A learnable-threshold similarity graph then drives a
-GCN aggregation step, and an attention-gated FFN ensemble predicts
-in-hospital mortality.  All gradients are hand-derived and verified against
+GCN aggregation step, and a two-hidden-layer FFN predicts in-hospital
+mortality (the paper's attention-gated FFN ensemble measured no better than
+one FFN, so the head is one).  All gradients are hand-derived and verified against
 finite differences; training is fully deterministic given a seed.
 """
 

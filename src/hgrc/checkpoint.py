@@ -31,10 +31,11 @@ from .errors import CheckpointError, CheckpointVersionError, ConfigError
 from .train import Checkpoint, TrainConfig
 
 MAGIC = b"HGRC"
-# 5: the FFN ensemble stacked in six ffn.* arrays, member axis first; 4: the
-# config names no activation (tanh throughout); 3: GRU gates stacked in four
-# arrays; 2: the architecture nested as ``model``
-VERSION = 5
+# 6: one FFN head, no attention arrays and no n_members; 5: the FFN ensemble
+# stacked in six ffn.* arrays, member axis first, plus attn.*; 4: the config
+# names no activation (tanh throughout); 3: GRU gates stacked in four arrays;
+# 2: the architecture nested as ``model``
+VERSION = 6
 _HEADER = struct.Struct("<4sBQ")
 
 

@@ -556,8 +556,8 @@ def split(cohort: Cohort, ratios: tuple[float, float, float], rng: Rng) -> tuple
     """
     if len(ratios) != 3:
         raise ConfigError(f"expected 3 split ratios, got {len(ratios)}")
-    if any(r <= 0.0 for r in ratios):
-        raise ConfigError(f"split ratios must be positive, got {ratios}")
+    if any(not (math.isfinite(r) and r > 0.0) for r in ratios):
+        raise ConfigError(f"split ratios must be positive and finite, got {ratios}")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ConfigError(f"split ratios must sum to 1, got {ratios}")
     n = len(cohort)

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the finite-float check
+every config dataclass runs first."""
+
+import math
+from dataclasses import fields
 
 
 class ShapeError(ValueError):
@@ -7,6 +11,19 @@ class ShapeError(ValueError):
 
 class ConfigError(ValueError):
     """Invalid configuration value, flag, or config file."""
+
+
+def check_finite_fields(config) -> None:
+    """Raise ConfigError naming the first float field (or tuple element) of
+    the dataclass ``config`` that is NaN or infinite.
+
+    Range checks cannot catch these: every comparison with NaN is False.
+    """
+    for f in fields(config):
+        value = getattr(config, f.name)
+        items = value if isinstance(value, tuple) else (value,)
+        if any(isinstance(v, float) and not math.isfinite(v) for v in items):
+            raise ConfigError(f"{f.name} must be finite, got {value!r}")
 
 
 class ParseError(ValueError):

@@ -6,7 +6,7 @@ Forward pipeline per batch of N patients:
     x --residual hypergraph stack--> z (N, d+g)
     z --similarity + threshold--> adjacency A' (N, N)
     z, A' --GCN aggregation--> x_star (N, q)
-    x_star --FFN ensemble + attention--> member probs (L, N, 2), beta (N, L), loss
+    x_star --FFN--> probs (N, 2), mean cross-entropy loss
 
 Training mode uses the sigmoid-relaxed threshold and dropout masks, and
 holds A' and its normalization as dense (N, N) float64 arrays for the
@@ -19,24 +19,22 @@ run on every core a one-thread BLAS leaves idle; the graph stages' blocks
 run on the calling thread.  In training only the GRU uses those cores, on
 batches of more than 128 patients (see the encoder docstring).  The
 backward pass chains the hand-derived gradients of each stage.  There is
-one code path: tanh in every layer
-after the GRU (hypergraph convolution, GCN aggregation, FFN hidden layers),
-scaled dot-product similarity, per-patient attention gating of the loss,
-and beta-weighted prediction.  tanh is smooth, so finite-difference checks
-hold at every point, and on the hard synthetic regime it scored ahead of
-both relu and sigmoid.  Two ablation knobs exist
-for controlled comparisons: hconv_layers=0 removes the hypergraph stack,
-use_similarity=False forces an empty bool adjacency so aggregation sees
-self-loops only.
+one code path: tanh in every layer after the GRU (hypergraph convolution,
+GCN aggregation, FFN hidden layers) and scaled dot-product similarity.
+tanh is smooth, so finite-difference checks hold at every point, and on the
+hard synthetic regime it scored ahead of both relu and sigmoid.  The head is
+one FFN: the paper's attention-gated ensemble of FFNs scored within the seed
+spread of a single member on the hard regime, so it was removed.  Two
+ablation knobs exist for controlled comparisons: hconv_layers=0 removes the
+hypergraph stack, use_similarity=False forces an empty bool adjacency so
+aggregation sees self-loops only.
 
 Parameters live in one contiguous float64 buffer (ModelParams.flat).  The
 layout, built from the ModelConfig by param_layout, lists every trainable
 array's name, shape and offset; each array is a named view into the
-buffer.  The GRU gates and the FFN ensemble are stored stacked: the
-ensemble is six ffn.* arrays whose leading axis is the member, so the
-layout has the same number of entries for any n_members.  Gradients share
-the layout, so one Adam call updates the whole model, and the checkpoint
-stores the buffer as a single blob in layout order.
+buffer, and the GRU gates are stored stacked.  Gradients share the layout,
+so one Adam call updates the whole model, and the checkpoint stores the
+buffer as a single blob in layout order.
 """
 
 from __future__ import annotations
@@ -47,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import encoder, head, hypergraph, simgraph
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, check_finite_fields
 from .numeric import Array, Rng, glorot_init
 
 
@@ -65,14 +63,14 @@ class ModelConfig:
     hconv_layers: int = 3
     phi_width: int = 37
     ffn_hidden: tuple[int, int] = (27, 17)
-    n_members: int = 4
     zeta_init: float = 0.4
     temperature: float = 50.0
     dropout: float = 0.2
     use_similarity: bool = True
 
     def __post_init__(self):
-        for name in ("n_variables", "hidden_size", "phi_width", "n_members"):
+        check_finite_fields(self)
+        for name in ("n_variables", "hidden_size", "phi_width"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.n_codes < 0:
@@ -104,10 +102,8 @@ def param_layout(config: ModelConfig) -> tuple[tuple[str, tuple[int, ...], int],
               ("gru.b", (3 * d,))]
     shapes += [(f"theta.{i}", (w, w)) for i in range(config.hconv_layers)]
     shapes += [("zeta", ()), ("phi", (w, q))]
-    n = config.n_members
-    shapes += [("ffn.w1", (n, q, h1)), ("ffn.b1", (n, h1)), ("ffn.w2", (n, h1, h2)),
-               ("ffn.b2", (n, h2)), ("ffn.wy", (n, h2, 2)), ("ffn.by", (n, 2))]
-    shapes += [("attn.w_beta", (q, n)), ("attn.b_beta", (n,))]
+    shapes += [("ffn.w1", (q, h1)), ("ffn.b1", (h1,)), ("ffn.w2", (h1, h2)),
+               ("ffn.b2", (h2,)), ("ffn.wy", (h2, 2)), ("ffn.by", (2,))]
     layout = []
     offset = 0
     for name, shape in shapes:
@@ -143,7 +139,6 @@ class ModelParams:
         self.zeta = self._views["zeta"]  # shape () scalar
         self.phi = self._views["phi"]
         self.ffn = groups["ffn"]
-        self.attn = groups["attn"]
 
     def named_arrays(self) -> dict[str, Array]:
         """Flat name -> array view, in layout order."""
@@ -183,7 +178,7 @@ def init_params(config: ModelConfig, rng: Rng) -> ModelParams:
         theta[...] = glorot_init(*theta.shape, stream)
     params.zeta[...] = config.zeta_init
     params.phi[...] = glorot_init(*params.phi.shape, phi_rng)
-    head.init_ensemble_params(params.ffn, params.attn, head_rng)
+    head.init_head_params(params.ffn, head_rng)
     return params
 
 
@@ -212,18 +207,18 @@ def _forward(params: ModelParams, batch: Batch, config: ModelConfig, mode: str, 
 
     x_star, gcn_cache = simgraph.gcn_aggregate(z, a_prime, params.phi,
                                                keep_cache=mode != "eval")
-    member_probs, beta, head_cache = head.head_forward(x_star, params.ffn, params.attn, masks)
+    probs, head_cache = head.head_forward(x_star, params.ffn, masks)
     stages = {"gru": h, "hconv": z, "aggregated": x_star}
     cache = (gru_cache, hconv_cache, z, a_prime, gcn_cache, head_cache)
-    return member_probs, beta, stages, cache
+    return probs, stages, cache
 
 
 def forward_train(params: ModelParams, batch: Batch, config: ModelConfig, masks=None):
     """Training-mode forward; returns (loss, cache for backward)."""
     if config.dropout > 0.0 and masks is None:
         raise ConfigError("training forward with dropout > 0 requires masks")
-    member_probs, beta, _, cache = _forward(params, batch, config, "train", masks)
-    loss = head.total_loss(member_probs, beta, batch.labels)
+    probs, _, cache = _forward(params, batch, config, "train", masks)
+    loss = head.total_loss(probs, batch.labels)
     return loss, cache
 
 
@@ -232,8 +227,7 @@ def backward(params: ModelParams, batch: Batch, config: ModelConfig, cache) -> M
     gru_cache, hconv_cache, z, a_prime, gcn_cache, head_cache = cache
     grads = params.zeros_like()
 
-    d_xstar = head.head_backward(head_cache, batch.labels, params.ffn, params.attn,
-                                 (grads.ffn, grads.attn))
+    d_xstar = head.head_backward(head_cache, batch.labels, params.ffn, grads.ffn)
     d_z, d_a_tilde, d_phi = simgraph.gcn_aggregate_backward(d_xstar, gcn_cache, params.phi)
     grads.phi[...] = d_phi
 
@@ -260,7 +254,6 @@ class EvalOutput:
 
 
 def forward_eval(params: ModelParams, batch: Batch, config: ModelConfig) -> EvalOutput:
-    """Hard-threshold adjacency, no dropout; returns combined predictions."""
-    member_probs, beta, stages, _ = _forward(params, batch, config, "eval", None)
-    probs = head.ensemble_predict(member_probs, beta)
+    """Hard-threshold adjacency, no dropout; returns death probabilities."""
+    probs, stages, _ = _forward(params, batch, config, "eval", None)
     return EvalOutput(scores=probs[:, 1], stages=stages)

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import DEFAULT_SCHEMA, Cohort
-from .errors import ConfigError
+from .errors import ConfigError, check_finite_fields
 from .numeric import Rng, sigmoid
 
 # ICD-9-like vocabulary for synthetic cohorts (lexicographically sorted).
@@ -67,6 +67,7 @@ class SyntheticSpec:
     code_signal_strength: float = 3.0
 
     def __post_init__(self):
+        check_finite_fields(self)
         if self.n_patients < 1:
             raise ConfigError(f"n_patients must be >= 1, got {self.n_patients}")
         if not 0.0 < self.positive_fraction < 1.0:

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import model as model_mod
 from .data import VALID_WINDOWS, Cohort, NormStats
-from .errors import ConfigError, TrainingError, UndefinedMetricError
+from .errors import ConfigError, TrainingError, UndefinedMetricError, check_finite_fields
 from .metrics import MetricsReport, compute_report
 from .model import Batch, ModelConfig, ModelParams
 from .numeric import AdamState, Array, Rng, adam_step
@@ -47,6 +47,7 @@ class TrainConfig:
     model: ModelConfig = field(default_factory=ModelConfig)
 
     def __post_init__(self):
+        check_finite_fields(self)
         if not isinstance(self.model, ModelConfig):
             raise ConfigError(f"model must be a ModelConfig, got {type(self.model).__name__}")
         if self.window_hours not in VALID_WINDOWS:

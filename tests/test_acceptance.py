@@ -199,7 +199,7 @@ def test_criterion_7_determinism_and_persistence(capsys, tmp_path):
                           positive_fraction=0.4), Rng(17))
         config = TrainConfig(epochs=3, batch_size=16, seed=5,
                              model=ModelConfig(hidden_size=5, hconv_layers=2, phi_width=4,
-                                               ffn_hidden=(5, 4), n_members=2))
+                                               ffn_hidden=(5, 4)))
         first, first_report, te = run_experiment(cohort, config)
         second, second_report, _ = run_experiment(cohort, config)
         assert json.dumps(first.training_log) == json.dumps(second.training_log)

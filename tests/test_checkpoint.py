@@ -18,8 +18,8 @@ HEADER = struct.Struct("<4sBQ")
 
 def small_checkpoint():
     config = TrainConfig(model=ModelConfig(n_variables=2, n_codes=4, hidden_size=3,
-                                           hconv_layers=2, phi_width=3, ffn_hidden=(4, 3),
-                                           n_members=2), epochs=2)
+                                           hconv_layers=2, phi_width=3, ffn_hidden=(4, 3)),
+                      epochs=2)
     schema = ("heart_rate", "temperature")
     vocab = ("250.00", "428.0", "486", "599.0")
     params = init_params(config.model, Rng(5))
@@ -106,7 +106,7 @@ def test_version_1_checkpoint_rejected(tmp_path):
     def mutate(d):
         d[4] = 1
         return d
-    with pytest.raises(CheckpointVersionError, match="version 1, expected 5"):
+    with pytest.raises(CheckpointVersionError, match="version 1, expected 6"):
         load_checkpoint(write_tampered(tmp_path, mutate))
 
 
@@ -115,7 +115,7 @@ def test_version_2_checkpoint_rejected(tmp_path):
     def mutate(d):
         d[4] = 2
         return d
-    with pytest.raises(CheckpointVersionError, match="version 2, expected 5"):
+    with pytest.raises(CheckpointVersionError, match="version 2, expected 6"):
         load_checkpoint(write_tampered(tmp_path, mutate))
 
 
@@ -128,7 +128,7 @@ def test_version_3_checkpoint_rejected(tmp_path):
         d = edit_manifest(d, edit)
         d[4] = 3
         return d
-    with pytest.raises(CheckpointVersionError, match="version 3, expected 5"):
+    with pytest.raises(CheckpointVersionError, match="version 3, expected 6"):
         load_checkpoint(write_tampered(tmp_path, mutate))
 
 
@@ -141,7 +141,23 @@ def test_version_4_checkpoint_rejected(tmp_path):
         d = edit_manifest(d, edit)
         d[4] = 4
         return d
-    with pytest.raises(CheckpointVersionError, match="version 4, expected 5"):
+    with pytest.raises(CheckpointVersionError, match="version 4, expected 6"):
+        load_checkpoint(write_tampered(tmp_path, mutate))
+
+
+def test_version_5_checkpoint_rejected(tmp_path):
+    # version 5 stored the FFN ensemble with a leading member axis, its
+    # attention map attn.* and n_members; there is no converter
+    def mutate(d):
+        def edit(m):
+            m["config"]["model"]["n_members"] = 1
+            m["params"] += [{"name": "attn.w_beta", "shape": [3, 1], "offset": 0},
+                            {"name": "attn.b_beta", "shape": [1], "offset": 0}]
+            return m
+        d = edit_manifest(d, edit)
+        d[4] = 5
+        return d
+    with pytest.raises(CheckpointVersionError, match="version 5, expected 6"):
         load_checkpoint(write_tampered(tmp_path, mutate))
 
 
@@ -292,8 +308,12 @@ def test_unknown_config_key_rejected(tmp_path):
     lambda m: m["config"].update(split_ratios="abc"),
     lambda m: m.update(schema=[]),
     lambda m: m["config"]["model"].update(n_codes=m["config"]["model"]["n_codes"] + 1),
+    lambda m: m["config"]["model"].update(n_members=1),
+    lambda m: m["config"].update(split_ratios=[0.7, 0.15, float("nan")]),
+    lambda m: m["config"]["model"].update(temperature=float("inf")),
 ], ids=["unknown_model_key", "invalid_model_value", "flat_architecture_key",
-        "string_use_similarity", "string_split_ratios", "empty_schema", "n_codes_off_by_one"])
+        "string_use_similarity", "string_split_ratios", "empty_schema", "n_codes_off_by_one",
+        "removed_n_members_key", "nan_split_ratio", "infinite_temperature"])
 def test_bad_model_config_rejected(tmp_path, edit):
     def mutate(d):
         def apply(m):

@@ -286,7 +286,7 @@ def test_config_dump_defaults():
     assert set(dumped["train"]) == {"window_hours", "batch_size", "learning_rate", "epochs",
                                     "patience", "seed", "split_ratios",
                                     "decision_threshold", "model"}
-    assert len(dumped["train"]["model"]) == 9  # n_variables, n_codes come from the data
+    assert len(dumped["train"]["model"]) == 8  # n_variables, n_codes come from the data
     assert "activation" not in dumped["train"]["model"]
     assert dumped["synthetic"]["n_patients"] == 2000
     code, _, _ = run_cli(["config"])
@@ -327,6 +327,8 @@ def test_config_architecture_is_nested_and_validated_at_parse_time():
         parse_app_config({"train": {"model": 59}})
     with pytest.raises(ConfigError, match=r"unknown key train\.model\.'activation'"):
         parse_app_config({"train": {"model": {"activation": "tanh"}}})
+    with pytest.raises(ConfigError, match=r"unknown key train\.model\.'n_members'"):
+        parse_app_config({"train": {"model": {"n_members": 1}}})
 
 
 def test_config_file_errors_exit_2(tmp_path):
@@ -345,8 +347,9 @@ def test_config_file_errors_exit_2(tmp_path):
     {"train": {"model": {"n_codes": 5}}},
     {"train": {"model": {"hidden_size": 0}}},
     {"train": {"model": {"activation": "relu"}}},
+    {"train": {"model": {"n_members": 4}}},
 ], ids=["unknown_model_key", "flat_architecture_key", "data_width", "invalid_model_value",
-        "removed_activation_key"])
+        "removed_activation_key", "removed_n_members_key"])
 def test_config_architecture_errors_exit_2(tmp_path, document):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(document))
@@ -399,6 +402,29 @@ def test_config_type_errors_exit_2(workspace, tmp_path, command, document, key):
     assert code == 2
     assert out == ""
     assert f"config error: {key} must be" in err
+
+
+@pytest.mark.parametrize("command, document, flags, field", [
+    ("train", {"train": {"learning_rate": float("nan")}}, [], "learning_rate"),
+    ("train", {"train": {"model": {"temperature": float("inf")}}}, [], "temperature"),
+    ("train", {"train": {"split_ratios": [0.7, 0.15, float("nan")]}}, [], "split_ratios"),
+    ("gen-synthetic", {"synthetic": {"class_separation": float("inf")}}, [], "class_separation"),
+    ("gen-synthetic", {}, ["--class-separation", "nan"], "class_separation"),
+], ids=["nan_learning_rate", "infinite_temperature", "nan_split_ratio",
+        "infinite_class_separation", "nan_class_separation_flag"])
+def test_config_non_finite_floats_exit_2(workspace, tmp_path, command, document, flags, field):
+    # Python's json reads NaN and Infinity and argparse's float() reads nan;
+    # every comparison with NaN is False, so range checks alone let it through
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(document))
+    out_path = tmp_path / ("m.hgrc" if command == "train" else "cohort")
+    paths = (["--data-dir", str(workspace["data_dir"]), "--out", str(out_path)]
+             if command == "train" else ["--out-dir", str(out_path)])
+    code, out, err = run_cli([command, "--config", str(cfg), *paths, *flags])
+    assert code == 2
+    assert out == ""
+    assert f"config error: {field} must be finite" in err
+    assert not out_path.exists()
 
 
 def test_negative_seed_exit_2(workspace, tmp_path):

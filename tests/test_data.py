@@ -574,6 +574,10 @@ def test_split_validation():
         split(cohort, (0.5, 0.5, 0.5), Rng(0))
     with pytest.raises(ConfigError):
         split(cohort, (1.0, -0.5, 0.5), Rng(0))
+    # NaN fails every comparison, so neither the sign nor the sum check sees it
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="finite"):
+            split(cohort, (0.7, 0.15, bad), Rng(0))
     with pytest.raises(ConfigError, match="empty"):
         split(cohort, (0.9, 0.05, 0.05), Rng(0))
 

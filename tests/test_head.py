@@ -1,4 +1,4 @@
-"""FFN ensemble head: stacked members, attention gating, losses, backward."""
+"""FFN risk head: forward, loss, backward, initialisation and dropout masks."""
 
 import math
 
@@ -6,48 +6,35 @@ import numpy as np
 import pytest
 
 from hgrc.errors import ConfigError, ShapeError
-from hgrc.head import (PROB_CLAMP, attention_weights, ensemble_predict, head_backward,
-                       head_forward, init_ensemble_params, make_dropout_masks,
-                       per_patient_losses, total_loss)
+from hgrc.head import (PROB_CLAMP, head_backward, head_forward, init_head_params,
+                       make_dropout_masks, per_patient_losses, total_loss)
 from hgrc.numeric import Rng, dropout_mask, finite_diff_check, glorot_init, softmax
 
 
-def ensemble_params(width, hidden, n_members, rng):
-    """Initialised stacked (ffn, attn) for input width q, hidden (h1, h2), L members."""
+def head_params(width, hidden, rng):
+    """Initialised ffn arrays for input width q and hidden widths (h1, h2)."""
     h1, h2 = hidden
     shapes = {"w1": (width, h1), "b1": (h1,), "w2": (h1, h2), "b2": (h2,),
               "wy": (h2, 2), "by": (2,)}
-    ffn = {name: np.full((n_members,) + shape, np.nan) for name, shape in shapes.items()}
-    attn = {"w_beta": np.full((width, n_members), np.nan),
-            "b_beta": np.full(n_members, np.nan)}
-    init_ensemble_params(ffn, attn, rng)
-    return ffn, attn
+    ffn = {name: np.full(shape, np.nan) for name, shape in shapes.items()}
+    init_head_params(ffn, rng)
+    return ffn
 
 
-def nudged_ensemble(seed, width=3, hidden=(4, 3), members=2, scale=0.3):
-    """Ensemble away from the zero-output saddle so every gradient is live."""
-    ens = ensemble_params(width, hidden, members, Rng(seed))
+def nudged_head(seed, width=3, hidden=(4, 3), scale=0.3):
+    """Head away from the zero-output saddle so every gradient is live."""
+    ffn = head_params(width, hidden, Rng(seed))
     nudge = Rng(seed + 1000)
-    for arr in ensemble_arrays(ens).values():
+    for arr in ffn.values():
         arr += nudge.normal(scale=scale, size=arr.shape)
-    return ens
+    return ffn
 
 
-def ensemble_arrays(ens):
-    ffn, attn = ens
-    out = {f"ffn.{name}": arr for name, arr in ffn.items()}
-    out["w_beta"] = attn["w_beta"]
-    out["b_beta"] = attn["b_beta"]
-    return out
+def zeros_like(ffn):
+    return {name: np.zeros_like(arr) for name, arr in ffn.items()}
 
 
-def zeros_like(ens):
-    ffn, attn = ens
-    return ({name: np.zeros_like(arr) for name, arr in ffn.items()},
-            {name: np.zeros_like(arr) for name, arr in attn.items()})
-
-
-# ------------------------------------------------- per-member reference head
+# ------------------------------------------------------ member reference head
 
 
 def member_forward(x, m, mask_pair):
@@ -77,116 +64,88 @@ def member_backward(x, d_logits, cache, m, mask_pair):
     return grads, d_pre1 @ m["w1"].T
 
 
-def reference_head(x, labels, ffn, attn, masks):
-    """The ensemble as L separate 2-D members, looped: the stacked head's oracle.
-
-    Returns (probs (L, N, 2), beta, loss, prediction, gradients keyed like
-    ensemble_arrays, d_x).
-    """
-    n_members = ffn["w1"].shape[0]
-    members = [{name: arr[i] for name, arr in ffn.items()} for i in range(n_members)]
-    pairs = [None] * n_members if masks is None else list(zip(*masks))
-    outs = [member_forward(x, m, pair) for m, pair in zip(members, pairs)]
-    beta = attention_weights(x, attn)
-    losses = np.stack([per_patient_losses(p, labels) for p, _ in outs], axis=1)
-    loss = float((beta * losses).sum(axis=1).mean())
-    prediction = (beta[:, :, None] * np.stack([p for p, _ in outs], axis=1)).sum(axis=1)
-
-    n = x.shape[0]
+def reference_d_logits(probs, labels):
+    """d(mean cross-entropy)/d(logits), written out from the clamp and softmax."""
+    n = probs.shape[0]
     y = labels.astype(np.float64)
-    d_beta = losses / n
-    d_x = np.zeros_like(x)
-    member_grads = []
-    for i, (m, pair, (probs, cache)) in enumerate(zip(members, pairs, outs)):
-        p1 = probs[:, 1]
-        inside = (p1 > PROB_CLAMP) & (p1 < 1.0 - PROB_CLAMP)
-        p1c = np.clip(p1, PROB_CLAMP, 1.0 - PROB_CLAMP)
-        d_p1 = beta[:, i] / n * np.where(inside, -(y / p1c - (1.0 - y) / (1.0 - p1c)), 0.0)
-        d_logit1 = d_p1 * p1 * (1.0 - p1)
-        grads, d_x_member = member_backward(x, np.stack([-d_logit1, d_logit1], axis=1),
-                                            cache, m, pair)
-        member_grads.append(grads)
-        d_x += d_x_member
-    inner = (d_beta * beta).sum(axis=1, keepdims=True)
-    d_attn_logits = beta * (d_beta - inner)
-    grads = {f"ffn.{name}": np.stack([g[name] for g in member_grads]) for name in ffn}
-    grads["w_beta"] = x.T @ d_attn_logits
-    grads["b_beta"] = d_attn_logits.sum(axis=0)
-    d_x += d_attn_logits @ attn["w_beta"].T
-    probs = np.stack([p for p, _ in outs])
-    return probs, beta, loss, prediction, grads, d_x
+    p1 = probs[:, 1]
+    inside = (p1 > PROB_CLAMP) & (p1 < 1.0 - PROB_CLAMP)
+    p1c = np.clip(p1, PROB_CLAMP, 1.0 - PROB_CLAMP)
+    d_p1 = 1.0 / n * np.where(inside, -(y / p1c - (1.0 - y) / (1.0 - p1c)), 0.0)
+    d_logit1 = d_p1 * p1 * (1.0 - p1)
+    return np.stack([-d_logit1, d_logit1], axis=1)
 
 
 @pytest.mark.parametrize("masked", [False, True], ids=["no_masks", "masks"])
-@pytest.mark.parametrize("n_members", [1, 3])
-def test_stacked_head_equals_the_per_member_oracle_bitwise(n_members, masked):
-    ens = nudged_ensemble(90 + n_members, width=5, hidden=(6, 4), members=n_members)
+@pytest.mark.parametrize("calls", [1, 3])
+def test_head_equals_the_member_oracle_bitwise(calls, masked):
+    ffn = nudged_head(91, width=5, hidden=(6, 4))
     x = Rng(91).normal(size=(40, 5))
     labels = (Rng(92).random(40) < 0.3).astype(int)
-    masks = make_dropout_masks(40, ens[0], 0.25, Rng(93)) if masked else None
+    masks = make_dropout_masks(40, ffn, 0.25, Rng(93)) if masked else None
 
-    probs, beta, cache = head_forward(x, *ens, masks)
-    grads = zeros_like(ens)
-    d_x = head_backward(cache, labels, *ens, grads)
-    ref_probs, ref_beta, ref_loss, ref_prediction, ref_grads, ref_d_x = reference_head(
-        x, labels, *ens, masks)
+    probs, cache = head_forward(x, ffn, masks)
+    ref_probs, ref_cache = member_forward(x, ffn, masks)
+    ref_grads, ref_d_x = member_backward(x, reference_d_logits(ref_probs, labels),
+                                         ref_cache, ffn, masks)
+    # head_backward adds into grads: `calls` passes sum the oracle's gradient
+    grads = zeros_like(ffn)
+    ref_sum = zeros_like(ffn)
+    for _ in range(calls):
+        d_x = head_backward(cache, labels, ffn, grads)
+        assert np.array_equal(d_x, ref_d_x)
+        for name in ref_sum:
+            ref_sum[name] += ref_grads[name]
 
-    assert probs.shape == (n_members, 40, 2)
+    assert probs.shape == (40, 2)
     assert np.array_equal(probs, ref_probs)
-    assert np.array_equal(beta, ref_beta)
-    assert total_loss(probs, beta, labels) == ref_loss
-    assert np.array_equal(ensemble_predict(probs, beta), ref_prediction)
-    for name, grad in ensemble_arrays(grads).items():
-        assert np.array_equal(grad, ref_grads[name]), name
-    assert np.array_equal(d_x, ref_d_x)
+    assert total_loss(probs, labels) == float(per_patient_losses(ref_probs, labels).mean())
+    for name, grad in grads.items():
+        assert np.array_equal(grad, ref_sum[name]), name
 
 
 # ------------------------------------------------------------------- init
 
 
-def test_initial_member_probabilities_are_exactly_half():
-    ens = ensemble_params(5, (4, 3), 3, Rng(0))
+def test_initial_probabilities_are_exactly_half():
+    ffn = head_params(5, (4, 3), Rng(0))
     x = Rng(1).normal(size=(7, 5))
-    member_probs, _, _ = head_forward(x, *ens, None)
+    probs, _ = head_forward(x, ffn, None)
     # zero output layer -> logits (0, 0) -> softmax (0.5, 0.5)
-    assert np.array_equal(member_probs, np.full((3, 7, 2), 0.5))
+    assert np.array_equal(probs, np.full((7, 2), 0.5))
 
 
 def test_initial_total_loss_is_ln_two():
-    ens = ensemble_params(4, (3, 3), 2, Rng(2))
+    ffn = head_params(4, (3, 3), Rng(2))
     x = Rng(3).normal(size=(6, 4))
-    member_probs, beta, _ = head_forward(x, *ens, None)
+    probs, _ = head_forward(x, ffn, None)
     labels = np.array([0, 1, 1, 0, 1, 0])
-    loss = total_loss(member_probs, beta, labels)
+    loss = total_loss(probs, labels)
     assert abs(loss - math.log(2.0)) < 1e-12
 
 
 def test_init_validation_and_shapes():
-    with pytest.raises(ConfigError):
-        ensemble_params(3, (2, 2), 0, Rng(0))
-    ffn, attn = ensemble_params(3, (5, 4), 2, Rng(0))
-    assert attn["w_beta"].shape == (3, 2)
-    assert np.array_equal(attn["b_beta"], np.zeros(2))
-    assert ffn["w1"].shape == (2, 3, 5) and ffn["w2"].shape == (2, 5, 4)
-    assert np.array_equal(ffn["wy"], np.zeros((2, 4, 2)))
-    assert np.array_equal(ffn["by"], np.zeros((2, 2)))
+    ffn = head_params(3, (5, 4), Rng(0))
+    assert ffn["w1"].shape == (3, 5) and ffn["w2"].shape == (5, 4)
+    assert np.array_equal(ffn["b1"], np.zeros(5)) and np.array_equal(ffn["b2"], np.zeros(4))
+    assert np.array_equal(ffn["wy"], np.zeros((4, 2)))
+    assert np.array_equal(ffn["by"], np.zeros(2))
     # every array is written: no fill value survives the initialisation
-    assert all(np.all(np.isfinite(a)) for a in ensemble_arrays((ffn, attn)).values())
+    assert all(np.all(np.isfinite(a)) for a in ffn.values())
 
 
-def test_each_member_slice_draws_from_its_own_stream():
-    ffn, attn = ensemble_params(3, (5, 4), 3, Rng(8))
-    streams = Rng(8).split(4)
-    for i, stream in enumerate(streams[:-1]):
-        s1, s2 = stream.split(2)
-        assert np.array_equal(ffn["w1"][i], glorot_init(3, 5, s1))
-        assert np.array_equal(ffn["w2"][i], glorot_init(5, 4, s2))
-    assert np.array_equal(attn["w_beta"], glorot_init(3, 3, streams[-1]))
+def test_hidden_layers_draw_from_the_first_child_stream():
+    # child (0,) of the stream, then one grandchild per hidden layer: the
+    # streams the one-member ensemble drew from, so trained weights carry over
+    ffn = head_params(3, (5, 4), Rng(8))
+    s1, s2 = Rng(8).split(1)[0].split(2)
+    assert np.array_equal(ffn["w1"], glorot_init(3, 5, s1))
+    assert np.array_equal(ffn["w2"], glorot_init(5, 4, s2))
+    assert np.array_equal(ffn["w1"], glorot_init(3, 5, Rng(8).split(2)[0].split(2)[0]))
     mask1, mask2 = make_dropout_masks(6, ffn, 0.5, Rng(9))
-    for i, stream in enumerate(Rng(9).split(3)):
-        s1, s2 = stream.split(2)
-        assert np.array_equal(mask1[i], dropout_mask((6, 5), 0.5, s1))
-        assert np.array_equal(mask2[i], dropout_mask((6, 4), 0.5, s2))
+    s1, s2 = Rng(9).split(1)[0].split(2)
+    assert np.array_equal(mask1, dropout_mask((6, 5), 0.5, s1))
+    assert np.array_equal(mask2, dropout_mask((6, 4), 0.5, s2))
 
 
 # ------------------------------------------------------------------ losses
@@ -197,12 +156,9 @@ def test_per_patient_losses_hand_values():
     labels = np.array([0, 1])
     losses = per_patient_losses(probs, labels)
     assert np.allclose(losses, [-math.log(0.8), -math.log(0.9)], rtol=0, atol=1e-15)
-    # stacked members give one row of losses per member
-    stacked = per_patient_losses(np.stack([probs, probs[::-1]]), labels)
-    assert stacked.shape == (2, 2) and np.array_equal(stacked[0], losses)
-    # a single member with beta = 1 is gated to the mean cross-entropy
-    assert np.isclose(total_loss(probs[None], np.ones((2, 1)), labels),
-                      (-math.log(0.8) - math.log(0.9)) / 2.0)
+    # the total is the mean cross-entropy
+    assert np.isclose(total_loss(probs, labels), (-math.log(0.8) - math.log(0.9)) / 2.0,
+                      rtol=0, atol=1e-15)
 
 
 def test_per_patient_losses_clamp_keeps_loss_finite():
@@ -224,57 +180,22 @@ def test_label_validation():
         per_patient_losses(probs, np.zeros((2, 1)))
 
 
-def test_total_loss_gates_each_patient_by_its_own_beta():
-    member_probs = np.array([[[0.3, 0.7], [0.6, 0.4]],
-                             [[0.5, 0.5], [0.2, 0.8]]])
-    labels = np.array([1, 0])
-    beta = np.array([[0.9, 0.1], [0.25, 0.75]])
-    loss = total_loss(member_probs, beta, labels)
-    expected = (0.9 * -math.log(0.7) + 0.1 * -math.log(0.5)
-                + 0.25 * -math.log(0.6) + 0.75 * -math.log(0.2)) / 2.0
-    assert np.isclose(loss, expected, rtol=0, atol=1e-15)
-
-
 def test_total_loss_validation():
-    probs = np.full((1, 2, 2), 0.5)
+    # one probability row would broadcast against two labels
     with pytest.raises(ShapeError):
-        total_loss(probs, np.ones((2, 2)), np.array([0, 1]))
-
-
-# -------------------------------------------------------------- prediction
-
-
-def test_ensemble_predict_beta_is_convex_combination():
-    member_probs = np.array([[[0.9, 0.1]], [[0.1, 0.9]]])
-    beta = np.array([[0.25, 0.75]])
-    out = ensemble_predict(member_probs, beta)
-    assert np.allclose(out, [[0.25 * 0.9 + 0.75 * 0.1, 0.25 * 0.1 + 0.75 * 0.9]])
-    assert np.allclose(out.sum(axis=1), 1.0)
-
-
-def test_ensemble_predict_validation():
-    probs = np.full((1, 2, 2), 0.5)
+        total_loss(np.full((1, 2), 0.5), np.array([0, 1]))
     with pytest.raises(ShapeError):
-        ensemble_predict(probs, np.ones((3, 1)))
-
-
-def test_attention_weights_are_row_distributions():
-    ens = nudged_ensemble(40)
-    x = Rng(41).normal(size=(9, 3))
-    beta = attention_weights(x, ens[1])
-    assert beta.shape == (9, 2)
-    assert np.all(beta > 0.0)
-    assert np.allclose(beta.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        total_loss(np.full((2, 3), 0.5), np.array([0, 1]))
 
 
 # ----------------------------------------------------------------- dropout
 
 
 def test_dropout_masks_shapes_and_determinism():
-    ffn, _ = ensemble_params(3, (4, 5), 2, Rng(0))
+    ffn = head_params(3, (4, 5), Rng(0))
     mask1, mask2 = make_dropout_masks(6, ffn, 0.5, Rng(7))
-    assert mask1.shape == (2, 6, 4)
-    assert mask2.shape == (2, 6, 5)
+    assert mask1.shape == (6, 4)
+    assert mask2.shape == (6, 5)
     again = make_dropout_masks(6, ffn, 0.5, Rng(7))
     assert np.array_equal(mask1, again[0]) and np.array_equal(mask2, again[1])
     values = np.unique(np.concatenate([mask1.ravel(), mask2.ravel()]))
@@ -282,11 +203,11 @@ def test_dropout_masks_shapes_and_determinism():
 
 
 def test_dropout_masks_change_the_forward():
-    ens = nudged_ensemble(50)
+    ffn = nudged_head(50)
     x = Rng(51).normal(size=(8, 3))
-    masks = make_dropout_masks(8, ens[0], 0.5, Rng(52))
-    probs_m, _, _ = head_forward(x, *ens, masks)
-    probs, _, _ = head_forward(x, *ens, None)
+    masks = make_dropout_masks(8, ffn, 0.5, Rng(52))
+    probs_m, _ = head_forward(x, ffn, masks)
+    probs, _ = head_forward(x, ffn, None)
     assert not np.array_equal(probs_m, probs)
 
 
@@ -294,48 +215,43 @@ def test_dropout_masks_change_the_forward():
 
 
 def test_head_backward_matches_finite_differences():
-    ens = nudged_ensemble(60)
+    ffn = nudged_head(60)
     x = Rng(61).normal(size=(5, 3))
     labels = np.array([0, 1, 1, 0, 1])
 
     def loss(_arrays):
-        # the checker perturbs the ensemble's arrays in place
-        member_probs, beta, _ = head_forward(x, *ens, None)
-        return float(total_loss(member_probs, beta, labels))
+        # the checker perturbs the head's arrays in place
+        return total_loss(head_forward(x, ffn, None)[0], labels)
 
-    _, _, cache = head_forward(x, *ens, None)
-    grads = zeros_like(ens)
-    head_backward(cache, labels, *ens, grads)
-    err = finite_diff_check(loss, ensemble_arrays(ens), ensemble_arrays(grads))
-    assert err < 1e-6
+    _, cache = head_forward(x, ffn, None)
+    grads = zeros_like(ffn)
+    head_backward(cache, labels, ffn, grads)
+    assert finite_diff_check(loss, ffn, grads) < 1e-6
 
 
 def test_head_backward_input_gradient_matches_finite_differences():
-    ens = nudged_ensemble(70)
+    ffn = nudged_head(70)
     labels = np.array([1, 0, 1])
     x = Rng(71).normal(size=(3, 3))
 
     def loss(arrays):
-        member_probs, beta, _ = head_forward(arrays["x"], *ens, None)
-        return float(total_loss(member_probs, beta, labels))
+        return total_loss(head_forward(arrays["x"], ffn, None)[0], labels)
 
-    _, _, cache = head_forward(x, *ens, None)
-    d_x = head_backward(cache, labels, *ens, zeros_like(ens))
+    _, cache = head_forward(x, ffn, None)
+    d_x = head_backward(cache, labels, ffn, zeros_like(ffn))
     assert finite_diff_check(loss, {"x": x}, {"x": d_x}) < 1e-6
 
 
 def test_head_backward_respects_dropout_masks():
-    ens = nudged_ensemble(80)
+    ffn = nudged_head(80)
     x = Rng(81).normal(size=(4, 3))
     labels = np.array([0, 1, 0, 1])
-    masks = make_dropout_masks(4, ens[0], 0.5, Rng(82))
+    masks = make_dropout_masks(4, ffn, 0.5, Rng(82))
 
     def loss(_arrays):
-        member_probs, beta, _ = head_forward(x, *ens, masks)
-        return float(total_loss(member_probs, beta, labels))
+        return total_loss(head_forward(x, ffn, masks)[0], labels)
 
-    _, _, cache = head_forward(x, *ens, masks)
-    grads = zeros_like(ens)
-    head_backward(cache, labels, *ens, grads)
-    err = finite_diff_check(loss, ensemble_arrays(ens), ensemble_arrays(grads))
-    assert err < 1e-6
+    _, cache = head_forward(x, ffn, masks)
+    grads = zeros_like(ffn)
+    head_backward(cache, labels, ffn, grads)
+    assert finite_diff_check(loss, ffn, grads) < 1e-6

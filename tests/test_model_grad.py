@@ -10,15 +10,13 @@ import pytest
 
 from hgrc import hypergraph, model
 from hgrc.errors import ConfigError
-from hgrc.head import ensemble_predict
 from hgrc.model import (Batch, ModelConfig, backward, forward_eval, forward_train,
                         init_params, make_dropout_masks)
 from hgrc.numeric import Rng, finite_diff_check
 from hgrc.simgraph import similarity, threshold
 
 TINY = dict(n_variables=2, n_codes=4, hidden_size=3,
-            hconv_layers=2, phi_width=3, ffn_hidden=(4, 3), n_members=2,
-            dropout=0.0)
+            hconv_layers=2, phi_width=3, ffn_hidden=(4, 3), dropout=0.0)
 
 
 def gate_blocks(params):
@@ -122,8 +120,7 @@ def analytic_series_grad(params, batch, cfg):
     _, cache = forward_train(params, batch, cfg)
     gru_cache, hconv_cache, z, a_prime, gcn_cache, head_cache = cache
     grads = params.zeros_like()
-    d_xstar = head.head_backward(head_cache, batch.labels, params.ffn, params.attn,
-                                 (grads.ffn, grads.attn))
+    d_xstar = head.head_backward(head_cache, batch.labels, params.ffn, grads.ffn)
     d_z, d_a_tilde, _ = simgraph.gcn_aggregate_backward(d_xstar, gcn_cache, params.phi)
     if cfg.use_similarity:
         d_a, _ = simgraph.threshold_backward(d_a_tilde, a_prime, cfg.temperature)
@@ -165,9 +162,7 @@ def test_forward_train_requires_masks_when_dropout_on():
 def test_forward_eval_outputs_are_probabilities_with_stages():
     cfg, params, batch = tiny_fixture()
     out = forward_eval(params, batch, cfg)
-    member_probs, beta, _, _ = probe(params, batch, cfg, "eval")
-    assert beta.shape == (5, 2)
-    probs = ensemble_predict(member_probs, beta)
+    probs, _, _ = probe(params, batch, cfg, "eval")
     assert np.allclose(probs.sum(axis=1), 1.0, rtol=0, atol=1e-12)
     assert out.scores.shape == (5,)
     assert np.array_equal(out.scores, probs[:, 1])
@@ -178,7 +173,7 @@ def test_forward_eval_outputs_are_probabilities_with_stages():
 
 def test_eval_forward_keeps_no_hypergraph_cache_and_the_same_scores(monkeypatch):
     cfg, params, batch = tiny_fixture()
-    _, _, _, cache = model._forward(params, batch, cfg, "eval", None)
+    _, _, cache = model._forward(params, batch, cfg, "eval", None)
     assert cache[0] is None and cache[1] is None and cache[4] is None
     scores = forward_eval(params, batch, cfg).scores
     stack = hypergraph.hconv_stack
@@ -189,12 +184,12 @@ def test_eval_forward_keeps_no_hypergraph_cache_and_the_same_scores(monkeypatch)
 
 def test_eval_and_train_adjacencies_differ():
     # train builds the sigmoid relaxation of the similarities, eval the
-    # strict indicator; the member probabilities that follow can agree within
+    # strict indicator; the probabilities that follow can agree within
     # allclose's tolerance, so the adjacencies themselves are compared
     cfg, params, batch = tiny_fixture()
     zeta_at_median_similarity(cfg, params, batch)
-    _, _, _, (_, _, z, a_train, _, _) = probe(params, batch, cfg, "train")
-    _, _, _, (_, _, z_eval, a_eval, _, _) = probe(params, batch, cfg, "eval")
+    _, _, (_, _, z, a_train, _, _) = probe(params, batch, cfg, "train")
+    _, _, (_, _, z_eval, a_eval, _, _) = probe(params, batch, cfg, "eval")
     assert np.array_equal(z, z_eval)
     a, zeta = similarity(z), float(params.zeta)
     assert np.array_equal(a_train, threshold(a, zeta, cfg.temperature, "train"))

@@ -11,16 +11,14 @@ from hgrc.model import (Batch, ModelConfig, ModelParams, backward, forward_train
 from hgrc.numeric import AdamState, Rng, adam_step
 
 TINY = dict(n_variables=2, n_codes=4, hidden_size=3,
-            hconv_layers=2, phi_width=3, ffn_hidden=(4, 3), n_members=2,
-            dropout=0.0)
+            hconv_layers=2, phi_width=3, ffn_hidden=(4, 3), dropout=0.0)
 
 NAMES = (["gru." + n for n in ("w", "u_zr", "u_h", "b")]
          + ["theta.0", "theta.1", "zeta", "phi"]
-         + [f"ffn.{n}" for n in ("w1", "b1", "w2", "b2", "wy", "by")]
-         + ["attn.w_beta", "attn.b_beta"])
+         + [f"ffn.{n}" for n in ("w1", "b1", "w2", "b2", "wy", "by")])
 
 
-@pytest.mark.parametrize("overrides", [{}, {"hconv_layers": 0}, {"n_members": 1}])
+@pytest.mark.parametrize("overrides", [{}, {"hconv_layers": 0}, {"ffn_hidden": (1, 5)}])
 def test_layout_is_contiguous_and_covers_the_buffer(overrides):
     cfg = ModelConfig(**{**TINY, **overrides})
     layout = param_layout(cfg)
@@ -48,11 +46,13 @@ def test_layout_names_and_order_are_the_checkpoint_table():
     assert params.named_arrays()["gru.w"].shape == (9, 2)
     assert params.named_arrays()["gru.u_zr"].shape == (6, 3)
     assert params.named_arrays()["zeta"].shape == ()
-    assert params.named_arrays()["ffn.w2"].shape == (2, 4, 3)
-    assert params.named_arrays()["ffn.by"].shape == (2, 2)
-    # the ensemble is six stacked arrays whatever its size
-    for n_members in (1, 4):
-        assert len(param_layout(ModelConfig(**{**TINY, "n_members": n_members}))) == len(NAMES)
+    assert params.named_arrays()["ffn.w1"].shape == (3, 4)
+    assert params.named_arrays()["ffn.w2"].shape == (4, 3)
+    assert params.named_arrays()["ffn.by"].shape == (2,)
+    # the defaults' three hypergraph layers give 15 entries and 36637 floats
+    layout = param_layout(ModelConfig())
+    assert len(layout) == 15
+    assert sum(math.prod(shape) for _, shape, _ in layout) == 36637
 
 
 def test_writing_through_any_view_changes_flat():
@@ -71,7 +71,6 @@ def test_grouped_views_alias_the_named_views():
     assert np.shares_memory(params.gru["u_h"], named["gru.u_h"])
     assert np.shares_memory(params.thetas[1], named["theta.1"])
     assert np.shares_memory(params.ffn["wy"], named["ffn.wy"])
-    assert np.shares_memory(params.attn["b_beta"], named["attn.b_beta"])
     params.zeta[...] = 0.25
     assert named["zeta"] == 0.25
 

@@ -36,8 +36,7 @@ def dense_eval_graph(z, zeta, phi):
 
 
 def oracle_scores(params, x_star):
-    member_probs, beta, _ = head.head_forward(x_star, params.ffn, params.attn, None)
-    return head.ensemble_predict(member_probs, beta)[:, 1]
+    return head.head_forward(x_star, params.ffn, None)[0][:, 1]
 
 
 def zeta_between_similarities(z):

@@ -28,7 +28,7 @@ SMALL_SPEC = SyntheticSpec(n_patients=40, n_variables=3, window_hours=24,
 SMALL_CONFIG = dict(window_hours=24, batch_size=8, learning_rate=0.01,
                     epochs=3, patience=5, seed=0,
                     model=ModelConfig(hidden_size=4, hconv_layers=1, phi_width=3,
-                                      ffn_hidden=(4, 3), n_members=2, dropout=0.2))
+                                      ffn_hidden=(4, 3), dropout=0.2))
 
 
 def prepared_splits(spec=SMALL_SPEC, gen_seed=3, split_seed=1):
