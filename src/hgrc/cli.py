@@ -178,7 +178,7 @@ def cmd_evaluate(args) -> int:
     ckpt = _with_threshold(_resolve_checkpoint(args, cfg), args.threshold)
     data_dir = _resolve_data_dir(args, cfg)
     cohort = _checkpoint_split(args, ckpt, data_dir)
-    report = evaluate(ckpt, cohort, args.eval_batch_size)
+    report = evaluate(ckpt, cohort)
     _emit({"split": args.split, **report.to_dict()})
     return 0
 
@@ -210,7 +210,7 @@ def cmd_case_study(args) -> int:
                           f"{args.code!r}; most common codes: {available}")
     # the split is scored once, as `evaluate` scores it; scoring each group
     # on its own would rebuild both graphs inside the group
-    scores = predict_scores(ckpt, cohort, args.eval_batch_size)
+    scores = predict_scores(ckpt, cohort)
     labels = cohort.y
     threshold = ckpt.config.decision_threshold
     _emit({
@@ -230,7 +230,7 @@ def cmd_embed(args) -> int:
     out = args.out or cfg.paths.out
     if out is None:
         raise ConfigError("no output path given (use --out or paths.out)")
-    path = export_embeddings(ckpt, cohort, args.stage, out, args.eval_batch_size)
+    path = export_embeddings(ckpt, cohort, args.stage, out)
     _emit({"file": path, "stage": args.stage, "split": args.split,
            "n_patients": len(cohort)})
     return 0
@@ -287,8 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--data-dir", help="directory holding patients.csv and vitals.csv")
         p.add_argument("--split", choices=SPLITS, default="test",
                        help="which split of the data to use (default test)")
-        p.add_argument("--eval-batch-size", type=int, dest="eval_batch_size",
-                       help="evaluation batch size (default: whole split)")
 
     def add_threshold(p):
         p.add_argument("--threshold", type=float,

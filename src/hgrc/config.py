@@ -65,7 +65,9 @@ def _build_section(cls, raw: dict, section: str, from_data=()):
 
     The one path from outside input to a config: nested dataclass fields are
     built recursively, arrays become tuples, and keys named in ``from_data``
-    are rejected at any depth.
+    are rejected at any depth.  A dataclass's own check names the bare field,
+    so its error is re-raised with the section's path in front
+    (``train.model.hidden_size must be >= 1``).
     """
     if not isinstance(raw, dict):
         raise ConfigError(f"config section {section!r} must be an object")
@@ -86,7 +88,11 @@ def _build_section(cls, raw: dict, section: str, from_data=()):
         elif typing.get_origin(hint) is tuple:
             value = tuple(value)
         values[key] = value
-    return cls(**values)
+    try:
+        return cls(**values)
+    except ConfigError as exc:
+        # the dataclass names the bare field; nested sections were built above
+        raise ConfigError(f"{section}.{exc}") from None
 
 
 def parse_app_config(document: dict) -> AppConfig:

@@ -548,18 +548,24 @@ def standardize(cohort: Cohort, stats: NormStats | None = None) -> Cohort:
 # ------------------------------------------------------- split and filter
 
 
+def _check_split_ratios(ratios) -> None:
+    """Three positive, finite train/val/test shares summing to 1; shared by
+    ``split`` and TrainConfig, so a config is rejected before any data loads."""
+    if len(ratios) != 3:
+        raise ConfigError(f"split_ratios must hold 3 values, got {len(ratios)}")
+    if any(not (math.isfinite(r) and r > 0.0) for r in ratios):
+        raise ConfigError(f"split_ratios must be positive and finite, got {ratios}")
+    if abs(sum(ratios) - 1.0) > 1e-9:
+        raise ConfigError(f"split_ratios must sum to 1, got {ratios}")
+
+
 def split(cohort: Cohort, ratios: tuple[float, float, float], rng: Rng) -> tuple[Cohort, Cohort, Cohort]:
     """Permute patients with ``rng`` and cut into train/val/test.
 
     Cut points are floor(cumulative_ratio * N) with a 1e-9 nudge so exact
     decimal ratios are not lost to float dust (N=10 at 0.7 gives 7, not 6).
     """
-    if len(ratios) != 3:
-        raise ConfigError(f"expected 3 split ratios, got {len(ratios)}")
-    if any(not (math.isfinite(r) and r > 0.0) for r in ratios):
-        raise ConfigError(f"split ratios must be positive and finite, got {ratios}")
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ConfigError(f"split ratios must sum to 1, got {ratios}")
+    _check_split_ratios(ratios)
     n = len(cohort)
     order = rng.permutation(n)
     c1 = int(math.floor(ratios[0] * n + 1e-9))

@@ -254,6 +254,11 @@ class EvalOutput:
 
 
 def forward_eval(params: ModelParams, batch: Batch, config: ModelConfig) -> EvalOutput:
-    """Hard-threshold adjacency, no dropout; returns death probabilities."""
+    """Hard-threshold adjacency, no dropout; returns death probabilities.
+
+    The only (N, N) array is the bool adjacency, N^2 bytes, so scoring does
+    not set the peak memory of a process that also trains: the training
+    steps' caches and loading a cohort do.
+    """
     probs, stages, _ = _forward(params, batch, config, "eval", None)
-    return EvalOutput(scores=probs[:, 1], stages=stages)
+    return EvalOutput(scores=np.ascontiguousarray(probs[:, 1]), stages=stages)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import model as model_mod
-from .data import VALID_WINDOWS, Cohort, NormStats
+from .data import VALID_WINDOWS, Cohort, NormStats, _check_split_ratios
 from .errors import ConfigError, TrainingError, UndefinedMetricError, check_finite_fields
 from .metrics import MetricsReport, compute_report
 from .model import Batch, ModelConfig, ModelParams
@@ -62,6 +62,7 @@ class TrainConfig:
             raise ConfigError(f"patience must be >= 1, got {self.patience}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        _check_split_ratios(self.split_ratios)
         if not 0.0 < self.decision_threshold < 1.0:
             raise ConfigError(
                 f"decision_threshold must be in (0, 1), got {self.decision_threshold}")
@@ -107,35 +108,10 @@ def _require_prepared(cohort: Cohort) -> None:
         raise ConfigError("cohort has absent cells; impute and standardize first")
 
 
-def _predict(params: ModelParams, cfg: ModelConfig, cohort: Cohort,
-             eval_batch_size: int | None = None, stage: str | None = None):
-    """Eval-mode scores over the cohort, optionally batched.
-
-    Returns (scores, stage_matrix or None).  Aggregation happens within each
-    evaluation batch only.
-
-    Eval mode builds the similarity graph as an (N, N) bool adjacency in
-    row blocks and holds no (N, N) float array, so a scoring call no longer
-    sets the process's peak memory; in a process that trains and then
-    scores, the training steps' caches and loading a cohort do.
-    """
-    n = len(cohort)
-    if eval_batch_size is None or eval_batch_size >= n:
-        pieces = [slice(0, n)]
-    else:
-        if eval_batch_size < 1:
-            raise ConfigError(f"eval batch size must be >= 1, got {eval_batch_size}")
-        pieces = [slice(s, min(s + eval_batch_size, n)) for s in range(0, n, eval_batch_size)]
-    scores = np.empty(n)
-    stage_rows = [] if stage is not None else None
-    for sl in pieces:
-        batch = Batch(cohort.series[sl], cohort.icd[sl], cohort.y[sl])
-        out = model_mod.forward_eval(params, batch, cfg)
-        scores[sl] = out.scores
-        if stage is not None:
-            stage_rows.append(out.stages[stage])
-    stage_matrix = np.concatenate(stage_rows, axis=0) if stage is not None else None
-    return scores, stage_matrix
+def _score_cohort(params: ModelParams, cfg: ModelConfig, cohort: Cohort):
+    """One eval-mode forward over the whole cohort, so every patient is
+    scored on the same hypergraph and similarity graph."""
+    return model_mod.forward_eval(params, Batch(cohort.series, cohort.icd, cohort.y), cfg)
 
 
 # ------------------------------------------------------------------- train
@@ -204,7 +180,7 @@ def train(config: TrainConfig, train_cohort: Cohort, val_cohort: Cohort,
             params.flat[...] = new_flat  # in place, so every named view stays valid
             batch_losses.append(loss)
 
-        val_scores, _ = _predict(params, cfg, val_cohort)
+        val_scores = _score_cohort(params, cfg, val_cohort).scores
         val_report = compute_report(val_scores, val_cohort.y, config.decision_threshold)
         entry = {
             "epoch": epoch,
@@ -248,35 +224,31 @@ def _check_cohort_matches(ckpt: Checkpoint, cohort: Cohort) -> None:
     _require_prepared(cohort)
 
 
-def evaluate(ckpt: Checkpoint, cohort: Cohort,
-             eval_batch_size: int | None = None) -> MetricsReport:
+def evaluate(ckpt: Checkpoint, cohort: Cohort) -> MetricsReport:
     """Eval-mode metrics on a standardized cohort at the checkpoint's decision threshold."""
     if len(cohort) == 0:
         raise UndefinedMetricError("cannot evaluate an empty cohort")
     _check_cohort_matches(ckpt, cohort)
-    scores, _ = _predict(ckpt.params, ckpt.config.model, cohort, eval_batch_size)
+    scores = _score_cohort(ckpt.params, ckpt.config.model, cohort).scores
     return compute_report(scores, cohort.y, ckpt.config.decision_threshold)
 
 
-def predict_scores(ckpt: Checkpoint, cohort: Cohort,
-                   eval_batch_size: int | None = None) -> Array:
+def predict_scores(ckpt: Checkpoint, cohort: Cohort) -> Array:
     """Per-patient death probabilities in cohort order; (0,) for no patients."""
     _check_cohort_matches(ckpt, cohort)
     if len(cohort) == 0:
         return np.empty(0)
-    scores, _ = _predict(ckpt.params, ckpt.config.model, cohort, eval_batch_size)
-    return scores
+    return _score_cohort(ckpt.params, ckpt.config.model, cohort).scores
 
 
-def export_embeddings(ckpt: Checkpoint, cohort: Cohort, stage: str, out_path,
-                      eval_batch_size: int | None = None) -> str:
+def export_embeddings(ckpt: Checkpoint, cohort: Cohort, stage: str, out_path) -> str:
     """Write `patient_id,label,e0..` CSV of an intermediate representation."""
     if stage not in EMBED_STAGES:
         raise ConfigError(f"stage must be one of {EMBED_STAGES}, got {stage!r}")
     if len(cohort) == 0:
         raise ConfigError("cannot export embeddings for an empty cohort")
     _check_cohort_matches(ckpt, cohort)
-    _, matrix = _predict(ckpt.params, ckpt.config.model, cohort, eval_batch_size, stage)
+    matrix = _score_cohort(ckpt.params, ckpt.config.model, cohort).stages[stage]
     width = matrix.shape[1]
     with open(out_path, "w", newline="") as fh:
         fh.write("patient_id,label," + ",".join(f"e{k}" for k in range(width)) + "\n")

@@ -311,9 +311,11 @@ def test_unknown_config_key_rejected(tmp_path):
     lambda m: m["config"]["model"].update(n_members=1),
     lambda m: m["config"].update(split_ratios=[0.7, 0.15, float("nan")]),
     lambda m: m["config"]["model"].update(temperature=float("inf")),
+    lambda m: m["config"].update(split_ratios=[0.5, 0.5, 0.5]),
 ], ids=["unknown_model_key", "invalid_model_value", "flat_architecture_key",
         "string_use_similarity", "string_split_ratios", "empty_schema", "n_codes_off_by_one",
-        "removed_n_members_key", "nan_split_ratio", "infinite_temperature"])
+        "removed_n_members_key", "nan_split_ratio", "infinite_temperature",
+        "split_ratios_over_one"])
 def test_bad_model_config_rejected(tmp_path, edit):
     def mutate(d):
         def apply(m):

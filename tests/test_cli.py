@@ -134,9 +134,17 @@ def test_evaluate_prepares_only_the_requested_split(workspace, monkeypatch):
     assert all(stats is not None for _, _, stats in calls)
 
 
-def test_evaluate_supports_batched_scoring(workspace):
-    report, _ = run_json(eval_args(workspace, "--eval-batch-size", "3"))
-    assert report["n_patients"] == 6
+@pytest.mark.parametrize("argv", [
+    ["evaluate"],
+    ["case-study", "--code", "4019"],
+    ["embed", "--stage", "gru", "--out", "e.csv"],
+], ids=["evaluate", "case_study", "embed"])
+def test_scoring_commands_take_no_eval_batch_size(tmp_path, argv):
+    # each command scores the whole split in one forward, so the flag is gone
+    with pytest.raises(SystemExit) as exc:
+        run_cli([*argv, "--checkpoint", str(tmp_path / "m.hgrc"),
+                 "--data-dir", str(tmp_path), "--eval-batch-size", "3"])
+    assert exc.value.code == 2
 
 
 def train_split(workspace):
@@ -251,24 +259,6 @@ def test_embed_exports_csv(workspace, tmp_path):
     assert lines[0].endswith(",e36")  # default aggregation width 37
 
 
-def test_embed_passes_the_eval_batch_size_through(workspace, tmp_path):
-    from hgrc.checkpoint import load_checkpoint
-    from hgrc.cli import _checkpoint_split
-    from hgrc.train import export_embeddings
-    out_path = tmp_path / "hconv.csv"
-    run_json(["embed", "--checkpoint", str(workspace["ckpt"]),
-              "--data-dir", str(workspace["data_dir"]), "--stage", "hconv",
-              "--eval-batch-size", "2", "--out", str(out_path)])
-    ckpt = load_checkpoint(workspace["ckpt"])
-    args = type("Args", (), {"split": "test"})()
-    cohort = _checkpoint_split(args, ckpt, workspace["data_dir"])
-    export_embeddings(ckpt, cohort, "hconv", tmp_path / "batched.csv", eval_batch_size=2)
-    export_embeddings(ckpt, cohort, "hconv", tmp_path / "whole.csv")
-    assert out_path.read_text() == (tmp_path / "batched.csv").read_text()
-    # the hypergraph spans one evaluation batch, so the flag must matter here
-    assert out_path.read_text() != (tmp_path / "whole.csv").read_text()
-
-
 def test_embed_requires_out_path(workspace):
     code, out, err = run_cli(["embed", "--checkpoint", str(workspace["ckpt"]),
                               "--data-dir", str(workspace["data_dir"]),
@@ -317,8 +307,13 @@ def test_config_architecture_is_nested_and_validated_at_parse_time():
     assert parsed.train.epochs == 3
     assert parsed.train.model.hidden_size == 30
     assert parsed.train.model.ffn_hidden == (8, 4)
-    with pytest.raises(ConfigError, match="hidden_size"):
+    # a dataclass's own check is named by its section's path, once
+    with pytest.raises(ConfigError, match=r"^train\.model\.hidden_size must be >= 1, got 0$"):
         parse_app_config({"train": {"model": {"hidden_size": 0}}})
+    with pytest.raises(ConfigError, match=r"^train\.window_hours must be one of"):
+        parse_app_config({"train": {"window_hours": 0}})
+    with pytest.raises(ConfigError, match=r"^synthetic\.window_hours must be >= 1"):
+        parse_app_config({"synthetic": {"window_hours": 0}})
     with pytest.raises(ConfigError, match="ffn_hidden"):
         parse_app_config({"train": {"model": {"ffn_hidden": 5}}})
     with pytest.raises(ConfigError, match="train.model.n_variables"):
@@ -405,10 +400,12 @@ def test_config_type_errors_exit_2(workspace, tmp_path, command, document, key):
 
 
 @pytest.mark.parametrize("command, document, flags, field", [
-    ("train", {"train": {"learning_rate": float("nan")}}, [], "learning_rate"),
-    ("train", {"train": {"model": {"temperature": float("inf")}}}, [], "temperature"),
-    ("train", {"train": {"split_ratios": [0.7, 0.15, float("nan")]}}, [], "split_ratios"),
-    ("gen-synthetic", {"synthetic": {"class_separation": float("inf")}}, [], "class_separation"),
+    ("train", {"train": {"learning_rate": float("nan")}}, [], "train.learning_rate"),
+    ("train", {"train": {"model": {"temperature": float("inf")}}}, [],
+     "train.model.temperature"),
+    ("train", {"train": {"split_ratios": [0.7, 0.15, float("nan")]}}, [], "train.split_ratios"),
+    ("gen-synthetic", {"synthetic": {"class_separation": float("inf")}}, [],
+     "synthetic.class_separation"),
     ("gen-synthetic", {}, ["--class-separation", "nan"], "class_separation"),
 ], ids=["nan_learning_rate", "infinite_temperature", "nan_split_ratio",
         "infinite_class_separation", "nan_class_separation_flag"])
@@ -425,6 +422,30 @@ def test_config_non_finite_floats_exit_2(workspace, tmp_path, command, document,
     assert out == ""
     assert f"config error: {field} must be finite" in err
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("ratios, problem", [
+    ([0.5, 0.5, 0.5], "must sum to 1"),
+    ([0.0, 0.5, 0.5], "must be positive"),
+    ([-0.2, 0.6, 0.6], "must be positive"),
+], ids=["sum_over_one", "zero_share", "negative_share"])
+def test_config_split_ratios_exit_2_before_any_cohort_loads(workspace, tmp_path, monkeypatch,
+                                                            ratios, problem):
+    from hgrc import data
+
+    def no_load(*args, **kwargs):
+        raise AssertionError("the cohort was loaded")
+    monkeypatch.setattr(data, "load_cohort", no_load)
+    document = {"train": {"split_ratios": ratios}}
+    with pytest.raises(ConfigError, match=rf"^train\.split_ratios {problem}"):
+        parse_app_config(document)
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(document))
+    code, out, err = run_cli(["train", "--config", str(cfg), "--data-dir",
+                              str(workspace["data_dir"]), "--out", str(tmp_path / "m.hgrc")])
+    assert code == 2
+    assert out == ""
+    assert f"config error: train.split_ratios {problem}" in err
 
 
 def test_negative_seed_exit_2(workspace, tmp_path):

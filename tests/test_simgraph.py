@@ -287,8 +287,8 @@ def test_blocked_eval_graph_equals_the_dense_one_bitwise(n):
     assert np.array_equal(out.scores, oracle_scores(params, x_star))
 
 
-@pytest.mark.parametrize("eval_batch_size", [1, 32, 300, None])
-def test_blocked_scoring_equals_the_dense_graph_per_batch(eval_batch_size):
+def test_blocked_scoring_equals_the_dense_graph():
+    # 700 patients: the eval graph runs in three row blocks
     spec = SyntheticSpec(n_patients=700, n_variables=3, window_hours=24, n_codes=20,
                          missing_rate=0.2)
     cohort = standardize(impute_mean(gen_synthetic(spec, Rng(15))))
@@ -296,18 +296,13 @@ def test_blocked_scoring_equals_the_dense_graph_per_batch(eval_batch_size):
                   n_codes=len(cohort.code_vocab))
     params = model_params(cfg, 16)
     whole = Batch(cohort.series, cohort.icd, cohort.y)
-    params.zeta[...] = zeta_between_similarities(forward_eval(params, whole, cfg).stages["hconv"])
+    z = forward_eval(params, whole, cfg).stages["hconv"]
+    params.zeta[...] = zeta_between_similarities(z)
     ckpt = Checkpoint(config=TrainConfig(window_hours=24, model=cfg), schema=cohort.schema,
                       code_vocab=cohort.code_vocab, norm_stats=cohort.norm_stats,
                       params=params)
-    scores = predict_scores(ckpt, cohort, eval_batch_size)
-    step = eval_batch_size or len(cohort)
-    for start in range(0, len(cohort), step):
-        rows = slice(start, start + step)
-        batch = Batch(cohort.series[rows], cohort.icd[rows], cohort.y[rows])
-        z = forward_eval(params, batch, cfg).stages["hconv"]
-        x_star = dense_eval_graph(z, float(params.zeta), params.phi)
-        assert np.array_equal(scores[rows], oracle_scores(params, x_star)), rows
+    x_star = dense_eval_graph(z, float(params.zeta), params.phi)
+    assert np.array_equal(predict_scores(ckpt, cohort), oracle_scores(params, x_star))
 
 
 def test_eval_forward_never_holds_an_n_by_n_float_array():

@@ -204,6 +204,8 @@ def test_train_config_validation():
         TrainConfig(seed=-1)
     with pytest.raises(ConfigError, match="decision_threshold"):
         TrainConfig(decision_threshold=1.0)
+    with pytest.raises(ConfigError, match="split_ratios must sum to 1"):
+        TrainConfig(split_ratios=(0.5, 0.5, 0.5))
     with pytest.raises(ConfigError, match="model"):
         TrainConfig(model=[59])
 
@@ -319,7 +321,6 @@ def test_predict_scores_of_an_empty_cohort_is_empty(trained, splits):
     scores = predict_scores(trained, empty)
     assert scores.shape == (0,)
     assert scores.dtype == np.float64
-    assert predict_scores(trained, empty, eval_batch_size=4).shape == (0,)
 
 
 def columns(cohort):
@@ -352,21 +353,8 @@ def test_cohort_transforms_leave_inputs_alone_and_return_c_contiguous_arrays(
     va = unchanged_by(lambda: standardize(other, stats), other)
     _, _, te = splits
     scores = unchanged_by(lambda: predict_scores(trained, te), te)
-    batched = unchanged_by(lambda: predict_scores(trained, te, eval_batch_size=3), te)
     arrays = [column for c in (raw, *pieces, imputed, tr, other, va) for column in columns(c)]
-    assert all(a.flags.c_contiguous for a in arrays + [scores, batched])
-
-
-def test_eval_batching_changes_the_graph_not_the_contract(trained, splits):
-    # each eval batch builds its own similarity graph, so scores may differ,
-    # but they stay valid probabilities and the call stays deterministic
-    _, _, te = splits
-    batched = predict_scores(trained, te, eval_batch_size=3)
-    assert batched.shape == (len(te),)
-    assert np.all((batched >= 0.0) & (batched <= 1.0))
-    assert np.array_equal(batched, predict_scores(trained, te, eval_batch_size=3))
-    with pytest.raises(ConfigError, match="eval batch size"):
-        predict_scores(trained, te, eval_batch_size=0)
+    assert all(a.flags.c_contiguous for a in arrays + [scores])
 
 
 def test_export_embeddings_csv(trained, splits, tmp_path):
