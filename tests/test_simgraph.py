@@ -6,11 +6,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hgrc import head
+from hgrc import head, simgraph
 from hgrc.data import impute_mean, standardize
 from hgrc.errors import ConfigError, ShapeError
 from hgrc.model import Batch, ModelConfig, forward_eval, init_params
-from hgrc.numeric import Rng, finite_diff_check, sigmoid
+from hgrc.numeric import Rng, finite_diff_check, row_blocks, sigmoid
 from hgrc.simgraph import (gcn_aggregate, gcn_aggregate_backward, hard_adjacency,
                            similarity, similarity_backward, threshold, threshold_backward)
 from hgrc.synthetic import SyntheticSpec, gen_synthetic
@@ -185,6 +185,39 @@ def test_blocked_aggregation_equals_the_cached_one_bitwise(n):
     assert np.array_equal(blocked, cached)
 
 
+def test_aggregation_skips_row_blocks_with_no_edge_bitwise():
+    # 700 patients make three row blocks; only the middle one has edges, and
+    # its rows reach into the other blocks' columns, whose degrees stay 1
+    n = 700
+    rng = Rng(19)
+    x = rng.normal(size=(n, 79))
+    phi = rng.normal(size=(79, 37))
+    middle = row_blocks(n)[1]
+    a_prime = np.zeros((n, n), dtype=bool)
+    a_prime[middle] = rng.random((middle.stop - middle.start, n)) < 0.1
+    cached, _ = gcn_aggregate(x, a_prime, phi)
+    blocked, _ = gcn_aggregate(x, a_prime, phi, keep_cache=False)
+    assert np.array_equal(blocked, cached)
+    assert np.array_equal(blocked[:middle.start], np.tanh(x[:middle.start] @ phi))
+
+
+def test_aggregation_without_edges_builds_no_row_block():
+    # an edgeless graph must not build any (256, N) float64 block of A' + I
+    n = 2048
+    rng = Rng(20)
+    x = rng.normal(size=(n, 79))
+    phi = rng.normal(size=(79, 37))
+    a_prime = np.zeros((n, n), dtype=bool)
+    tracemalloc.start()
+    try:
+        out, _ = gcn_aggregate(x, a_prime, phi, keep_cache=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * n * 8, peak
+    assert np.array_equal(out, gcn_aggregate(x, a_prime, phi)[0])
+
+
 def test_gcn_validation():
     for keep_cache in (True, False):
         with pytest.raises(ShapeError):
@@ -286,6 +319,69 @@ def test_blocked_eval_graph_equals_the_dense_one_bitwise(n):
     assert np.array_equal(out.stages["aggregated"], x_star)
     assert np.array_equal(out.scores, oracle_scores(params, x_star))
 
+
+@pytest.mark.parametrize("n", [257, 1089, 1500, 4097])
+def test_eval_graph_is_symmetric(n):
+    # a row block's similarities can round apart from the whole product's, so
+    # s_ij computed in i's block and s_ji in j's block may differ; a zeta at
+    # the smaller of such a pair splits the pair unless s_ij is computed once
+    z = Rng(n).normal(size=(n, 79))
+    blockwise = np.concatenate([similarity(z[rows], z) for rows in row_blocks(n)])
+    i, j = np.nonzero(blockwise != blockwise.T)
+    assert i.size > 0
+    zeta = float(min(blockwise[i[0], j[0]], blockwise[j[0], i[0]]))
+    adjacency = hard_adjacency(z, zeta, SMALL_MODEL.temperature)
+    assert np.array_equal(adjacency, adjacency.T)
+
+
+def test_eval_graph_computes_each_similarity_once(monkeypatch):
+    # wrapped through the module attribute, as bench/tracing.py wraps it:
+    # one similarity and one threshold call per row block, block k against
+    # rows start_k onward
+    n = 700
+    z = Rng(21).normal(size=(n, 79))
+    calls = {"similarity": [], "threshold": 0}
+    similarity_fn, threshold_fn = simgraph.similarity, simgraph.threshold
+
+    def similarity_spy(x, y=None):
+        calls["similarity"].append((x, y))
+        return similarity_fn(x, y)
+
+    def threshold_spy(*args):
+        calls["threshold"] += 1
+        return threshold_fn(*args)
+
+    zeta = zeta_between_similarities(z)
+    monkeypatch.setattr(simgraph, "similarity", similarity_spy)
+    monkeypatch.setattr(simgraph, "threshold", threshold_spy)
+    adjacency = hard_adjacency(z, zeta, SMALL_MODEL.temperature)
+    blocks = row_blocks(n)
+    assert len(blocks) == 3
+    assert len(calls["similarity"]) == calls["threshold"] == len(blocks)
+    for rows, (x, y) in zip(blocks, calls["similarity"]):
+        assert np.array_equal(x, z[rows]) and np.array_equal(y, z[rows.start:])
+    monkeypatch.undo()
+    upper = np.triu(similarity(z) > zeta)
+    assert np.array_equal(adjacency, upper | np.triu(upper, 1).T)
+
+
+def test_eval_graph_takes_each_diagonal_square_from_its_upper_triangle(monkeypatch):
+    # a kernel may round s_ij and s_ji apart within one product; the strict
+    # lower triangle of a block's own square must decide no edge
+    n = 700
+    z = Rng(22).normal(size=(n, 79))
+    zeta = zeta_between_similarities(z)
+    expected = hard_adjacency(z, zeta, SMALL_MODEL.temperature)
+    similarity_fn = simgraph.similarity
+
+    def skewed(x, y=None):
+        a = similarity_fn(x, y)
+        b = x.shape[0]
+        a[:, :b][np.tri(b, k=-1, dtype=bool)] = np.inf
+        return a
+
+    monkeypatch.setattr(simgraph, "similarity", skewed)
+    assert np.array_equal(hard_adjacency(z, zeta, SMALL_MODEL.temperature), expected)
 
 def test_blocked_scoring_equals_the_dense_graph():
     # 700 patients: the eval graph runs in three row blocks
