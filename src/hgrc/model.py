@@ -12,9 +12,11 @@ Training mode uses the sigmoid-relaxed threshold and dropout masks, and
 holds A' and its normalization as dense (N, N) float64 arrays for the
 backward pass.  Evaluation mode uses the strict hard threshold and no
 dropout: A' is a symmetric (N, N) bool array whose every similarity is
-computed once, and the GRU, the similarities and the aggregation run in
-row blocks of at most 256 patients (aggregation skips a block with no
-edge), so no (N, N) float array exists (the simgraph docstring says when
+computed at most once, and the GRU, the similarities and the aggregation
+run in row blocks of at most 256 patients, so no (N, N) float array
+exists.  A block computes no pair whose Cauchy-Schwarz bound rules out an
+edge, which at the trained zeta is every pair outside its own rows, and
+aggregation skips a block with no edge (the simgraph docstring says when
 the result equals a dense computation's bit for bit).  No stage keeps a
 cache, and the GRU's blocks run on every core a one-thread BLAS leaves
 idle; the graph stages' blocks run on the calling thread.  In training

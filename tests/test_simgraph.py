@@ -312,6 +312,14 @@ def test_blocked_eval_graph_equals_the_dense_one_bitwise(n):
         x_star = dense_eval_graph(z, zeta, params.phi)
         assert np.array_equal(out.stages["aggregated"], x_star), name
         assert np.array_equal(out.scores, oracle_scores(params, x_star)), name
+    # a row of zero norm bounds nothing, so its block rules out no row,
+    # and at zeta = 0 it has no edge
+    z0 = z.copy()
+    z0[::7] = 0.0
+    for zeta in (*edges.values(), 0.0):
+        adjacency = hard_adjacency(z0, zeta, SMALL_MODEL.temperature)
+        x_star, _ = gcn_aggregate(z0, adjacency, params.phi, keep_cache=False)
+        assert np.array_equal(x_star, dense_eval_graph(z0, zeta, params.phi)), zeta
     # the ablation aggregates over self-loops only, whatever zeta says
     ablated = replace(SMALL_MODEL, use_similarity=False)
     out = forward_eval(params, batch, ablated)
@@ -337,32 +345,108 @@ def test_eval_graph_is_symmetric(n):
 def test_eval_graph_computes_each_similarity_once(monkeypatch):
     # wrapped through the module attribute, as bench/tracing.py wraps it:
     # one similarity and one threshold call per row block, block k against
-    # rows start_k onward
+    # rows start_k onward; with zeta above every norm bound |z_i| |z_j| / w^2,
+    # block k against its own rows alone
     n = 700
     z = Rng(21).normal(size=(n, 79))
-    calls = {"similarity": [], "threshold": 0}
     similarity_fn, threshold_fn = simgraph.similarity, simgraph.threshold
-
-    def similarity_spy(x, y=None):
-        calls["similarity"].append((x, y))
-        return similarity_fn(x, y)
-
-    def threshold_spy(*args):
-        calls["threshold"] += 1
-        return threshold_fn(*args)
-
-    zeta = zeta_between_similarities(z)
-    monkeypatch.setattr(simgraph, "similarity", similarity_spy)
-    monkeypatch.setattr(simgraph, "threshold", threshold_spy)
-    adjacency = hard_adjacency(z, zeta, SMALL_MODEL.temperature)
     blocks = row_blocks(n)
     assert len(blocks) == 3
-    assert len(calls["similarity"]) == calls["threshold"] == len(blocks)
-    for rows, (x, y) in zip(blocks, calls["similarity"]):
-        assert np.array_equal(x, z[rows]) and np.array_equal(y, z[rows.start:])
-    monkeypatch.undo()
-    upper = np.triu(similarity(z) > zeta)
-    assert np.array_equal(adjacency, upper | np.triu(upper, 1).T)
+    for bounded in (False, True):
+        calls = {"similarity": [], "threshold": 0}
+
+        def similarity_spy(x, y=None):
+            calls["similarity"].append((x, y))
+            return similarity_fn(x, y)
+
+        def threshold_spy(*args):
+            calls["threshold"] += 1
+            return threshold_fn(*args)
+
+        if bounded:
+            zeta = 1.01 * np.linalg.norm(z, axis=1).max() ** 2 / 79**2
+        else:
+            zeta = zeta_between_similarities(z)
+        monkeypatch.setattr(simgraph, "similarity", similarity_spy)
+        monkeypatch.setattr(simgraph, "threshold", threshold_spy)
+        adjacency = hard_adjacency(z, zeta, SMALL_MODEL.temperature)
+        monkeypatch.undo()
+        assert len(calls["similarity"]) == calls["threshold"] == len(blocks)
+        for rows, (x, y) in zip(blocks, calls["similarity"]):
+            assert np.array_equal(x, z[rows])
+            assert np.array_equal(y, z[rows] if bounded else z[rows.start:]), bounded
+        upper = np.triu(similarity(z) > zeta)
+        assert np.array_equal(adjacency, upper | np.triu(upper, 1).T)
+
+
+def test_eval_graph_keeps_parallel_rows_that_reach_the_bound(monkeypatch):
+    # z_j = c z_i, with z_i the largest row of its block, meets the
+    # Cauchy-Schwarz bound with equality, so at a zeta one ulp below the
+    # pair's similarity only the rounding margin keeps j a candidate of i's
+    # block.  Each pair takes, of 50 seeded directions, the one whose bare
+    # bound |z_i| |z_j| / w^2 falls furthest below its similarity.
+    n, width = 700, 79
+    blocks = row_blocks(n)
+    calls = []
+    similarity_fn = simgraph.similarity
+
+    def similarity_spy(x, y=None):
+        a = similarity_fn(x, y)
+        calls.append((y, a))
+        return a
+
+    def pair_similarity(z, i, j, zeta):
+        # the adjacency, and the pair's similarity as i's block computed it
+        calls.clear()
+        adjacency = hard_adjacency(z, zeta, SMALL_MODEL.temperature)
+        k = next(k for k, rows in enumerate(blocks) if rows.start <= i < rows.stop)
+        y, a = calls[k]
+        (col,) = np.flatnonzero((y == z[j]).all(axis=1))
+        return adjacency, a[i - blocks[k].start, col]
+
+    monkeypatch.setattr(simgraph, "similarity", similarity_spy)
+    rng = Rng(23)
+    base = 0.1 * rng.normal(size=(n, width))
+    for i, j in [(10, 300), (240, 600), (100, n - 1)]:
+        candidates = []
+        for _ in range(50):
+            z = base.copy()
+            z[i] = rng.normal(size=width)
+            z[j] = (0.5 + 1.5 * rng.random()) * z[i]
+            # half the pair's similarity rules out every base row, not j
+            _, s = pair_similarity(z, i, j, 0.5 * float(z[i] @ z[j]) / width**2)
+            bare = np.linalg.norm(z[i]) * np.linalg.norm(z[j]) / width**2
+            candidates.append(((s - bare) / np.spacing(s), z, s))
+        _, z, s = max(candidates, key=lambda c: c[0])
+        adjacency, s_edge = pair_similarity(z, i, j, float(np.nextafter(s, -np.inf)))
+        assert s_edge == s
+        assert adjacency[i, j] and adjacency[j, i]
+
+
+def test_one_block_eval_graph_rounds_like_the_whole_product():
+    # numpy computes x @ x.T on one buffer with syrk, which rounds apart from
+    # a product against a copy; a one-block cohort rules out no row and must
+    # keep the whole product's rounding
+    n = 100
+    z = Rng(25).normal(size=(n, 79))
+    whole = similarity(z)
+    i, j = np.nonzero(whole != similarity(z, z.copy()))
+    assert i.size > 0
+    zeta = float(np.nextafter(whole[i[0], j[0]], -np.inf))
+    assert np.array_equal(hard_adjacency(z, zeta, SMALL_MODEL.temperature), whole > zeta)
+
+
+def test_eval_graph_keeps_rows_whose_squares_underflow():
+    # entries near 2^-540 square to zero, so that row's computed norm would
+    # rule out its pair with a row near 2^500, though their dot product is near 2^-40
+    n = 700
+    z = Rng(26).normal(size=(n, 79))
+    z[5] *= 2.0 ** 500
+    z[650] = 2.0 ** -1040 * z[5]
+    zeta = 0.5 * float(similarity(z[5:6], z[650:651])[0, 0])
+    assert zeta > 0.0
+    adjacency = hard_adjacency(z, zeta, SMALL_MODEL.temperature)
+    assert adjacency[5, 650] and adjacency[650, 5]
 
 
 def test_eval_graph_takes_each_diagonal_square_from_its_upper_triangle(monkeypatch):
