@@ -14,17 +14,17 @@ backward pass.  Evaluation mode uses the strict hard threshold and no
 dropout: A' is a symmetric (N, N) bool array whose every similarity is
 computed at most once, and the GRU, the similarities and the aggregation
 run in row blocks of at most 256 patients, so no (N, N) float array
-exists.  A block computes no pair whose Cauchy-Schwarz bound rules out an
-edge, which at the trained zeta is every pair outside its own rows, and
-aggregation skips a block with no edge (the simgraph docstring says when
-the result equals a dense computation's bit for bit).  No stage keeps a
-cache, and the GRU's blocks run on every core a one-thread BLAS leaves
-idle; the graph stages' blocks run on the calling thread.  In training
-only the GRU uses those cores, on batches of more than 128 patients (see
-the encoder docstring).  The backward pass chains the hand-derived
-gradients of each stage.  There is one code path: tanh in every layer
-after the GRU (hypergraph convolution, GCN aggregation, FFN hidden layers)
-and scaled dot-product similarity.
+exists.  When the Cauchy-Schwarz bound rules out every edge, as it does
+at the trained zeta, each block computes only its own rows' similarities
+and A' is all False; aggregation skips a block with no edge (the simgraph
+docstring says when the result equals a dense computation's bit for bit).
+No stage keeps a cache, and the GRU's blocks run on every core a
+one-thread BLAS leaves idle; the graph stages' blocks run on the calling
+thread.  In training only the GRU uses those cores, on batches of more
+than 128 patients (see the encoder docstring).  The backward pass chains
+the hand-derived gradients of each stage.  There is one code path: tanh
+in every layer after the GRU (hypergraph convolution, GCN aggregation,
+FFN hidden layers) and scaled dot-product similarity.
 tanh is smooth, so finite-difference checks hold at every point, and on the
 hard synthetic regime it scored ahead of both relu and sigmoid.  The head is
 one FFN: the paper's attention-gated ensemble of FFNs scored within the seed

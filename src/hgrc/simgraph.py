@@ -19,13 +19,14 @@ whole cohorts and needs no backward, so hard_adjacency builds the graph as
 one symmetric (N, N) bool array a row block at a time
 (``numeric.row_blocks``): each block's similarities with its own and later
 rows are computed and thresholded once, then mirrored into the block's
-columns.  A later row is skipped when the Cauchy-Schwarz bound
-|z_i| |z_j| / w^2, taken at the block's largest norm and widened by a
-margin for rounding, cannot exceed zeta: the norm pruning of all-pairs
-similarity search (Bayardo, Ma & Srikant, WWW 2007).  Every pair left
-out stays False.  The bound is at most (1 + L)^2 / w for L residual
-layers, 0.20 at the defaults and below every trained zeta (ROADMAP item 3),
-so at the trained zeta each block computes only its own square.
+columns.  When the Cauchy-Schwarz bound max |z|^2 / w^2, widened by a
+margin for rounding, cannot exceed zeta, no pair can be an edge: each
+block then scores only its own rows and the adjacency is all False.  This
+is the norm pruning of all-pairs similarity search (Bayardo, Ma & Srikant,
+WWW 2007), taken at the whole cohort's largest norm.  The bound is at most
+(1 + L)^2 / w for L residual layers, 0.20 at the defaults and below every
+trained zeta (ROADMAP item 3).  Any other zeta builds the graph exactly as
+without the bound.
 gcn_aggregate without a cache normalizes and multiplies one row block of
 A' + I at a time, and skips a block with no edge: its rows of A' + I are
 rows of I, of degree 1, so its output rows are tanh(X Phi)'s.
@@ -37,10 +38,7 @@ row).  (OpenBLAS sends an untransposed product of at most 10^6
 multiply-adds to a small-matrix kernel, so at narrow widths a block can
 round apart.)  A block's similarities can differ in the last bits from
 those of the whole symmetric product, so the blocked adjacency matches a
-dense one except where a similarity lies within that rounding of zeta.  The
-same holds against the graph built without the bound: a block that rules
-out a row multiplies against a gathered copy of the rows it keeps, which
-gemm can round apart from the contiguous rows (hard_adjacency).
+dense one except where a similarity lies within that rounding of zeta.
 """
 
 from __future__ import annotations
@@ -58,8 +56,8 @@ def similarity(x: Array, y: Array | None = None) -> Array:
     """Scaled dot-product similarity A = X Y^T / width^2; Y defaults to X.
 
     With Y = X the result is symmetric; hard_adjacency passes a block of
-    rows as X, and as Y the block's rows followed by the later rows its
-    norm bound leaves open.
+    rows as X, and as Y the rows from the block's first onward (or the
+    block's own rows alone, when the norm bound rules out every edge).
     """
     x = np.asarray(x, dtype=np.float64)
     y = x if y is None else np.asarray(y, dtype=np.float64)
@@ -100,63 +98,45 @@ def hard_adjacency(x: Array, zeta: float, temperature: float) -> Array:
     """Eval-mode adjacency 1[similarity(x) > zeta] as a symmetric (N, N) bool array.
 
     Built one row block at a time, each block against its own rows and
-    those later rows its norm bound leaves open, so every similarity is
-    computed at most once and the largest float array held is one block's
-    strip.  The strip right of the block's own columns is mirrored into
-    their rows, and the (rows, rows) square is mirrored from its strict
-    upper triangle; every pair not computed stays False.
+    those below them, so every similarity is computed once and the largest
+    float array held is one block's (rows, N - start) similarities.  The
+    strip right of the block's own columns is mirrored below it, and the
+    (rows, rows) square is mirrored from its strict upper triangle.
 
-    The bound.  By Cauchy-Schwarz z_i.z_j / w^2 <= |z_i| |z_j| / w^2, so a
-    later row j needs computing only if c m |z_j| > zeta, with m the
-    block's largest row norm and c = (1 + 8 w eps) / w^2, eps = 2^-52.
-    The margin covers rounding.  Let u = eps / 2 and g = w u / (1 - w u).
-    A width-w dot product summed in any order, with or without FMA, lies
-    within g sum_k |x_k y_k| <= g |x| |y| of the exact one, and the
-    division by w^2 rounds once more: a computed similarity is at most
+    When the cohort's Cauchy-Schwarz bound c max |z|^2 cannot exceed zeta,
+    with c = (1 + 8 w eps) / w^2 and eps = 2^-52, no pair is an edge (the
+    diagonal included) and the adjacency is all False.  Each block then
+    scores only its own (rows, rows) square, so the traced similarity and
+    threshold layers still see one call per block.  The margin covers
+    rounding.  Let u = eps / 2 and g = w u / (1 - w u).  A width-w dot
+    product summed in any order, with or without FMA, lies within
+    g sum_k |x_k y_k| <= g |x| |y| of the exact one, and the division by
+    w^2 rounds once more: a computed similarity is at most
     (1 + u)(1 + g) |z_i| |z_j| / w^2.  A squared norm sums nonnegative
-    terms, so it is computed at least (1 - g) |z|^2, and its square root
-    at least (1 - u)(1 - g) |z|.  c takes two roundings (its sum and its
-    quotient) and c m |z_j| two more, so the computed bound is at least
-    (1 + 16 w u)(1 - u)^6 (1 - g)^2 |z_i| |z_j| / w^2, which exceeds the
-    similarity's ceiling for every width up to 2^33: to first order
-    14 w u - 6 u > (w + 1) u, true for w >= 1.  A pair the computed bound rules out cannot
-    be an edge.  A row whose squared norm is below 2^-900 (a zero row, or
-    one whose squares underflow) gets an infinite norm, since underflow
-    voids the relative error bounds: it is never ruled out, and its block
-    rules out nothing.  A NaN bound rules out nothing.
-
-    When no later row is ruled out the block passes ``x[rows.start:]``,
-    as it did before the bound: numpy computes a one-block cohort's
-    ``x @ x.T`` (both operands one buffer) with BLAS syrk, which rounds
-    differently from a product against a copy.  When some are, the
-    candidates are a gathered copy, and OpenBLAS's gemm can round an
-    element differently when the other operand holds different columns.
-    So, as blocked against dense, the adjacency may differ from one
-    computed without the bound only at a pair whose similarity lies within
-    that rounding of zeta.
+    terms, so it is computed at least (1 - g) |z|^2.  c takes two roundings
+    (its sum and its quotient) and c max |z|^2 one more, so the computed
+    bound is at least (1 + 16 w u)(1 - u)^3 (1 - g) max |z|^2 / w^2, which
+    exceeds the similarity's ceiling for every width up to 2^33: to first
+    order 15 w u - 3 u > (w + 1) u, true for w >= 1.  Underflow voids these
+    relative bounds, so a cohort whose largest squared norm is below 2^-900
+    (all rows zero, say) is never bounded; nor is one whose bound is NaN.
+    Otherwise the graph is built exactly as without the bound.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ShapeError(f"hard_adjacency expects (N, width) rows, got {x.shape}")
     n, width = x.shape
-    squares = np.einsum("ij,ij->i", x, x)
-    norms = np.sqrt(squares)
-    norms[squares < 2.0 ** -900] = np.inf
+    top = np.einsum("ij,ij->i", x, x).max(initial=0.0)
     scale = (1.0 + 8.0 * width * np.finfo(np.float64).eps) / float(width * width)
-    adjacency = np.zeros((n, n), dtype=bool)
+    if top >= 2.0 ** -900 and scale * top <= zeta:
+        for rows in row_blocks(n):
+            threshold(similarity(x[rows], x[rows]), zeta, temperature, "eval")
+        return np.zeros((n, n), dtype=bool)
+    adjacency = np.empty((n, n), dtype=bool)
     for rows in row_blocks(n):
-        bound = scale * norms[rows].max(initial=0.0) * norms[rows.stop:]
-        later = rows.stop + np.flatnonzero(~(bound <= zeta))
-        if later.size == n - rows.stop:
-            later, candidates = slice(rows.stop, n), x[rows.start:]
-        else:
-            candidates = x[np.r_[rows, later]]
-        strip = threshold(similarity(x[rows], candidates), zeta, temperature, "eval")
+        strip = threshold(similarity(x[rows], x[rows.start:]), zeta, temperature, "eval")
         b = rows.stop - rows.start
-        adjacency[rows, rows] = strip[:, :b]
+        adjacency[rows, rows.start:] = strip
         np.copyto(adjacency[rows, rows], strip[:, :b].T, where=np.tri(b, k=-1, dtype=bool))
-        adjacency[rows, later] = strip[:, b:]
-        adjacency[later, rows] = strip[:, b:].T
+        adjacency[rows.stop:, rows] = strip[:, b:].T
         # freed before the next block allocates, so its smaller arrays reuse
         # this block's space; a strip kept alive into the next block split the
         # heap and raised peak RSS by 10-24 MB in 4 of 10 score-4096 runs

@@ -345,8 +345,8 @@ def test_eval_graph_is_symmetric(n):
 def test_eval_graph_computes_each_similarity_once(monkeypatch):
     # wrapped through the module attribute, as bench/tracing.py wraps it:
     # one similarity and one threshold call per row block, block k against
-    # rows start_k onward; with zeta above every norm bound |z_i| |z_j| / w^2,
-    # block k against its own rows alone
+    # rows start_k onward; with zeta above the cohort's norm bound
+    # max |z|^2 / w^2, block k against its own rows alone
     n = 700
     z = Rng(21).normal(size=(n, 79))
     similarity_fn, threshold_fn = simgraph.similarity, simgraph.threshold
@@ -380,11 +380,11 @@ def test_eval_graph_computes_each_similarity_once(monkeypatch):
 
 
 def test_eval_graph_keeps_parallel_rows_that_reach_the_bound(monkeypatch):
-    # z_j = c z_i, with z_i the largest row of its block, meets the
-    # Cauchy-Schwarz bound with equality, so at a zeta one ulp below the
-    # pair's similarity only the rounding margin keeps j a candidate of i's
-    # block.  Each pair takes, of 50 seeded directions, the one whose bare
-    # bound |z_i| |z_j| / w^2 falls furthest below its similarity.
+    # the cohort's largest row z_i and its copies z_j (parallel rows, c = 1)
+    # meet the bound max |z|^2 / w^2 with equality, so at a zeta one ulp
+    # below their similarity only the rounding margin keeps the graph from
+    # being ruled empty.  Each pair takes, of 50 seeded directions, the one
+    # whose bare bound falls furthest below its similarity.
     n, width = 700, 79
     blocks = row_blocks(n)
     calls = []
@@ -401,7 +401,8 @@ def test_eval_graph_keeps_parallel_rows_that_reach_the_bound(monkeypatch):
         adjacency = hard_adjacency(z, zeta, SMALL_MODEL.temperature)
         k = next(k for k, rows in enumerate(blocks) if rows.start <= i < rows.stop)
         y, a = calls[k]
-        (col,) = np.flatnonzero((y == z[j]).all(axis=1))
+        col = j - blocks[k].start
+        assert col < y.shape[0] and np.array_equal(y[col], z[j])
         return adjacency, a[i - blocks[k].start, col]
 
     monkeypatch.setattr(simgraph, "similarity", similarity_spy)
@@ -412,10 +413,9 @@ def test_eval_graph_keeps_parallel_rows_that_reach_the_bound(monkeypatch):
         for _ in range(50):
             z = base.copy()
             z[i] = rng.normal(size=width)
-            z[j] = (0.5 + 1.5 * rng.random()) * z[i]
-            # half the pair's similarity rules out every base row, not j
+            z[j] = z[i]
             _, s = pair_similarity(z, i, j, 0.5 * float(z[i] @ z[j]) / width**2)
-            bare = np.linalg.norm(z[i]) * np.linalg.norm(z[j]) / width**2
+            bare = np.einsum("ij,ij->i", z, z).max() / width**2
             candidates.append(((s - bare) / np.spacing(s), z, s))
         _, z, s = max(candidates, key=lambda c: c[0])
         adjacency, s_edge = pair_similarity(z, i, j, float(np.nextafter(s, -np.inf)))
@@ -437,15 +437,16 @@ def test_one_block_eval_graph_rounds_like_the_whole_product():
 
 
 def test_eval_graph_keeps_rows_whose_squares_underflow():
-    # entries near 2^-540 square to zero, so that row's computed norm would
-    # rule out its pair with a row near 2^500, though their dot product is near 2^-40
-    n = 700
-    z = Rng(26).normal(size=(n, 79))
-    z[5] *= 2.0 ** 500
-    z[650] = 2.0 ** -1040 * z[5]
-    zeta = 0.5 * float(similarity(z[5:6], z[650:651])[0, 0])
-    assert zeta > 0.0
-    adjacency = hard_adjacency(z, zeta, SMALL_MODEL.temperature)
+    # subnormal products round to whole units t = 2^-1074: p^2 and q^2 below
+    # round to 2t and 3t and pq to 3t, so (p, q).(q, p) = 6t exceeds both
+    # squared norms, 5t.  The similarity 6t / 4 rounds to 2t and the bound
+    # c 5t to t: a bound taken below 2^-900 would rule out an edge
+    t = 2.0 ** -1074
+    p, q = np.sqrt(2.49) * 2.0 ** -537, np.sqrt(2.52) * 2.0 ** -537
+    z = np.zeros((700, 2))
+    z[5], z[650] = (p, q), (q, p)
+    assert similarity(z[5:6], z[650:651])[0, 0] == 2 * t
+    adjacency = hard_adjacency(z, t, SMALL_MODEL.temperature)
     assert adjacency[5, 650] and adjacency[650, 5]
 
 
