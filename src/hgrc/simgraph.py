@@ -120,7 +120,10 @@ def hard_adjacency(x: Array, zeta: float, temperature: float) -> Array:
     order 15 w u - 3 u > (w + 1) u, true for w >= 1.  Underflow voids these
     relative bounds, so a cohort whose largest squared norm is below 2^-900
     (all rows zero, say) is never bounded; nor is one whose bound is NaN.
-    Otherwise the graph is built exactly as without the bound.
+    Otherwise the graph is built exactly as without the bound.  Its blocks
+    keep passing ``x[rows.start:]``, not a copy: numpy computes a one-block
+    cohort's ``x @ x.T`` (both operands one buffer) with BLAS syrk, which
+    rounds differently from a product against a copy.
     """
     x = np.asarray(x, dtype=np.float64)
     n, width = x.shape
