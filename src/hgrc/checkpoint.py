@@ -8,11 +8,11 @@ the model's flat parameter buffer as raw little-endian float64, whose arrays
 lie in layout order (``model.param_layout``), each in C order.  The table's
 offsets count bytes.  A load requires the stored config's model widths to
 equal the schema's and code vocabulary's lengths, the normalization mean
-(and std, unless null) to hold one value per schema variable, the table to
-equal the layout that config implies (same names, shapes and contiguous
-offsets, in order) and the blob to be exactly the buffer's size, then reads
-the blob in one piece.  Round trips are bit-exact: loading a saved checkpoint and
-evaluating reproduces the pre-save evaluation to the last bit.
+(and std, unless null) to hold one finite value per schema variable (a std
+of at least 0), the table to equal the layout that config implies (same
+names, shapes and contiguous offsets, in order) and the blob to be exactly
+the buffer's size, then reads the blob in one piece.  Round trips are
+bit-exact: a saved checkpoint loads and evaluates as before, to the last bit.
 """
 
 from __future__ import annotations
@@ -31,11 +31,12 @@ from .errors import CheckpointError, CheckpointVersionError, ConfigError
 from .train import Checkpoint, TrainConfig
 
 MAGIC = b"HGRC"
+# 7: the model config names no use_similarity, temperature or zeta_init;
 # 6: one FFN head, no attention arrays and no n_members; 5: the FFN ensemble
 # stacked in six ffn.* arrays, member axis first, plus attn.*; 4: the config
 # names no activation (tanh throughout); 3: GRU gates stacked in four arrays;
 # 2: the architecture nested as ``model``
-VERSION = 6
+VERSION = 7
 _HEADER = struct.Struct("<4sBQ")
 
 
@@ -135,6 +136,9 @@ def load_checkpoint(path) -> Checkpoint:
                for stat in (norm_stats.mean, norm_stats.std)):
             raise ValueError(f"norm_stats mean and std need {len(schema)} values, "
                              "one per schema variable")
+        std = np.zeros(0) if norm_stats.std is None else norm_stats.std
+        if not (np.isfinite(norm_stats.mean).all() and ((std >= 0.0) & (std < np.inf)).all()):
+            raise ValueError("norm_stats need a finite mean and a finite std >= 0")
     except ConfigError as exc:
         raise CheckpointError(f"{path}: checkpoint config does not match TrainConfig: {exc}")
     except KeyError as exc:

@@ -113,6 +113,12 @@ def cmd_gen_synthetic(args) -> int:
             overrides[flag] = value
     if overrides:
         spec = replace(spec, **overrides)
+    if spec.n_variables != len(data_mod.DEFAULT_SCHEMA):
+        raise ConfigError(f"synthetic.n_variables must be {len(data_mod.DEFAULT_SCHEMA)} "
+                          f"for train to read the cohort, got {spec.n_variables}")
+    if spec.window_hours > max(data_mod.VALID_WINDOWS):
+        raise ConfigError(f"synthetic.window_hours must be at most {max(data_mod.VALID_WINDOWS)} "
+                          f"for train to read the cohort, got {spec.window_hours}")
     out_dir = args.out_dir or cfg.paths.out_dir
     if out_dir is None:
         raise ConfigError("no output directory given (use --out-dir or paths.out_dir)")

@@ -4,8 +4,8 @@ Every field is optional and defaults to the trained-model values, so a bare
 ``train --data-dir ...`` runs the standard configuration.  The architecture
 sits under ``train.model``.  Unknown keys are rejected by name rather than
 silently ignored, and so are the model's input widths, which the data sets.
-Every value must have its field's JSON type: booleans are true/false, integers
-are whole numbers, floats take either, and tuples are arrays of those.
+Every value must have its field's JSON type: integers are whole numbers (not
+true/false), floats take either, and tuples are arrays of those.
 Checkpoint manifests are read through the same builder, with the widths
 allowed.
 """

@@ -28,10 +28,9 @@ FFN hidden layers) and scaled dot-product similarity.
 tanh is smooth, so finite-difference checks hold at every point, and on the
 hard synthetic regime it scored ahead of both relu and sigmoid.  The head is
 one FFN: the paper's attention-gated ensemble of FFNs scored within the seed
-spread of a single member on the hard regime, so it was removed.  Two
-ablation knobs exist for controlled comparisons: hconv_layers=0 removes the
-hypergraph stack, use_similarity=False forces an empty bool adjacency so
-aggregation sees self-loops only.
+spread of a single member on the hard regime, so it was removed.
+hconv_layers=0 removes the hypergraph stack for ablations.  The graph has
+no knob: a zeta of +inf trains bit for bit like a model without it.
 
 Parameters live in one contiguous float64 buffer (ModelParams.flat).  The
 layout, built from the ModelConfig by param_layout, lists every trainable
@@ -67,10 +66,7 @@ class ModelConfig:
     hconv_layers: int = 3
     phi_width: int = 37
     ffn_hidden: tuple[int, int] = (27, 17)
-    zeta_init: float = 0.4
-    temperature: float = 50.0
     dropout: float = 0.2
-    use_similarity: bool = True
 
     def __post_init__(self):
         check_finite_fields(self)
@@ -84,8 +80,6 @@ class ModelConfig:
         if (not isinstance(self.ffn_hidden, tuple) or len(self.ffn_hidden) != 2
                 or any(not isinstance(w, int) or w < 1 for w in self.ffn_hidden)):
             raise ConfigError(f"ffn_hidden must be two positive widths, got {self.ffn_hidden}")
-        if self.temperature <= 0.0:
-            raise ConfigError(f"temperature must be positive, got {self.temperature}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
 
@@ -180,7 +174,7 @@ def init_params(config: ModelConfig, rng: Rng) -> ModelParams:
     encoder.init_gru_params(params.gru, gru_rng)
     for theta, stream in zip(params.thetas, theta_rng.split(len(params.thetas))):
         theta[...] = glorot_init(*theta.shape, stream)
-    params.zeta[...] = config.zeta_init
+    params.zeta[...] = simgraph.ZETA_INIT
     params.phi[...] = glorot_init(*params.phi.shape, phi_rng)
     head.init_head_params(params.ffn, head_rng)
     return params
@@ -201,13 +195,9 @@ def _forward(params: ModelParams, batch: Batch, config: ModelConfig, mode: str, 
     hg = hypergraph.build_hypergraph(batch.icd)
     z, hconv_cache = hypergraph.hconv_stack(fused, hg, params.thetas, keep_cache=mode != "eval")
 
-    if not config.use_similarity:
-        a_prime = np.zeros((z.shape[0], z.shape[0]), dtype=bool)
-    elif mode == "eval":
-        a_prime = simgraph.hard_adjacency(z, float(params.zeta), config.temperature)
-    else:
-        a_prime = simgraph.threshold(simgraph.similarity(z), float(params.zeta),
-                                     config.temperature, mode)
+    zeta = float(params.zeta)
+    a_prime = (simgraph.hard_adjacency(z, zeta) if mode == "eval"
+               else simgraph.threshold(simgraph.similarity(z), zeta, mode))
 
     x_star, gcn_cache = simgraph.gcn_aggregate(z, a_prime, params.phi,
                                                keep_cache=mode != "eval")
@@ -235,10 +225,9 @@ def backward(params: ModelParams, batch: Batch, config: ModelConfig, cache) -> M
     d_z, d_a_tilde, d_phi = simgraph.gcn_aggregate_backward(d_xstar, gcn_cache, params.phi)
     grads.phi[...] = d_phi
 
-    if config.use_similarity:
-        d_a, d_zeta = simgraph.threshold_backward(d_a_tilde, a_prime, config.temperature)
-        grads.zeta[...] = d_zeta
-        d_z = d_z + simgraph.similarity_backward(d_a, z)
+    d_a, d_zeta = simgraph.threshold_backward(d_a_tilde, a_prime)
+    grads.zeta[...] = d_zeta
+    d_z = d_z + simgraph.similarity_backward(d_a, z)
 
     d_fused, d_thetas = hypergraph.hconv_stack_backward(d_z, hconv_cache, params.thetas)
     for g, d in zip(grads.thetas, d_thetas):

@@ -1,11 +1,11 @@
 """Patient similarity graph: pairwise scores, threshold, GCN aggregation.
 
 Similarity is the scaled dot product A = X X^T / w^2 with w the feature
-width.  A learnable threshold zeta turns A into an adjacency: during training
-a sigmoid relaxation sigmoid(tau * (A - zeta)) keeps zeta differentiable
-(a hard step has zero gradient almost everywhere); at evaluation the strict
-indicator 1[A > zeta] is used.  Aggregation adds self-loops and applies the
-symmetric normalization
+width.  A learnable threshold zeta (from ZETA_INIT) turns A into an
+adjacency: during training a sigmoid relaxation sigmoid(tau * (A - zeta)),
+tau = TEMPERATURE, keeps zeta differentiable (a hard step has zero gradient
+almost everywhere); at evaluation the strict indicator 1[A > zeta] is used.
+Aggregation adds self-loops and applies the symmetric normalization
 
     X* = tanh(Dt^-1/2 (A' + I) Dt^-1/2 X Phi)
 
@@ -48,6 +48,8 @@ import numpy as np
 from .errors import ConfigError, ShapeError
 from .numeric import Array, row_blocks, sigmoid
 
+TEMPERATURE = 50.0  # tau, the slope of the training relaxation
+ZETA_INIT = 0.4  # zeta before training; the default widths cap A at 0.20
 
 # ------------------------------------------------------------- similarity
 
@@ -78,23 +80,21 @@ def similarity_backward(d_a: Array, x: Array) -> Array:
 # -------------------------------------------------------------- threshold
 
 
-def threshold(a: Array, zeta: float, temperature: float, mode: str) -> Array:
+def threshold(a: Array, zeta: float, mode: str) -> Array:
     """Adjacency from similarities.
 
-    train: sigmoid(temperature * (a - zeta)), float entries in (0, 1).
+    train: sigmoid(TEMPERATURE * (a - zeta)), float entries in (0, 1).
     eval:  strict indicator (a > zeta) as bools; a == zeta maps to False.
     """
-    if temperature <= 0.0:
-        raise ConfigError(f"temperature must be positive, got {temperature}")
     a = np.asarray(a, dtype=np.float64)
     if mode == "train":
-        return sigmoid(temperature * (a - zeta))
+        return sigmoid(TEMPERATURE * (a - zeta))
     if mode == "eval":
         return a > zeta
     raise ConfigError(f"threshold mode must be 'train' or 'eval', got {mode!r}")
 
 
-def hard_adjacency(x: Array, zeta: float, temperature: float) -> Array:
+def hard_adjacency(x: Array, zeta: float) -> Array:
     """Eval-mode adjacency 1[similarity(x) > zeta] as a symmetric (N, N) bool array.
 
     Built one row block at a time, each block against its own rows and
@@ -131,11 +131,11 @@ def hard_adjacency(x: Array, zeta: float, temperature: float) -> Array:
     scale = (1.0 + 8.0 * width * np.finfo(np.float64).eps) / float(width * width)
     if top >= 2.0 ** -900 and scale * top <= zeta:
         for rows in row_blocks(n):
-            threshold(similarity(x[rows], x[rows]), zeta, temperature, "eval")
+            threshold(similarity(x[rows], x[rows]), zeta, "eval")
         return np.zeros((n, n), dtype=bool)
     adjacency = np.empty((n, n), dtype=bool)
     for rows in row_blocks(n):
-        strip = threshold(similarity(x[rows], x[rows.start:]), zeta, temperature, "eval")
+        strip = threshold(similarity(x[rows], x[rows.start:]), zeta, "eval")
         b = rows.stop - rows.start
         adjacency[rows, rows.start:] = strip
         np.copyto(adjacency[rows, rows], strip[:, :b].T, where=np.tri(b, k=-1, dtype=bool))
@@ -147,11 +147,11 @@ def hard_adjacency(x: Array, zeta: float, temperature: float) -> Array:
     return adjacency
 
 
-def threshold_backward(d_aprime: Array, soft: Array, temperature: float):
+def threshold_backward(d_aprime: Array, soft: Array):
     """Backward of the train-mode relaxation; returns (d_a, d_zeta)."""
     d_pre = d_aprime * soft * (1.0 - soft)
-    d_a = temperature * d_pre
-    d_zeta = -temperature * float(d_pre.sum())
+    d_a = TEMPERATURE * d_pre
+    d_zeta = -TEMPERATURE * float(d_pre.sum())
     return d_a, d_zeta
 
 

@@ -106,7 +106,7 @@ def test_version_1_checkpoint_rejected(tmp_path):
     def mutate(d):
         d[4] = 1
         return d
-    with pytest.raises(CheckpointVersionError, match="version 1, expected 6"):
+    with pytest.raises(CheckpointVersionError, match="version 1, expected 7"):
         load_checkpoint(write_tampered(tmp_path, mutate))
 
 
@@ -115,7 +115,7 @@ def test_version_2_checkpoint_rejected(tmp_path):
     def mutate(d):
         d[4] = 2
         return d
-    with pytest.raises(CheckpointVersionError, match="version 2, expected 6"):
+    with pytest.raises(CheckpointVersionError, match="version 2, expected 7"):
         load_checkpoint(write_tampered(tmp_path, mutate))
 
 
@@ -128,7 +128,7 @@ def test_version_3_checkpoint_rejected(tmp_path):
         d = edit_manifest(d, edit)
         d[4] = 3
         return d
-    with pytest.raises(CheckpointVersionError, match="version 3, expected 6"):
+    with pytest.raises(CheckpointVersionError, match="version 3, expected 7"):
         load_checkpoint(write_tampered(tmp_path, mutate))
 
 
@@ -141,7 +141,7 @@ def test_version_4_checkpoint_rejected(tmp_path):
         d = edit_manifest(d, edit)
         d[4] = 4
         return d
-    with pytest.raises(CheckpointVersionError, match="version 4, expected 6"):
+    with pytest.raises(CheckpointVersionError, match="version 4, expected 7"):
         load_checkpoint(write_tampered(tmp_path, mutate))
 
 
@@ -157,7 +157,21 @@ def test_version_5_checkpoint_rejected(tmp_path):
         d = edit_manifest(d, edit)
         d[4] = 5
         return d
-    with pytest.raises(CheckpointVersionError, match="version 5, expected 6"):
+    with pytest.raises(CheckpointVersionError, match="version 5, expected 7"):
+        load_checkpoint(write_tampered(tmp_path, mutate))
+
+
+def test_version_6_checkpoint_rejected(tmp_path):
+    # version 6 named use_similarity, temperature and zeta_init in the model
+    # config; they are constants now and there is no converter
+    def mutate(d):
+        def edit(m):
+            m["config"]["model"].update(use_similarity=True, temperature=50.0, zeta_init=0.4)
+            return m
+        d = edit_manifest(d, edit)
+        d[4] = 6
+        return d
+    with pytest.raises(CheckpointVersionError, match="version 6, expected 7"):
         load_checkpoint(write_tampered(tmp_path, mutate))
 
 
@@ -278,8 +292,11 @@ def test_malformed_parameter_table_rejected(tmp_path, edit):
     lambda m: m["norm_stats"].update(mean=["eighty", "thirty-seven"]),
     lambda m: m["norm_stats"].update(mean=[80.0]),
     lambda m: m["norm_stats"].update(std=[10.0]),
+    lambda m: m["norm_stats"]["mean"].__setitem__(0, float("nan")),
+    lambda m: m["norm_stats"]["std"].__setitem__(0, float("inf")),
+    lambda m: m["norm_stats"]["std"].__setitem__(0, -1.0),
 ], ids=["missing_std", "missing_mean", "not_an_object", "non_numeric_mean", "short_mean",
-        "short_std"])
+        "short_std", "nan_mean", "infinite_std", "negative_std"])
 def test_malformed_norm_stats_rejected(tmp_path, edit):
     def mutate(d):
         def apply(m):
@@ -304,18 +321,22 @@ def test_unknown_config_key_rejected(tmp_path):
     lambda m: m["config"]["model"].update(mystery_knob=3),
     lambda m: m["config"]["model"].update(hidden_size=0),
     lambda m: m["config"].update(hidden_size=3),
-    lambda m: m["config"]["model"].update(use_similarity="no"),
+    lambda m: m["config"]["model"].update(dropout="0.2"),
     lambda m: m["config"].update(split_ratios="abc"),
     lambda m: m.update(schema=[]),
     lambda m: m["config"]["model"].update(n_codes=m["config"]["model"]["n_codes"] + 1),
     lambda m: m["config"]["model"].update(n_members=1),
     lambda m: m["config"].update(split_ratios=[0.7, 0.15, float("nan")]),
-    lambda m: m["config"]["model"].update(temperature=float("inf")),
+    lambda m: m["config"]["model"].update(dropout=float("inf")),
     lambda m: m["config"].update(split_ratios=[0.5, 0.5, 0.5]),
+    lambda m: m["config"]["model"].update(use_similarity=True),
+    lambda m: m["config"]["model"].update(temperature=50.0),
+    lambda m: m["config"]["model"].update(zeta_init=0.4),
 ], ids=["unknown_model_key", "invalid_model_value", "flat_architecture_key",
-        "string_use_similarity", "string_split_ratios", "empty_schema", "n_codes_off_by_one",
-        "removed_n_members_key", "nan_split_ratio", "infinite_temperature",
-        "split_ratios_over_one"])
+        "string_dropout", "string_split_ratios", "empty_schema", "n_codes_off_by_one",
+        "removed_n_members_key", "nan_split_ratio", "infinite_dropout",
+        "split_ratios_over_one", "removed_use_similarity_key", "removed_temperature_key",
+        "removed_zeta_init_key"])
 def test_bad_model_config_rejected(tmp_path, edit):
     def mutate(d):
         def apply(m):

@@ -62,6 +62,23 @@ def test_gen_synthetic_writes_loadable_files(workspace):
     assert len(cohort.code_vocab) == 5
 
 
+@pytest.mark.parametrize("document, flags, key", [
+    ({"synthetic": {"n_variables": 3}}, [], "synthetic.n_variables"),
+    ({}, ["--window-hours", "72"], "synthetic.window_hours"),
+], ids=["n_variables", "window_hours"])
+def test_gen_synthetic_refuses_cohorts_train_cannot_read(tmp_path, document, flags, key):
+    # train reads the default schema's variables in windows of at most 48 hours
+    cfg = tmp_path / "synth.json"
+    cfg.write_text(json.dumps(document))
+    out_dir = tmp_path / "cohort"
+    code, out, err = run_cli(["gen-synthetic", "--config", str(cfg), "--out-dir", str(out_dir),
+                              "--n-patients", "20", *flags])
+    assert code == 2
+    assert out == ""
+    assert f"config error: {key} must be" in err
+    assert not out_dir.exists()
+
+
 def test_train_reports_run_and_writes_artifacts(workspace):
     trained = workspace["trained"]
     assert trained["epochs_run"] == 2
@@ -276,8 +293,9 @@ def test_config_dump_defaults():
     assert set(dumped["train"]) == {"window_hours", "batch_size", "learning_rate", "epochs",
                                     "patience", "seed", "split_ratios",
                                     "decision_threshold", "model"}
-    assert len(dumped["train"]["model"]) == 8  # n_variables, n_codes come from the data
-    assert "activation" not in dumped["train"]["model"]
+    # n_variables, n_codes come from the data
+    assert set(dumped["train"]["model"]) == {"hidden_size", "hconv_layers", "phi_width",
+                                             "ffn_hidden", "dropout"}
     assert dumped["synthetic"]["n_patients"] == 2000
     code, _, _ = run_cli(["config"])
     assert code == 2
@@ -324,6 +342,9 @@ def test_config_architecture_is_nested_and_validated_at_parse_time():
         parse_app_config({"train": {"model": {"activation": "tanh"}}})
     with pytest.raises(ConfigError, match=r"unknown key train\.model\.'n_members'"):
         parse_app_config({"train": {"model": {"n_members": 1}}})
+    for knob, value in (("use_similarity", True), ("temperature", 50.0), ("zeta_init", 0.4)):
+        with pytest.raises(ConfigError, match=rf"unknown key train\.model\.'{knob}'"):
+            parse_app_config({"train": {"model": {knob: value}}})
 
 
 def test_config_file_errors_exit_2(tmp_path):
@@ -343,8 +364,12 @@ def test_config_file_errors_exit_2(tmp_path):
     {"train": {"model": {"hidden_size": 0}}},
     {"train": {"model": {"activation": "relu"}}},
     {"train": {"model": {"n_members": 4}}},
+    {"train": {"model": {"use_similarity": False}}},
+    {"train": {"model": {"temperature": 50.0}}},
+    {"train": {"model": {"zeta_init": 0.4}}},
 ], ids=["unknown_model_key", "flat_architecture_key", "data_width", "invalid_model_value",
-        "removed_activation_key", "removed_n_members_key"])
+        "removed_activation_key", "removed_n_members_key", "removed_use_similarity_key",
+        "removed_temperature_key", "removed_zeta_init_key"])
 def test_config_architecture_errors_exit_2(tmp_path, document):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(document))
@@ -386,8 +411,8 @@ def test_config_values_must_have_their_field_types():
     ("train", {"train": {"epochs": "3"}}, "train.epochs"),
     ("gen-synthetic", {"synthetic": {"n_patients": "5"}}, "synthetic.n_patients"),
     ("train", {"train": {"model": {"hidden_size": 2.5}}}, "train.model.hidden_size"),
-    ("train", {"train": {"model": {"use_similarity": "no"}}}, "train.model.use_similarity"),
-], ids=["string_epochs", "string_n_patients", "float_hidden_size", "string_use_similarity"])
+    ("train", {"train": {"model": {"dropout": "0.2"}}}, "train.model.dropout"),
+], ids=["string_epochs", "string_n_patients", "float_hidden_size", "string_dropout"])
 def test_config_type_errors_exit_2(workspace, tmp_path, command, document, key):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(document))
@@ -401,13 +426,12 @@ def test_config_type_errors_exit_2(workspace, tmp_path, command, document, key):
 
 @pytest.mark.parametrize("command, document, flags, field", [
     ("train", {"train": {"learning_rate": float("nan")}}, [], "train.learning_rate"),
-    ("train", {"train": {"model": {"temperature": float("inf")}}}, [],
-     "train.model.temperature"),
+    ("train", {"train": {"model": {"dropout": float("inf")}}}, [], "train.model.dropout"),
     ("train", {"train": {"split_ratios": [0.7, 0.15, float("nan")]}}, [], "train.split_ratios"),
     ("gen-synthetic", {"synthetic": {"class_separation": float("inf")}}, [],
      "synthetic.class_separation"),
     ("gen-synthetic", {}, ["--class-separation", "nan"], "class_separation"),
-], ids=["nan_learning_rate", "infinite_temperature", "nan_split_ratio",
+], ids=["nan_learning_rate", "infinite_dropout", "nan_split_ratio",
         "infinite_class_separation", "nan_class_separation_flag"])
 def test_config_non_finite_floats_exit_2(workspace, tmp_path, command, document, flags, field):
     # Python's json reads NaN and Infinity and argparse's float() reads nan;
@@ -504,7 +528,11 @@ def test_non_utf8_input_exits_1_naming_file_and_line(workspace, tmp_path):
     lambda m: m["norm_stats"].pop("std"),
     lambda m: m.update(norm_stats="not an object"),
     lambda m: m["norm_stats"].update(mean=m["norm_stats"]["mean"][:-1]),
-], ids=["missing_std", "stats_not_an_object", "short_mean"])
+    lambda m: m["norm_stats"]["mean"].__setitem__(0, float("nan")),
+    lambda m: m["norm_stats"]["std"].__setitem__(0, float("inf")),
+    lambda m: m["norm_stats"]["std"].__setitem__(0, -1.0),
+], ids=["missing_std", "stats_not_an_object", "short_mean", "nan_mean", "infinite_std",
+        "negative_std"])
 def test_malformed_checkpoint_norm_stats_exit_1(workspace, tmp_path, edit):
     from test_checkpoint import edit_manifest
 

@@ -74,7 +74,7 @@ def zeta_at_median_similarity(cfg, params, batch):
     a = similarity(forward_eval(params, batch, cfg).stages["hconv"])
     off_diagonal = ~np.eye(len(batch), dtype=bool)
     params.zeta[...] = np.median(a[off_diagonal])
-    return threshold(a, float(params.zeta), cfg.temperature, "train")[off_diagonal]
+    return threshold(a, float(params.zeta), "train")[off_diagonal]
 
 
 def test_full_pipeline_gradients_with_zeta_inside_the_similarities():
@@ -94,10 +94,13 @@ def test_full_pipeline_gradients_without_hypergraph_stack():
 
 
 def test_full_pipeline_gradients_without_similarity():
-    cfg, params, batch = tiny_fixture(seed=11, use_similarity=False)
+    # at zeta = +inf the soft adjacency is exactly 0, so the graph passes no
+    # gradient and aggregation sees self-loops only
+    cfg, params, batch = tiny_fixture(seed=11)
+    params.zeta[...] = np.inf
     assert run_check(cfg, params, batch) < 1e-4
-    # zeta is unused on this path
     _, cache = forward_train(params, batch, cfg)
+    assert not cache[3].any()
     grads = backward(params, batch, cfg, cache)
     assert float(grads.zeta) == 0.0
 
@@ -122,9 +125,8 @@ def analytic_series_grad(params, batch, cfg):
     grads = params.zeros_like()
     d_xstar = head.head_backward(head_cache, batch.labels, params.ffn, grads.ffn)
     d_z, d_a_tilde, _ = simgraph.gcn_aggregate_backward(d_xstar, gcn_cache, params.phi)
-    if cfg.use_similarity:
-        d_a, _ = simgraph.threshold_backward(d_a_tilde, a_prime, cfg.temperature)
-        d_z = d_z + simgraph.similarity_backward(d_a, z)
+    d_a, _ = simgraph.threshold_backward(d_a_tilde, a_prime)
+    d_z = d_z + simgraph.similarity_backward(d_a, z)
     d_fused, _ = hypergraph.hconv_stack_backward(d_z, hconv_cache, params.thetas)
     _, d_series = encoder.encode_batch_backward(d_fused[:, :cfg.hidden_size],
                                                 gru_cache, params.gru, grads.gru)
@@ -192,7 +194,7 @@ def test_eval_and_train_adjacencies_differ():
     _, _, (_, _, z_eval, a_eval, _, _) = probe(params, batch, cfg, "eval")
     assert np.array_equal(z, z_eval)
     a, zeta = similarity(z), float(params.zeta)
-    assert np.array_equal(a_train, threshold(a, zeta, cfg.temperature, "train"))
+    assert np.array_equal(a_train, threshold(a, zeta, "train"))
     assert np.array_equal(a_eval, (a > zeta).astype(np.float64))
     assert not np.array_equal(a_train, a_eval)
 
@@ -224,5 +226,7 @@ def test_model_config_validation():
         ModelConfig(ffn_hidden=5)
     with pytest.raises(TypeError, match="activation"):
         ModelConfig(activation="tanh")  # tanh is the only nonlinearity, not a knob
-    with pytest.raises(ConfigError):
-        ModelConfig(temperature=0.0)
+    # the graph's slope and zeta's start are simgraph constants, not knobs
+    for knob in ("use_similarity", "temperature", "zeta_init"):
+        with pytest.raises(TypeError, match=knob):
+            ModelConfig(**{knob: 1.0})
