@@ -116,9 +116,6 @@ def cmd_gen_synthetic(args) -> int:
     if spec.n_variables != len(data_mod.DEFAULT_SCHEMA):
         raise ConfigError(f"synthetic.n_variables must be {len(data_mod.DEFAULT_SCHEMA)} "
                           f"for train to read the cohort, got {spec.n_variables}")
-    if spec.window_hours > max(data_mod.VALID_WINDOWS):
-        raise ConfigError(f"synthetic.window_hours must be at most {max(data_mod.VALID_WINDOWS)} "
-                          f"for train to read the cohort, got {spec.window_hours}")
     out_dir = args.out_dir or cfg.paths.out_dir
     if out_dir is None:
         raise ConfigError("no output directory given (use --out-dir or paths.out_dir)")
@@ -279,7 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--data-dir", help="directory holding patients.csv and vitals.csv")
     p.add_argument("--window", type=int, choices=data_mod.VALID_WINDOWS,
-                   help="observation window in hours (default: train.window_hours)")
+                   help="observation window in hours; later hours are dropped "
+                        "(default: train.window_hours)")
     p.add_argument("--seed", type=int, help="run seed (default: train.seed)")
     p.add_argument("--epochs", type=int, help="maximum epochs (default: train.epochs)")
     p.add_argument("--batch-size", type=int, dest="batch_size",

@@ -338,7 +338,8 @@ def _hours(rows: _Rows) -> tuple[Array, Array]:
     """(hour, parsed) per row, as int() reads the hour field.
 
     Plain digit fields are read from their bytes.  hour is -1 where int()
-    gives a number that does not fit in 9 digits or is negative.
+    gives a negative number, and 10**9 where it gives one that does not fit
+    in 9 digits: past any window.
     """
     start = rows.start[1]
     length = rows.end[1] - start
@@ -356,7 +357,7 @@ def _hours(rows: _Rows) -> tuple[Array, Array]:
         except ValueError:
             continue
         parsed[i] = True
-        hour[i] = value if 0 <= value < 10 ** _HOUR_DIGITS else -1
+        hour[i] = min(value, 10 ** _HOUR_DIGITS) if value >= 0 else -1
     return hour, parsed
 
 
@@ -416,11 +417,10 @@ def _read_series(path, ids: list[str], schema: tuple[str, ...], t: int) -> Array
             continue
         patient = _lookup(rows, 0, patient_keys)
         hour, hour_parsed = _hours(rows)
-        in_window = hour_parsed & (hour >= 0) & (hour < t)
         variable = _lookup(rows, 2, variable_keys)
         value, value_parsed = _values(rows)
         finite = np.isfinite(value)
-        bad = (patient < 0) | ~in_window | (variable < 0) | ~finite
+        bad = (patient < 0) | ~hour_parsed | (hour < 0) | (variable < 0) | ~finite
         if bad.any():
             i = int(np.argmax(bad))
             pid, hour_s, name, value_s = (rows.text(i, j) for j in range(4))
@@ -428,7 +428,7 @@ def _read_series(path, ids: list[str], schema: tuple[str, ...], t: int) -> Array
                 message = f"unknown patient_id {pid!r}"
             elif not hour_parsed[i]:
                 message = f"hour must be an integer, got {hour_s!r}"
-            elif not in_window[i]:
+            elif hour[i] < 0:
                 message = f"hour {int(hour_s)} outside window [0, {t})"
             elif variable[i] < 0:
                 message = f"unknown variable {name!r}"
@@ -437,6 +437,10 @@ def _read_series(path, ids: list[str], schema: tuple[str, ...], t: int) -> Array
             else:
                 message = f"value must be finite, got {value_s!r}"
             raise ParseError(message, path=path, line=int(rows.line[i]))
+        past = hour >= t
+        if past.any():
+            keep = ~past
+            patient, variable, hour, value = patient[keep], variable[keep], hour[keep], value[keep]
         flat = (patient * m + variable) * t + hour
         if np.any(flat[1:] <= flat[:-1]):
             # numpy leaves the winner among repeated indices undefined, so
@@ -453,10 +457,13 @@ def load_cohort(patients_path, vitals_path, window_hours: int,
 
     patients csv: ``patient_id,label,icd_codes`` with semicolon-separated
     codes (possibly empty).  vitals csv: ``patient_id,hour,variable,value``
-    with hour an integer in [0, window) and variable drawn from ``schema``.
-    When an hour bin receives several measurements the last row in file
-    order wins.  Both files are UTF-8 with lines ending in ``\\n`` or
-    ``\\r\\n``; blank lines are skipped, and fields are never quoted.
+    with hour a non-negative integer and variable drawn from ``schema``.  A
+    row at or past the window is checked like any other and then dropped, as
+    it lies outside what the model observes, so a 24-hour load of a 48-hour
+    file reads its first 24 hours.  When an hour bin receives several
+    measurements the last row in file order wins.  Both files are UTF-8 with
+    lines ending in ``\\n`` or ``\\r\\n``; blank lines are skipped, and
+    fields are never quoted.
 
     vitals.csv is parsed in blocks of whole lines with numpy, so memory
     beyond the series stays near a few blocks; hours and values read exactly

@@ -43,7 +43,7 @@ buffer as a single blob in layout order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -149,24 +149,6 @@ class ModelParams:
         return ModelParams(self.config)
 
 
-@dataclass
-class Batch:
-    """One mini-batch: imputed series (N, M, T), codes (N, g), labels (N,)."""
-
-    series: Array
-    icd: Array
-    labels: Array
-
-    def __post_init__(self):
-        if self.series.shape[0] != self.icd.shape[0] or self.series.shape[0] != self.labels.shape[0]:
-            raise ShapeError(
-                f"batch pieces disagree: series {self.series.shape}, icd {self.icd.shape}, "
-                f"labels {self.labels.shape}")
-
-    def __len__(self) -> int:
-        return self.series.shape[0]
-
-
 def init_params(config: ModelConfig, rng: Rng) -> ModelParams:
     """Glorot weights and zero biases; FFN output layers start at zero."""
     gru_rng, theta_rng, phi_rng, head_rng = rng.split(4)
@@ -180,19 +162,19 @@ def init_params(config: ModelConfig, rng: Rng) -> ModelParams:
     return params
 
 
-def make_dropout_masks(config: ModelConfig, params: ModelParams, n_rows: int, rng: Rng):
-    if config.dropout == 0.0:
+def make_dropout_masks(params: ModelParams, n_rows: int, rng: Rng):
+    if params.config.dropout == 0.0:
         return None
-    return head.make_dropout_masks(n_rows, params.ffn, config.dropout, rng)
+    return head.make_dropout_masks(n_rows, params.ffn, params.config.dropout, rng)
 
 
 # ---------------------------------------------------------------- forward
 
 
-def _forward(params: ModelParams, batch: Batch, config: ModelConfig, mode: str, masks):
-    h, gru_cache = encoder.encode_batch(batch.series, params.gru, keep_cache=mode != "eval")
-    fused = encoder.fuse_batch(h, batch.icd)
-    hg = hypergraph.build_hypergraph(batch.icd)
+def _forward(params: ModelParams, series: Array, icd: Array, mode: str, masks):
+    h, gru_cache = encoder.encode_batch(series, params.gru, keep_cache=mode != "eval")
+    fused = encoder.fuse_batch(h, icd)
+    hg = hypergraph.build_hypergraph(icd)
     z, hconv_cache = hypergraph.hconv_stack(fused, hg, params.thetas, keep_cache=mode != "eval")
 
     zeta = float(params.zeta)
@@ -207,21 +189,22 @@ def _forward(params: ModelParams, batch: Batch, config: ModelConfig, mode: str, 
     return probs, stages, cache
 
 
-def forward_train(params: ModelParams, batch: Batch, config: ModelConfig, masks=None):
-    """Training-mode forward; returns (loss, cache for backward)."""
-    if config.dropout > 0.0 and masks is None:
+def forward_train(params: ModelParams, series: Array, icd: Array, labels: Array, masks=None):
+    """Training-mode forward over series (N, M, T), codes (N, g) and labels
+    (N,); returns (loss, cache for backward), the cache holding the labels."""
+    if params.config.dropout > 0.0 and masks is None:
         raise ConfigError("training forward with dropout > 0 requires masks")
-    probs, _, cache = _forward(params, batch, config, "train", masks)
-    loss = head.total_loss(probs, batch.labels)
-    return loss, cache
+    probs, _, cache = _forward(params, series, icd, "train", masks)
+    loss = head.total_loss(probs, labels)
+    return loss, (*cache, labels)
 
 
-def backward(params: ModelParams, batch: Batch, config: ModelConfig, cache) -> ModelParams:
+def backward(params: ModelParams, cache) -> ModelParams:
     """Gradient of forward_train's loss for every trainable array."""
-    gru_cache, hconv_cache, z, a_prime, gcn_cache, head_cache = cache
+    gru_cache, hconv_cache, z, a_prime, gcn_cache, head_cache, labels = cache
     grads = params.zeros_like()
 
-    d_xstar = head.head_backward(head_cache, batch.labels, params.ffn, grads.ffn)
+    d_xstar = head.head_backward(head_cache, labels, params.ffn, grads.ffn)
     d_z, d_a_tilde, d_phi = simgraph.gcn_aggregate_backward(d_xstar, gcn_cache, params.phi)
     grads.phi[...] = d_phi
 
@@ -233,25 +216,18 @@ def backward(params: ModelParams, batch: Batch, config: ModelConfig, cache) -> M
     for g, d in zip(grads.thetas, d_thetas):
         g[...] = d
 
-    d_h = d_fused[:, :config.hidden_size]
+    d_h = d_fused[:, :params.config.hidden_size]
     encoder.encode_batch_backward(d_h, gru_cache, params.gru, grads.gru)
     return grads
 
 
-@dataclass
-class EvalOutput:
-    """Evaluation-mode death probabilities plus exported intermediate stages."""
-
-    scores: Array           # (N,) death probability
-    stages: dict[str, Array] = field(repr=False)
-
-
-def forward_eval(params: ModelParams, batch: Batch, config: ModelConfig) -> EvalOutput:
-    """Hard-threshold adjacency, no dropout; returns death probabilities.
+def forward_eval(params: ModelParams, series: Array, icd: Array) -> tuple[Array, dict[str, Array]]:
+    """Hard-threshold adjacency, no dropout; returns (scores, stages): each
+    patient's death probability (N,) and the intermediate stages by name.
 
     The only (N, N) array is the bool adjacency, N^2 bytes, so scoring does
     not set the peak memory of a process that also trains: the training
     steps' caches and loading a cohort do.
     """
-    probs, stages, _ = _forward(params, batch, config, "eval", None)
-    return EvalOutput(scores=np.ascontiguousarray(probs[:, 1]), stages=stages)
+    probs, stages, _ = _forward(params, series, icd, "eval", None)
+    return np.ascontiguousarray(probs[:, 1]), stages

@@ -26,7 +26,7 @@ from . import model as model_mod
 from .data import VALID_WINDOWS, Cohort, NormStats, _check_split_ratios
 from .errors import ConfigError, TrainingError, UndefinedMetricError, check_finite_fields
 from .metrics import MetricsReport, compute_report
-from .model import Batch, ModelConfig, ModelParams
+from .model import ModelConfig, ModelParams
 from .numeric import AdamState, Array, Rng, adam_step
 
 EMBED_STAGES = ("gru", "hconv", "aggregated")
@@ -108,10 +108,10 @@ def _require_prepared(cohort: Cohort) -> None:
         raise ConfigError("cohort has absent cells; impute and standardize first")
 
 
-def _score_cohort(params: ModelParams, cfg: ModelConfig, cohort: Cohort):
+def _score_cohort(params: ModelParams, cohort: Cohort):
     """One eval-mode forward over the whole cohort, so every patient is
-    scored on the same hypergraph and similarity graph."""
-    return model_mod.forward_eval(params, Batch(cohort.series, cohort.icd, cohort.y), cfg)
+    scored on the same hypergraph and similarity graph; (scores, stages)."""
+    return model_mod.forward_eval(params, cohort.series, cohort.icd)
 
 
 # ------------------------------------------------------------------- train
@@ -168,19 +168,18 @@ def train(config: TrainConfig, train_cohort: Cohort, val_cohort: Cohort,
         batch_losses = []
         for b, sl in enumerate(slices):
             idx = order[sl]
-            batch = Batch(series[idx], icd[idx], labels[idx])
             masks = None
             if mask_streams is not None:
-                masks = model_mod.make_dropout_masks(cfg, params, len(idx), mask_streams[b])
-            loss, cache = model_mod.forward_train(params, batch, cfg, masks)
+                masks = model_mod.make_dropout_masks(params, len(idx), mask_streams[b])
+            loss, cache = model_mod.forward_train(params, series[idx], icd[idx], labels[idx], masks)
             if not math.isfinite(loss):
                 raise TrainingError(f"non-finite loss {loss} at epoch {epoch}, batch {b + 1}")
-            grads = model_mod.backward(params, batch, cfg, cache)
+            grads = model_mod.backward(params, cache)
             new_flat, adam_state = adam_step(params.flat, grads.flat, adam_state)
             params.flat[...] = new_flat  # in place, so every named view stays valid
             batch_losses.append(loss)
 
-        val_scores = _score_cohort(params, cfg, val_cohort).scores
+        val_scores, _ = _score_cohort(params, val_cohort)
         val_report = compute_report(val_scores, val_cohort.y, config.decision_threshold)
         entry = {
             "epoch": epoch,
@@ -229,7 +228,7 @@ def evaluate(ckpt: Checkpoint, cohort: Cohort) -> MetricsReport:
     if len(cohort) == 0:
         raise UndefinedMetricError("cannot evaluate an empty cohort")
     _check_cohort_matches(ckpt, cohort)
-    scores = _score_cohort(ckpt.params, ckpt.config.model, cohort).scores
+    scores, _ = _score_cohort(ckpt.params, cohort)
     return compute_report(scores, cohort.y, ckpt.config.decision_threshold)
 
 
@@ -238,7 +237,7 @@ def predict_scores(ckpt: Checkpoint, cohort: Cohort) -> Array:
     _check_cohort_matches(ckpt, cohort)
     if len(cohort) == 0:
         return np.empty(0)
-    return _score_cohort(ckpt.params, ckpt.config.model, cohort).scores
+    return _score_cohort(ckpt.params, cohort)[0]
 
 
 def export_embeddings(ckpt: Checkpoint, cohort: Cohort, stage: str, out_path) -> str:
@@ -248,7 +247,7 @@ def export_embeddings(ckpt: Checkpoint, cohort: Cohort, stage: str, out_path) ->
     if len(cohort) == 0:
         raise ConfigError("cannot export embeddings for an empty cohort")
     _check_cohort_matches(ckpt, cohort)
-    matrix = _score_cohort(ckpt.params, ckpt.config.model, cohort).stages[stage]
+    matrix = _score_cohort(ckpt.params, cohort)[1][stage]
     width = matrix.shape[1]
     with open(out_path, "w", newline="") as fh:
         fh.write("patient_id,label," + ",".join(f"e{k}" for k in range(width)) + "\n")

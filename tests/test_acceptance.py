@@ -17,7 +17,7 @@ from hgrc.checkpoint import load_checkpoint, save_checkpoint
 from hgrc.data import impute_mean, split, standardize
 from hgrc.hypergraph import build_hypergraph, hconv_stack
 from hgrc.metrics import auprc, auroc, compute_report, confusion_counts
-from hgrc.model import Batch, ModelConfig, forward_train, init_params
+from hgrc.model import ModelConfig, forward_train, init_params
 from hgrc.numeric import Rng
 from hgrc.synthetic import SyntheticSpec, gen_synthetic
 from hgrc.train import TrainConfig, derive_rng_streams, evaluate, train
@@ -64,10 +64,10 @@ def cohort7():
 
 def test_criterion_1_gradient_integrity(capsys):
     with verdict(capsys, "criterion 1 (gradient integrity)") as v:
-        cfg, params, batch = tiny_fixture()
+        params, batch = tiny_fixture()
         n_entries = sum(a.size for a in params.named_arrays().values())
         t0 = time.perf_counter()
-        err = run_check(cfg, params, batch)
+        err = run_check(params, batch)
         secs = time.perf_counter() - t0
         v["detail"] = (f"max rel err {err:.3e} over {n_entries} entries, "
                        f"{secs:.1f} s")
@@ -218,9 +218,9 @@ def test_criterion_7_determinism_and_persistence(capsys, tmp_path):
 
 def test_criterion_8_uniform_start_loss(capsys):
     with verdict(capsys, "criterion 8 (uniform start loss)") as v:
-        cfg, _, batch = tiny_fixture()
-        fresh = init_params(cfg, Rng(0))  # output layers start at zero
-        loss, _ = forward_train(fresh, batch, cfg)
+        params, batch = tiny_fixture()
+        fresh = init_params(params.config, Rng(0))  # output layers start at zero
+        loss, _ = forward_train(fresh, *batch)
         deviation = abs(loss - math.log(2.0))
         v["detail"] = f"initial per-patient loss off ln 2 by {deviation:.2e}"
         assert deviation <= 1e-6

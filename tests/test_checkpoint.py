@@ -348,16 +348,13 @@ def test_bad_model_config_rejected(tmp_path, edit):
 
 
 def test_loaded_checkpoint_predicts_identically(tmp_path):
-    from hgrc.model import Batch, forward_eval
+    from hgrc.model import forward_eval
     ckpt = small_checkpoint()
-    cfg = ckpt.config.model
     rng = Rng(31)
-    batch = Batch(rng.normal(size=(6, 2, 48)),
-                  (rng.random((6, 4)) < 0.5).astype(np.float64),
-                  np.array([0, 1, 0, 1, 1, 0]))
-    before = forward_eval(ckpt.params, batch, cfg).scores
+    series, icd = rng.normal(size=(6, 2, 48)), (rng.random((6, 4)) < 0.5).astype(np.float64)
+    before, _ = forward_eval(ckpt.params, series, icd)
     path = tmp_path / "model.hgrc"
     save_checkpoint(ckpt, path)
     loaded = load_checkpoint(path)
-    after = forward_eval(loaded.params, batch, loaded.config.model).scores
+    after, _ = forward_eval(loaded.params, series, icd)
     assert np.array_equal(before, after)

@@ -64,10 +64,9 @@ def test_gen_synthetic_writes_loadable_files(workspace):
 
 @pytest.mark.parametrize("document, flags, key", [
     ({"synthetic": {"n_variables": 3}}, [], "synthetic.n_variables"),
-    ({}, ["--window-hours", "72"], "synthetic.window_hours"),
-], ids=["n_variables", "window_hours"])
+], ids=["n_variables"])
 def test_gen_synthetic_refuses_cohorts_train_cannot_read(tmp_path, document, flags, key):
-    # train reads the default schema's variables in windows of at most 48 hours
+    # train reads the default schema's variables
     cfg = tmp_path / "synth.json"
     cfg.write_text(json.dumps(document))
     out_dir = tmp_path / "cohort"
@@ -77,6 +76,20 @@ def test_gen_synthetic_refuses_cohorts_train_cannot_read(tmp_path, document, fla
     assert out == ""
     assert f"config error: {key} must be" in err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("gen_flags, train_flags", [
+    ([], ["--window", "24"]),
+    (["--window-hours", "72"], []),
+], ids=["24_of_48_hours", "48_of_72_hours"])
+def test_train_reads_the_start_of_a_longer_cohort(tmp_path, gen_flags, train_flags):
+    # hours at or past train's window are dropped when the cohort loads
+    data_dir = tmp_path / "cohort"
+    run_json(["gen-synthetic", "--out-dir", str(data_dir), "--seed", "3",
+              "--n-patients", "40", *gen_flags])
+    trained, _ = run_json(["train", "--data-dir", str(data_dir), "--seed", "1", "--epochs", "1",
+                           "--out", str(tmp_path / "model.hgrc"), *train_flags])
+    assert trained["epochs_run"] == 1
 
 
 def test_train_reports_run_and_writes_artifacts(workspace):

@@ -3,6 +3,7 @@
 import csv
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hgrc.data import (DEFAULT_SCHEMA, VALID_WINDOWS, Cohort, NormStats, code_ca
                        impute_mean, load_cohort, split, standardize)
 from hgrc.errors import ConfigError, ParseError
 from hgrc.numeric import Rng
+from hgrc.synthetic import SyntheticSpec, gen_synthetic, write_cohort_files
 
 SCHEMA2 = ("heart_rate", "temperature")
 
@@ -102,7 +104,7 @@ def load_cohort_rows(patients_path, vitals_path, window_hours: int,
         except ValueError:
             raise ParseError(f"hour must be an integer, got {hour_s!r}",
                              path=vitals_path, line=lineno)
-        if not 0 <= hour < t:
+        if hour < 0:
             raise ParseError(f"hour {hour} outside window [0, {t})",
                              path=vitals_path, line=lineno)
         if variable not in var_index:
@@ -115,7 +117,8 @@ def load_cohort_rows(patients_path, vitals_path, window_hours: int,
         if not math.isfinite(value):
             raise ParseError(f"value must be finite, got {value_s!r}",
                              path=vitals_path, line=lineno)
-        series[row_of[pid], var_index[variable], hour] = value
+        if hour < t:  # a row past the window is checked, then dropped
+            series[row_of[pid], var_index[variable], hour] = value
 
     icd = np.zeros((n, len(code_vocab)))
     for i in range(n):
@@ -170,10 +173,32 @@ def test_load_cohort_window_validation(tmp_path):
                        "patient_id,hour,variable,value\n")
     with pytest.raises(ConfigError):
         load_cohort(p, v, window_hours=36, schema=SCHEMA2)
-    # hour 24 is outside a 24h window
-    v.write_text("patient_id,hour,variable,value\na,24,heart_rate,70\n")
-    with pytest.raises(ParseError, match="hour 24"):
+    # hour 24 is past a 24h window: checked, then dropped
+    v.write_text("patient_id,hour,variable,value\na,24,heart_rate,70\na,23,heart_rate,71\n")
+    cohort = load_cohort(p, v, window_hours=24, schema=SCHEMA2)
+    assert cohort.series.shape == (1, 2, 24)
+    assert cohort.series[0, 0, 23] == 71.0 and np.isnan(cohort.series[0, 0, :23]).all()
+    v.write_text("patient_id,hour,variable,value\na,24,blood_type,70\n")
+    with pytest.raises(ParseError, match="unknown variable"):
         load_cohort(p, v, window_hours=24, schema=SCHEMA2)
+    # a negative hour is before every window
+    v.write_text("patient_id,hour,variable,value\na,0,heart_rate,70\na,-1,heart_rate,70\n")
+    with pytest.raises(ParseError, match=r"vitals\.csv:3: hour -1 outside window \[0, 24\)"):
+        load_cohort(p, v, window_hours=24, schema=SCHEMA2)
+
+
+@pytest.mark.parametrize("block_bytes", [512, 1 << 12, 1 << 20])
+def test_a_24_hour_load_reads_the_first_24_hours_of_a_48_hour_file(tmp_path, monkeypatch,
+                                                                   block_bytes):
+    # at 512 bytes some blocks hold past-window rows only
+    spec = SyntheticSpec(n_patients=30)
+    write_cohort_files(gen_synthetic(spec, Rng(3)), tmp_path, spec, 3)
+    p, v = tmp_path / "patients.csv", tmp_path / "vitals.csv"
+    monkeypatch.setattr(data, "_BLOCK_BYTES", block_bytes)
+    full = load_cohort(p, v, window_hours=48)
+    day = load_cohort(p, v, window_hours=24)
+    assert day.series.shape == (30, len(DEFAULT_SCHEMA), 24)
+    assert_same_cohort(day, replace(full, series=full.series[:, :, :24]))
 
 
 @pytest.mark.parametrize("patients,vitals,fragment", [
@@ -272,7 +297,7 @@ def cohort_files(draw):
                         min_size=1, max_size=4, unique=True))
     codes = st.lists(st.sampled_from(["428.0", " 250.00", "V45.81 ", "E11"]), max_size=3)
     patients = [f"{pid},{draw(st.sampled_from('01'))},{';'.join(draw(codes))}" for pid in ids]
-    cells = st.tuples(st.sampled_from(ids), st.sampled_from([0, 1, 7, 23]),
+    cells = st.tuples(st.sampled_from(ids), st.sampled_from([0, 1, 7, 23, 24, 47, 10 ** 12]),
                       st.sampled_from(SCHEMA2),
                       st.floats(-1e6, 1e6, allow_nan=False) | st.integers(-300, 300))
     vitals = []
@@ -338,9 +363,10 @@ DEFECTS = [
     "a,x,heart_rate,70",               # hour must be an integer
     "a,,heart_rate,70",                # hour must be an integer
     "a,1_0,heart_rate,70",             # valid: int() reads 10
-    "a,24,heart_rate,70",              # hour outside window
+    "a,24,heart_rate,70",              # valid: past the window, dropped
     "a,-1,heart_rate,70",              # hour outside window
-    "a,123456789012345678901234567890,heart_rate,70",  # outside, printed in full
+    "a,-123456789012345678901234567890,heart_rate,70",  # outside, printed in full
+    "a,123456789012345678901234567890,heart_rate,70",   # valid: past the window
     "a,0,blood_type,70",               # unknown variable
     "a,0,heart_rate,abc",              # value must be a decimal
     "a,0,heart_rate,",                 # value must be a decimal

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from hgrc import hypergraph, model
-from hgrc.errors import ConfigError
-from hgrc.model import (Batch, ModelConfig, backward, forward_eval, forward_train,
-                        init_params, make_dropout_masks)
+from hgrc.errors import ConfigError, ShapeError
+from hgrc.model import (ModelConfig, backward, forward_eval, forward_train, init_params,
+                        make_dropout_masks)
 from hgrc.numeric import Rng, finite_diff_check
 from hgrc.simgraph import similarity, threshold
 
@@ -33,7 +33,8 @@ def gate_blocks(params):
 
 
 def tiny_fixture(seed=236, nudge_scale=0.3, **overrides):
-    """Nudged parameters plus one batch with an isolated (code-free) patient.
+    """Nudged parameters plus one batch, (series, codes, labels), with an
+    isolated (code-free) patient.
 
     The nudge is drawn gate by gate, so the point does not depend on how the
     GRU's gates are stacked in the parameter layout.
@@ -48,14 +49,13 @@ def tiny_fixture(seed=236, nudge_scale=0.3, **overrides):
     series = data_rng.normal(size=(5, 2, 3))
     icd = (data_rng.random((5, 4)) < 0.5).astype(np.float64)
     icd[0] = 0.0
-    batch = Batch(series, icd, np.array([0, 1, 1, 0, 1]))
-    return cfg, params, batch
+    return params, (series, icd, np.array([0, 1, 1, 0, 1]))
 
 
-def run_check(cfg, params, batch):
-    _, cache = forward_train(params, batch, cfg)
-    grads = backward(params, batch, cfg, cache)
-    return finite_diff_check(lambda _: forward_train(params, batch, cfg)[0],
+def run_check(params, batch):
+    _, cache = forward_train(params, *batch)
+    grads = backward(params, cache)
+    return finite_diff_check(lambda _: forward_train(params, *batch)[0],
                              params.named_arrays(), grads.named_arrays())
 
 
@@ -64,15 +64,15 @@ def run_check(cfg, params, batch):
 # readings most exposed to rounding in the loss, so every variant shares the
 # pipeline-wide 1e-4 bound rather than a tighter per-variant one
 def test_full_pipeline_gradients_tanh():
-    cfg, params, batch = tiny_fixture()
-    assert run_check(cfg, params, batch) < 1e-4
+    params, batch = tiny_fixture()
+    assert run_check(params, batch) < 1e-4
 
 
-def zeta_at_median_similarity(cfg, params, batch):
+def zeta_at_median_similarity(params, series, icd):
     """Move zeta to the median off-diagonal evaluation similarity, so about
     half the pairs are edges; returns the off-diagonal soft adjacency."""
-    a = similarity(forward_eval(params, batch, cfg).stages["hconv"])
-    off_diagonal = ~np.eye(len(batch), dtype=bool)
+    a = similarity(forward_eval(params, series, icd)[1]["hconv"])
+    off_diagonal = ~np.eye(len(series), dtype=bool)
     params.zeta[...] = np.median(a[off_diagonal])
     return threshold(a, float(params.zeta), "train")[off_diagonal]
 
@@ -81,62 +81,61 @@ def test_full_pipeline_gradients_with_zeta_inside_the_similarities():
     # at the fixture's zeta the soft adjacency is about 1e-9 everywhere, so
     # the threshold passes almost no gradient; at the median off-diagonal
     # similarity half the pairs sit on the steep part of the sigmoid
-    cfg, params, batch = tiny_fixture()
-    soft = zeta_at_median_similarity(cfg, params, batch)
+    params, batch = tiny_fixture()
+    soft = zeta_at_median_similarity(params, *batch[:2])
     assert soft.min() < 0.5 < soft.max()
-    assert run_check(cfg, params, batch) < 1e-4
+    assert run_check(params, batch) < 1e-4
 
 
 def test_full_pipeline_gradients_without_hypergraph_stack():
-    cfg, params, batch = tiny_fixture(hconv_layers=0)
+    params, batch = tiny_fixture(hconv_layers=0)
     assert params.thetas == []
-    assert run_check(cfg, params, batch) < 1e-4
+    assert run_check(params, batch) < 1e-4
 
 
 def test_full_pipeline_gradients_without_similarity():
     # at zeta = +inf the soft adjacency is exactly 0, so the graph passes no
     # gradient and aggregation sees self-loops only
-    cfg, params, batch = tiny_fixture(seed=11)
+    params, batch = tiny_fixture(seed=11)
     params.zeta[...] = np.inf
-    assert run_check(cfg, params, batch) < 1e-4
-    _, cache = forward_train(params, batch, cfg)
+    assert run_check(params, batch) < 1e-4
+    _, cache = forward_train(params, *batch)
     assert not cache[3].any()
-    grads = backward(params, batch, cfg, cache)
+    grads = backward(params, cache)
     assert float(grads.zeta) == 0.0
 
 
 def test_series_gradient_matches_finite_differences():
-    cfg, params, batch = tiny_fixture()
+    params, (series, icd, labels) = tiny_fixture()
 
     def loss(arrays):
-        b = Batch(arrays["series"], batch.icd, batch.labels)
-        return forward_train(params, b, cfg)[0]
+        return forward_train(params, arrays["series"], icd, labels)[0]
 
-    d_series = analytic_series_grad(params, batch, cfg)
-    assert finite_diff_check(loss, {"series": batch.series},
+    d_series = analytic_series_grad(params, series, icd, labels)
+    assert finite_diff_check(loss, {"series": series},
                              {"series": d_series}) < 1e-5
 
 
-def analytic_series_grad(params, batch, cfg):
+def analytic_series_grad(params, series, icd, labels):
     """Analytic d(series) via the encoder backward, wired like the model."""
     from hgrc import encoder, head, hypergraph, simgraph
-    _, cache = forward_train(params, batch, cfg)
-    gru_cache, hconv_cache, z, a_prime, gcn_cache, head_cache = cache
+    _, cache = forward_train(params, series, icd, labels)
+    gru_cache, hconv_cache, z, a_prime, gcn_cache, head_cache, labels = cache
     grads = params.zeros_like()
-    d_xstar = head.head_backward(head_cache, batch.labels, params.ffn, grads.ffn)
+    d_xstar = head.head_backward(head_cache, labels, params.ffn, grads.ffn)
     d_z, d_a_tilde, _ = simgraph.gcn_aggregate_backward(d_xstar, gcn_cache, params.phi)
     d_a, _ = simgraph.threshold_backward(d_a_tilde, a_prime)
     d_z = d_z + simgraph.similarity_backward(d_a, z)
     d_fused, _ = hypergraph.hconv_stack_backward(d_z, hconv_cache, params.thetas)
-    _, d_series = encoder.encode_batch_backward(d_fused[:, :cfg.hidden_size],
+    _, d_series = encoder.encode_batch_backward(d_fused[:, :params.config.hidden_size],
                                                 gru_cache, params.gru, grads.gru)
     return d_series
 
 
 def test_backward_shapes_match_parameters():
-    cfg, params, batch = tiny_fixture()
-    _, cache = forward_train(params, batch, cfg)
-    grads = backward(params, batch, cfg, cache)
+    params, batch = tiny_fixture()
+    _, cache = forward_train(params, *batch)
+    grads = backward(params, cache)
     named_p = params.named_arrays()
     named_g = grads.named_arrays()
     assert named_p.keys() == named_g.keys()
@@ -146,52 +145,66 @@ def test_backward_shapes_match_parameters():
 
 
 def test_forward_train_is_deterministic():
-    cfg, params, batch = tiny_fixture()
-    a, _ = forward_train(params, batch, cfg)
-    b, _ = forward_train(params, batch, cfg)
+    params, batch = tiny_fixture()
+    a, _ = forward_train(params, *batch)
+    b, _ = forward_train(params, *batch)
     assert a == b
 
 
 def test_forward_train_requires_masks_when_dropout_on():
-    cfg, params, batch = tiny_fixture(dropout=0.2)
+    params, batch = tiny_fixture(dropout=0.2)
     with pytest.raises(ConfigError, match="masks"):
-        forward_train(params, batch, cfg)
-    masks = make_dropout_masks(cfg, params, len(batch), Rng(0))
-    loss, _ = forward_train(params, batch, cfg, masks)
+        forward_train(params, *batch)
+    masks = make_dropout_masks(params, len(batch[0]), Rng(0))
+    loss, _ = forward_train(params, *batch, masks)
     assert np.isfinite(loss)
 
 
+@pytest.mark.parametrize("call, fragment", [
+    (lambda params, series, icd, labels: forward_train(params, series, icd[:4], labels),
+     "5 states vs 4 code rows"),
+    (lambda params, series, icd, labels: forward_eval(params, series, icd[:4]),
+     "5 states vs 4 code rows"),
+    (lambda params, series, icd, labels: forward_train(params, series, icd, labels[:4]),
+     r"probs shape \(5, 2\), expected \(4, 2\)"),
+], ids=["train_codes", "eval_codes", "train_labels"])
+def test_a_row_count_mismatch_raises_shape_error(call, fragment):
+    params, batch = tiny_fixture()
+    with pytest.raises(ShapeError, match=fragment):
+        call(params, *batch)
+
+
 def test_forward_eval_outputs_are_probabilities_with_stages():
-    cfg, params, batch = tiny_fixture()
-    out = forward_eval(params, batch, cfg)
-    probs, _, _ = probe(params, batch, cfg, "eval")
+    params, (series, icd, _) = tiny_fixture()
+    scores, stages = forward_eval(params, series, icd)
+    probs, _, _ = probe(params, series, icd, "eval")
     assert np.allclose(probs.sum(axis=1), 1.0, rtol=0, atol=1e-12)
-    assert out.scores.shape == (5,)
-    assert np.array_equal(out.scores, probs[:, 1])
-    assert out.stages["gru"].shape == (5, 3)
-    assert out.stages["hconv"].shape == (5, 7)
-    assert out.stages["aggregated"].shape == (5, 3)
+    assert scores.shape == (5,)
+    assert np.array_equal(scores, probs[:, 1])
+    assert stages["gru"].shape == (5, 3)
+    assert stages["hconv"].shape == (5, 7)
+    assert stages["aggregated"].shape == (5, 3)
 
 
 def test_eval_forward_keeps_no_hypergraph_cache_and_the_same_scores(monkeypatch):
-    cfg, params, batch = tiny_fixture()
-    _, _, cache = model._forward(params, batch, cfg, "eval", None)
+    params, (series, icd, _) = tiny_fixture()
+    _, _, cache = model._forward(params, series, icd, "eval", None)
     assert cache[0] is None and cache[1] is None and cache[4] is None
-    scores = forward_eval(params, batch, cfg).scores
+    scores, _ = forward_eval(params, series, icd)
     stack = hypergraph.hconv_stack
     monkeypatch.setattr(hypergraph, "hconv_stack",
                         lambda x, hg, thetas, keep_cache: stack(x, hg, thetas, keep_cache=True))
-    assert np.array_equal(forward_eval(params, batch, cfg).scores, scores)
+    assert np.array_equal(forward_eval(params, series, icd)[0], scores)
 
 
 def test_eval_and_train_adjacencies_differ():
     # train builds the sigmoid relaxation of the similarities, eval the
     # strict indicator; the probabilities that follow can agree within
     # allclose's tolerance, so the adjacencies themselves are compared
-    cfg, params, batch = tiny_fixture()
-    zeta_at_median_similarity(cfg, params, batch)
-    _, _, (_, _, z, a_train, _, _) = probe(params, batch, cfg, "train")
-    _, _, (_, _, z_eval, a_eval, _, _) = probe(params, batch, cfg, "eval")
+    params, (series, icd, _) = tiny_fixture()
+    zeta_at_median_similarity(params, series, icd)
+    _, _, (_, _, z, a_train, _, _) = probe(params, series, icd, "train")
+    _, _, (_, _, z_eval, a_eval, _, _) = probe(params, series, icd, "eval")
     assert np.array_equal(z, z_eval)
     a, zeta = similarity(z), float(params.zeta)
     assert np.array_equal(a_train, threshold(a, zeta, "train"))
@@ -199,19 +212,18 @@ def test_eval_and_train_adjacencies_differ():
     assert not np.array_equal(a_train, a_eval)
 
 
-def probe(params, batch, cfg, mode):
+def probe(params, series, icd, mode):
     from hgrc.model import _forward
-    return _forward(params, batch, cfg, mode, None)
+    return _forward(params, series, icd, mode, None)
 
 
 def test_initial_loss_is_ln_two():
     cfg = ModelConfig(**TINY)
     params = init_params(cfg, Rng(0))
     rng = Rng(1)
-    batch = Batch(rng.normal(size=(6, 2, 3)),
-                  (rng.random((6, 4)) < 0.5).astype(np.float64),
-                  np.array([0, 1, 0, 1, 1, 0]))
-    loss, _ = forward_train(params, batch, cfg)
+    loss, _ = forward_train(params, rng.normal(size=(6, 2, 3)),
+                            (rng.random((6, 4)) < 0.5).astype(np.float64),
+                            np.array([0, 1, 0, 1, 1, 0]))
     assert abs(loss - np.log(2.0)) < 1e-12
 
 

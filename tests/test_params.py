@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from hgrc.errors import ShapeError
-from hgrc.model import (Batch, ModelConfig, ModelParams, backward, forward_train,
-                        init_params, param_layout)
+from hgrc.model import ModelConfig, ModelParams, backward, forward_train, init_params, param_layout
 from hgrc.numeric import AdamState, Rng, adam_step
 
 TINY = dict(n_variables=2, n_codes=4, hidden_size=3,
@@ -103,16 +102,15 @@ def test_one_flat_adam_step_equals_per_array_steps():
                   for name, arr in ref_params.named_arrays().items()}
     data = Rng(7)
     for step in range(6):
-        batch = Batch(data.normal(size=(5, 2, 3)),
-                      (data.random((5, 4)) < 0.5).astype(np.float64),
-                      np.array([0, 1, 1, 0, 1]))
-        _, cache = forward_train(flat_params, batch, cfg)
-        grads = backward(flat_params, batch, cfg, cache)
+        batch = (data.normal(size=(5, 2, 3)), (data.random((5, 4)) < 0.5).astype(np.float64),
+                 np.array([0, 1, 1, 0, 1]))
+        _, cache = forward_train(flat_params, *batch)
+        grads = backward(flat_params, cache)
         new_flat, flat_state = adam_step(flat_params.flat, grads.flat, flat_state)
         flat_params.flat[...] = new_flat
 
-        _, cache = forward_train(ref_params, batch, cfg)
-        ref_grads = backward(ref_params, batch, cfg, cache).named_arrays()
+        _, cache = forward_train(ref_params, *batch)
+        ref_grads = backward(ref_params, cache).named_arrays()
         for name, p in ref_params.named_arrays().items():
             new_p, ref_states[name] = adam_step(p, ref_grads[name], ref_states[name])
             p[...] = new_p

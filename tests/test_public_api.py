@@ -8,6 +8,9 @@ tests as an oracle.
 
 Every config default is declared once, on its dataclass: no function gives
 a default to a parameter named after a config field.
+
+The architecture travels with the parameters (``ModelParams.config``), so no
+function takes both a ``ModelParams`` and a ``ModelConfig``.
 """
 
 import ast
@@ -77,3 +80,28 @@ def test_no_function_redeclares_a_config_default():
                                for name in _defaulted_parameters(node)
                                if name in config_fields]
     assert redeclared == [], f"config defaults declared again: {redeclared}"
+
+
+def _annotation_name(annotation: ast.expr | None) -> str | None:
+    """The class an annotation names: ``X``, ``module.X`` or ``"X"``."""
+    if isinstance(annotation, ast.Name):
+        return annotation.id
+    if isinstance(annotation, ast.Attribute):
+        return annotation.attr
+    if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+        return annotation.value.rpartition(".")[2]
+    return None
+
+
+def test_no_function_takes_both_parameters_and_their_config():
+    both = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                names = {_annotation_name(arg.annotation)
+                         for arg in args.posonlyargs + args.args + args.kwonlyargs}
+                if {"ModelParams", "ModelConfig"} <= names:
+                    both.append(f"{path.stem}.{node.name}")
+    assert both == [], f"read the architecture from params.config instead: {both}"

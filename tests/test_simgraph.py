@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hgrc import head, simgraph
 from hgrc.data import impute_mean, standardize
 from hgrc.errors import ConfigError, ShapeError
-from hgrc.model import Batch, ModelConfig, forward_eval, init_params
+from hgrc.model import ModelConfig, forward_eval, init_params
 from hgrc.numeric import Rng, finite_diff_check, row_blocks, sigmoid
 from hgrc.simgraph import (gcn_aggregate, gcn_aggregate_backward, hard_adjacency,
                            similarity, similarity_backward, threshold, threshold_backward)
@@ -106,10 +106,9 @@ def test_similarity_never_exceeds_the_residual_cap(seed, layers, hidden, n_codes
     rng = Rng(seed)
     params = init_params(cfg, rng)
     params.flat[...] = rng.normal(scale=scale, size=params.flat.shape)
-    batch = Batch(scale * rng.normal(size=(n, 2, 3)),
-                  (rng.random((n, n_codes)) < 0.5).astype(np.float64),
-                  np.zeros(n, dtype=np.int64))
-    z = forward_eval(params, batch, cfg).stages["hconv"]
+    series = scale * rng.normal(size=(n, 2, 3))
+    icd = (rng.random((n, n_codes)) < 0.5).astype(np.float64)
+    z = forward_eval(params, series, icd)[1]["hconv"]
     assert np.abs(z).max() <= 1 + layers
     assert similarity(z).max() <= (1 + layers) ** 2 / cfg.fused_width
 
@@ -304,9 +303,9 @@ SMALL_MODEL = ModelConfig(n_variables=3)
 
 
 def small_batch(n, seed):
+    """(series, codes) of n patients."""
     rng = Rng(seed)
-    return Batch(rng.normal(size=(n, 3, 4)), (rng.random((n, 20)) < 0.15).astype(np.float64),
-                 np.zeros(n, dtype=np.int64))
+    return rng.normal(size=(n, 3, 4)), (rng.random((n, 20)) < 0.15).astype(np.float64)
 
 
 def model_params(cfg, seed):
@@ -322,20 +321,20 @@ def test_blocked_eval_graph_equals_the_dense_one_bitwise(n):
     # 257 the first N with two blocks and 513 the first with three
     params = model_params(SMALL_MODEL, n)
     batch = small_batch(n, 1000 + n)
-    z = forward_eval(params, batch, SMALL_MODEL).stages["hconv"]
+    z = forward_eval(params, *batch)[1]["hconv"]
     edges = {"none": np.inf, "some": zeta_between_similarities(z), "all": -np.inf}
     for name, zeta in edges.items():
         params.zeta[...] = zeta
-        out = forward_eval(params, batch, SMALL_MODEL)
-        assert np.array_equal(out.stages["hconv"], z)
+        scores, stages = forward_eval(params, *batch)
+        assert np.array_equal(stages["hconv"], z)
         n_edges = int(hard_adjacency(z, zeta).sum())
         if name == "some":
             assert n == 1 or 0 < n_edges < n * n
         else:
             assert n_edges == {"none": 0, "all": n * n}[name]
         x_star = dense_eval_graph(z, zeta, params.phi)
-        assert np.array_equal(out.stages["aggregated"], x_star), name
-        assert np.array_equal(out.scores, oracle_scores(params, x_star)), name
+        assert np.array_equal(stages["aggregated"], x_star), name
+        assert np.array_equal(scores, oracle_scores(params, x_star)), name
     # a row of zero norm bounds nothing, so its block rules out no row,
     # and at zeta = 0 it has no edge
     z0 = z.copy()
@@ -494,8 +493,7 @@ def test_blocked_scoring_equals_the_dense_graph():
     cfg = replace(SMALL_MODEL, n_variables=len(cohort.schema),
                   n_codes=len(cohort.code_vocab))
     params = model_params(cfg, 16)
-    whole = Batch(cohort.series, cohort.icd, cohort.y)
-    z = forward_eval(params, whole, cfg).stages["hconv"]
+    z = forward_eval(params, cohort.series, cohort.icd)[1]["hconv"]
     params.zeta[...] = zeta_between_similarities(z)
     ckpt = Checkpoint(config=TrainConfig(window_hours=24, model=cfg), schema=cohort.schema,
                       code_vocab=cohort.code_vocab, norm_stats=cohort.norm_stats,
@@ -511,12 +509,11 @@ def test_eval_forward_never_holds_an_n_by_n_float_array():
     cfg = ModelConfig()
     params = init_params(cfg, Rng(17))
     rng = Rng(18)
-    batch = Batch(rng.normal(size=(n, cfg.n_variables, 6)),
-                  (rng.random((n, cfg.n_codes)) < 0.15).astype(np.float64),
-                  np.zeros(n, dtype=np.int64))
+    series = rng.normal(size=(n, cfg.n_variables, 6))
+    icd = (rng.random((n, cfg.n_codes)) < 0.15).astype(np.float64)
     tracemalloc.start()
     try:
-        forward_eval(params, batch, cfg)
+        forward_eval(params, series, icd)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
