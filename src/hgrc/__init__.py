@@ -23,8 +23,10 @@ from .metrics import MetricsReport, auprc, auroc, compute_report, confusion_metr
 from .model import ModelConfig, ModelParams, forward_eval, forward_train, init_params
 from .numeric import AdamState, Rng, adam_step, finite_diff_check
 from .synthetic import SyntheticSpec, gen_synthetic, write_cohort_files
+# the train() function is imported from hgrc.train: under the package's name
+# it would hide the submodule, so hgrc.train names the module
 from .train import (Checkpoint, TrainConfig, derive_rng_streams, evaluate,
-                    export_embeddings, predict_scores, train)
+                    export_embeddings, predict_scores)
 
 __version__ = "0.1.0"
 
@@ -37,6 +39,5 @@ __all__ = [
     "confusion_metrics", "derive_rng_streams", "evaluate", "export_embeddings",
     "finite_diff_check", "forward_eval", "forward_train",
     "gen_synthetic", "impute_mean", "init_params", "load_checkpoint", "load_cohort",
-    "predict_scores", "save_checkpoint", "split", "standardize", "train",
-    "write_cohort_files",
+    "predict_scores", "save_checkpoint", "split", "standardize", "write_cohort_files",
 ]

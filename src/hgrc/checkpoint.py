@@ -4,7 +4,7 @@ Layout: magic ``HGRC``, one version byte, an 8-byte little-endian unsigned
 manifest length, the JSON manifest (config with the architecture nested
 under ``model``, schema, code vocabulary, normalization stats, parameter
 name/shape/offset table, training log), then
-the model's flat parameter buffer as raw little-endian float64, whose arrays
+the model's flat parameter buffer as raw little-endian float32, whose arrays
 lie in layout order (``model.param_layout``), each in C order.  The table's
 offsets count bytes.  A load requires the stored config's model widths to
 equal the schema's and code vocabulary's lengths, the normalization mean
@@ -13,6 +13,8 @@ of at least 0), the table to equal the layout that config implies (same
 names, shapes and contiguous offsets, in order) and the blob to be exactly
 the buffer's size, then reads the blob in one piece.  Round trips are
 bit-exact: a saved checkpoint loads and evaluates as before, to the last bit.
+A float64 buffer, which only the tests' gradient checks build, is rounded to
+float32 when saved.
 """
 
 from __future__ import annotations
@@ -31,17 +33,19 @@ from .errors import CheckpointError, CheckpointVersionError, ConfigError
 from .train import Checkpoint, TrainConfig
 
 MAGIC = b"HGRC"
+# 8: the blob is float32, not float64;
 # 7: the model config names no use_similarity, temperature or zeta_init;
 # 6: one FFN head, no attention arrays and no n_members; 5: the FFN ensemble
 # stacked in six ffn.* arrays, member axis first, plus attn.*; 4: the config
 # names no activation (tanh throughout); 3: GRU gates stacked in four arrays;
 # 2: the architecture nested as ``model``
-VERSION = 7
+VERSION = 8
 _HEADER = struct.Struct("<4sBQ")
+_BLOB = np.dtype("<f4")
 
 
 def _param_table(layout) -> list[dict]:
-    return [{"name": name, "shape": list(shape), "offset": 8 * offset}
+    return [{"name": name, "shape": list(shape), "offset": _BLOB.itemsize * offset}
             for name, shape, offset in layout]
 
 
@@ -64,7 +68,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> str:
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, VERSION, len(manifest_bytes)))
         fh.write(manifest_bytes)
-        fh.write(ckpt.params.flat.astype("<f8").tobytes())
+        fh.write(ckpt.params.flat.astype(_BLOB).tobytes())
     return str(path)
 
 
@@ -84,8 +88,8 @@ def _table_mismatch(entries, expected: list[dict], blob_bytes: int) -> str:
         if entry.get("shape") != want["shape"]:
             return f"parameter {name!r} has shape {entry.get('shape')}, expected {want['shape']}"
         start = entry.get("offset")
-        if isinstance(start, int) and (start < 0 or
-                                       start + 8 * math.prod(want["shape"]) > blob_bytes):
+        size = _BLOB.itemsize * math.prod(want["shape"])
+        if isinstance(start, int) and (start < 0 or start + size > blob_bytes):
             return f"parameter {name!r} extends past end of file"
         if start != want["offset"]:
             return f"parameter {name!r} starts at byte {start!r}, expected {want['offset']}"
@@ -150,12 +154,12 @@ def load_checkpoint(path) -> Checkpoint:
     blob_bytes = len(data) - body_start
     if entries != expected:
         raise CheckpointError(f"{path}: {_table_mismatch(entries, expected, blob_bytes)}")
-    expected_bytes = 8 * sum(math.prod(e["shape"]) for e in expected)
+    expected_bytes = _BLOB.itemsize * sum(math.prod(e["shape"]) for e in expected)
     if blob_bytes != expected_bytes:
         raise CheckpointError(
             f"{path}: parameter blob is {blob_bytes} bytes, manifest expects {expected_bytes}")
-    blob = np.frombuffer(data, dtype="<f8", offset=body_start)
-    params = model_mod.ModelParams(config.model, blob.astype(np.float64))
+    blob = np.frombuffer(data, dtype=_BLOB, offset=body_start)
+    params = model_mod.ModelParams(config.model, blob.astype(np.float32))
 
     return Checkpoint(
         config=config,

@@ -16,8 +16,6 @@ from pathlib import Path
 from . import checkpoint as ckpt_mod
 from . import data as data_mod
 from . import synthetic as synth_mod
-# the package root re-exports the train() function, so the submodule has to
-# be imported by name rather than as `from . import train`
 from .train import (EMBED_STAGES, Checkpoint, TrainConfig, derive_rng_streams,
                     evaluate, export_embeddings, predict_scores, train)
 from .config import AppConfig, dump_defaults, load_app_config

@@ -28,6 +28,11 @@ threads, one for the recurrence and one for the weight gradients (see
 encode_batch_backward).  Every block size and thread count gives the same
 arithmetic, so training logs, checkpoints and scores are the same bit for
 bit.
+
+The GRU computes in its parameters' dtype, float32 in the model: the cache,
+every buffer, the final states and the backward's gradients take it, and
+each block casts its rows of the series into it while making the
+time-major copy it makes in any dtype, so the cast costs no extra pass.
 """
 
 from __future__ import annotations
@@ -39,11 +44,13 @@ from .errors import ShapeError
 from .numeric import Array, Rng, glorot_init, run_pipelined, run_row_blocks, sigmoid
 
 # most rows a training-mode GRU block holds, and the largest batch that runs
-# on the calling thread alone.  Below it, threads lose more to the
-# interpreter lock than they gain: with one BLAS thread on a shared 2-core
-# Xeon, two threads ran the forward at 0.47x the one-thread speed at 32
-# rows and 0.88x at 120, and the backward at 0.54x and 0.98x; at 160 rows
-# they ran at 1.31x and 1.29x.
+# on the calling thread alone.  With one BLAS thread on a shared 2-core
+# Xeon, two threads ran the float64 forward at 0.47x the one-thread speed
+# at 32 rows, 0.88x at 120 and 1.31x at 160, since the interpreter lock
+# costs them most on small batches.  In float32 (d = 59, 48 hours, forward
+# plus backward, medians of 31 alternating pairs) they ran at 0.96x at 160
+# rows, a 0.9 ms gap inside the 2.6 ms interquartile range of the
+# one-thread runs, and at 1.16x at 256 rows, so the gate stays here.
 _TRAIN_BLOCK_ROWS = 128
 # slots in the backward's ring of per-step gate gradients (numeric.run_pipelined)
 _RING_SLOTS = 4
@@ -85,11 +92,11 @@ def encode_batch(series_batch: Array, p: dict[str, Array], keep_cache: bool = Tr
     size and thread count.  Every buffer is allocated before any block
     starts, so no step allocates.
     """
-    series_batch = np.asarray(series_batch, dtype=np.float64)
+    series_batch = np.asarray(series_batch)
     if series_batch.ndim != 3:
         raise ShapeError(f"encode_batch expects (N, M, T), got {series_batch.shape}")
     n, m, t = series_batch.shape
-    d, input_size = p["u_h"].shape[0], p["w"].shape[1]
+    d, input_size, dtype = p["u_h"].shape[0], p["w"].shape[1], p["w"].dtype
     if m != input_size:
         raise ShapeError(f"encode_batch: {m} variables vs input size {input_size}")
     if t == 0:
@@ -98,15 +105,15 @@ def encode_batch(series_batch: Array, p: dict[str, Array], keep_cache: bool = Tr
         raise ShapeError("encode_batch: absent cells remain; impute first")
     cache, most = None, numeric._EVAL_BLOCK_ROWS
     if keep_cache:  # xs, hs (hs[step] is the state that step reads), zs, rs, cs
-        cache = (np.empty((t, n, m)), np.empty((t + 1, n, d)),
-                 *(np.empty((t, n, d)) for _ in range(3)))
+        cache = (np.empty((t, n, m), dtype), np.empty((t + 1, n, d), dtype),
+                 *(np.empty((t, n, d), dtype) for _ in range(3)))
         most = _TRAIN_BLOCK_ROWS if _train_threaded(n) else max(n, 1)
-    final = np.empty((n, d))
+    final = np.empty((n, d), dtype)
     run_row_blocks(
         n, lambda rows, bufs: _gru_block(
             series_batch[rows], p, final[rows], bufs,
             None if cache is None else [a[:, rows] for a in cache]),
-        lambda rows: _gru_buffers(rows, m, t, d, keep_cache), most=most)
+        lambda rows: _gru_buffers(rows, m, t, d, dtype, keep_cache), most=most)
     return final, cache
 
 
@@ -119,16 +126,17 @@ def _train_threaded(n: int) -> bool:
     return n > _TRAIN_BLOCK_ROWS and numeric._workers(2) > 1
 
 
-def _gru_buffers(rows: int, m: int, t: int, d: int, cached: bool) -> tuple[Array, ...]:
-    """One thread's _gru_block buffers, for blocks of up to ``rows`` rows.
+def _gru_buffers(rows: int, m: int, t: int, d: int, dtype, cached: bool) -> tuple[Array, ...]:
+    """One thread's _gru_block buffers of ``dtype``, for blocks of up to ``rows`` rows.
 
     a, zr and tmp; without a cache also the (T, rows, M) time-major input
     copy and h, h_next and c.
     """
-    bufs = tuple(np.empty((rows, w)) for w in (3 * d, 2 * d, d))
+    bufs = tuple(np.empty((rows, w), dtype) for w in (3 * d, 2 * d, d))
     if cached:
         return bufs
-    return bufs + (np.empty((t, rows, m)),) + tuple(np.empty((rows, d)) for _ in range(3))
+    return (bufs + (np.empty((t, rows, m), dtype),)
+            + tuple(np.empty((rows, d), dtype) for _ in range(3)))
 
 
 def _gru_block(series: Array, p: dict[str, Array], out: Array, bufs: tuple[Array, ...],
@@ -155,7 +163,8 @@ def _gru_block(series: Array, p: dict[str, Array], out: Array, bufs: tuple[Array
         hs, zs, rs, cs = [h, h_next] * (t // 2 + 1), [z] * t, [r] * t, [c] * t
     else:
         xs, hs, zs, rs, cs = cache
-    np.copyto(xs, series.transpose(2, 0, 1))  # each xs[step] is a contiguous (n, M) block
+    # each xs[step] is a contiguous (n, M) block, cast to the parameters' dtype
+    np.copyto(xs, series.transpose(2, 0, 1))
     hs[0][...] = 0.0
     for x, h, h_next, z, r, c in zip(xs, hs, hs[1:], zs, rs, cs):
         np.add(np.matmul(x, p["w"].T, out=a), p["b"], out=a)
@@ -196,14 +205,15 @@ def encode_batch_backward(d_h: Array, cache, p: dict[str, Array], grads: dict[st
     bit.  The recurrence is not split by rows like the forward: its
     (N, 2d) @ (2d, d) ``da_zr @ u_zr`` takes OpenBLAS's small-matrix kernel
     on a block under 144 rows at d = 59, which rounds differently from the
-    whole batch (see ``numeric.row_blocks``), and a 256-row batch cannot be
-    cut into two blocks of 144 rows.
+    whole batch in float64 (see ``numeric.row_blocks``), and a 256-row
+    batch cannot be cut into two blocks of 144 rows.
     """
     xs, hs, zs, rs, cs = cache
     t, n, m = xs.shape
     d = d_h.shape[1]
-    d_xs = np.empty((t, n, m))  # dLoss/dxs, time-major like xs
-    dh = np.array(d_h, dtype=np.float64)
+    dtype = p["w"].dtype
+    d_xs = np.empty((t, n, m), dtype)  # dLoss/dxs, time-major like xs
+    dh = d_h.astype(dtype)
 
     # recur fills a step's da and carries dh back a step; add_step adds the
     # step's weight and input gradients from that da.  Both take da with its
@@ -233,10 +243,10 @@ def encode_batch_backward(d_h: Array, cache, p: dict[str, Array], grads: dict[st
 
     steps = range(t - 1, -1, -1)
     if _train_threaded(n):
-        ring = [gate_views(np.empty((n, 3 * d))) for _ in range(_RING_SLOTS)]
+        ring = [gate_views(np.empty((n, 3 * d), dtype)) for _ in range(_RING_SLOTS)]
         run_pipelined(steps, recur, add_step, ring)
     else:
-        gates = gate_views(np.empty((n, 3 * d)))
+        gates = gate_views(np.empty((n, 3 * d), dtype))
         for step in steps:
             recur(step, gates)
             add_step(step, gates)

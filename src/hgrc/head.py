@@ -44,10 +44,12 @@ def init_head_params(ffn: dict[str, Array], rng: Rng) -> None:
 
 
 def make_dropout_masks(n_rows: int, ffn: dict[str, Array], rate: float, rng: Rng):
-    """Inverted-dropout masks for both hidden layers, (N, h1) and (N, h2)."""
+    """Inverted-dropout masks for both hidden layers, (N, h1) and (N, h2),
+    in the weights' dtype."""
     s1, s2 = _hidden_streams(rng)
-    return (dropout_mask((n_rows, ffn["w1"].shape[1]), rate, s1),
-            dropout_mask((n_rows, ffn["w2"].shape[1]), rate, s2))
+    dtype = ffn["w1"].dtype
+    return (dropout_mask((n_rows, ffn["w1"].shape[1]), rate, s1, dtype),
+            dropout_mask((n_rows, ffn["w2"].shape[1]), rate, s2, dtype))
 
 
 # ---------------------------------------------------------------- forward
@@ -59,7 +61,7 @@ def head_forward(x: Array, ffn: dict[str, Array], masks):
     ``masks`` is None (no dropout) or a pair of (N, h1) and (N, h2) dropout
     masks.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x)
     h1 = np.tanh(x @ ffn["w1"] + ffn["b1"])
     h1d = h1 * masks[0] if masks is not None else h1
     h2 = np.tanh(h1d @ ffn["w2"] + ffn["b2"])
@@ -71,6 +73,13 @@ def head_forward(x: Array, ffn: dict[str, Array], masks):
 # ------------------------------------------------------------------ losses
 
 
+def _clamp_bounds(dtype) -> tuple[float, float]:
+    """The death probability's clamp in ``dtype``: [PROB_CLAMP, 1 - PROB_CLAMP],
+    with the upper end lowered to the largest value below 1 where 1 - PROB_CLAMP
+    rounds to 1 (float32), so log(1 - p) stays finite."""
+    return PROB_CLAMP, 1.0 - max(PROB_CLAMP, float(np.finfo(dtype).epsneg))
+
+
 def per_patient_losses(probs: Array, labels: Array) -> Array:
     """Cross-entropy of the death-probability column, clamped, per patient."""
     labels = np.asarray(labels)
@@ -80,8 +89,8 @@ def per_patient_losses(probs: Array, labels: Array) -> Array:
         raise ShapeError(f"probs shape {probs.shape}, expected {(labels.size, 2)}")
     if not np.all((labels == 0) | (labels == 1)):
         raise ConfigError("labels must be 0 or 1")
-    y = labels.astype(np.float64)
-    p1 = np.clip(probs[:, 1], PROB_CLAMP, 1.0 - PROB_CLAMP)
+    y = labels.astype(probs.dtype)
+    p1 = np.clip(probs[:, 1], *_clamp_bounds(probs.dtype))
     return -(y * np.log(p1) + (1.0 - y) * np.log(1.0 - p1))
 
 
@@ -99,10 +108,11 @@ def _loss_prob_grad(probs: Array, labels: Array, d_loss_per_patient) -> Array:
     Returns d_logits (N, 2).  With p1 the death probability,
     dp1/dlogit1 = p1 (1 - p1) and dlogit0 = -dlogit1.
     """
-    y = labels.astype(np.float64)
+    y = labels.astype(probs.dtype)
     p1 = probs[:, 1]
-    inside = (p1 > PROB_CLAMP) & (p1 < 1.0 - PROB_CLAMP)
-    p1c = np.clip(p1, PROB_CLAMP, 1.0 - PROB_CLAMP)
+    low, high = _clamp_bounds(probs.dtype)
+    inside = (p1 > low) & (p1 < high)
+    p1c = np.clip(p1, low, high)
     d_p1 = d_loss_per_patient * np.where(inside, -(y / p1c - (1.0 - y) / (1.0 - p1c)), 0.0)
     d_logit1 = d_p1 * p1 * (1.0 - p1)
     return np.stack([-d_logit1, d_logit1], axis=-1)

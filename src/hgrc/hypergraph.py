@@ -54,9 +54,12 @@ class Hypergraph:
 def build_hypergraph(icd_batch: Array) -> Hypergraph:
     """Hypergraph over a batch's code matrix (N, g), dropping empty hyperedges.
 
-    An all-zero batch yields K = 0, handled downstream as a zero operator.
+    The incidence and degrees take the code matrix's floating dtype (float64
+    for integer or bool codes).  An all-zero batch yields K = 0, handled
+    downstream as a zero operator.
     """
-    icd_batch = np.asarray(icd_batch, dtype=np.float64)
+    icd_batch = np.asarray(icd_batch)
+    icd_batch = icd_batch.astype(np.result_type(icd_batch, 0.5), copy=False)
     if icd_batch.ndim != 2:
         raise ShapeError(f"icd batch must be 2-D, got {icd_batch.shape}")
     if icd_batch.shape[0] < 1:
@@ -69,7 +72,7 @@ def build_hypergraph(icd_batch: Array) -> Hypergraph:
 
 def hconv_operator(hg: Hypergraph) -> tuple[Array, Array]:
     """The (N, K) factors (L, R) = (D^-1 H, H B^-1) of P = L R^T."""
-    d_inv = np.zeros(hg.n_nodes)
+    d_inv = np.zeros_like(hg.node_degree)
     occupied = hg.node_degree > 0.0
     d_inv[occupied] = 1.0 / hg.node_degree[occupied]
     left = hg.incidence * d_inv[:, None]
@@ -100,7 +103,7 @@ def hconv_stack(x: Array, hg: Hypergraph, thetas: list[Array], keep_cache: bool 
     Without ``keep_cache`` (evaluation) the cache is None, so no layer's
     intermediates outlive the call; the output is the same bit for bit.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x)
     if x.shape[0] != hg.n_nodes:
         raise ShapeError(f"{x.shape[0]} feature rows vs {hg.n_nodes} nodes")
     factors = hconv_operator(hg)

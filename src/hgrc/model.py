@@ -9,7 +9,7 @@ Forward pipeline per batch of N patients:
     x_star --FFN--> probs (N, 2), mean cross-entropy loss
 
 Training mode uses the sigmoid-relaxed threshold and dropout masks, and
-holds A' and its normalization as dense (N, N) float64 arrays for the
+holds A' and its normalization as dense (N, N) float arrays for the
 backward pass.  Evaluation mode uses the strict hard threshold and no
 dropout: A' is a symmetric (N, N) bool array whose every similarity is
 computed at most once, and the GRU, the similarities and the aggregation
@@ -32,12 +32,17 @@ spread of a single member on the hard regime, so it was removed.
 hconv_layers=0 removes the hypergraph stack for ablations.  The graph has
 no knob: a zeta of +inf trains bit for bit like a model without it.
 
-Parameters live in one contiguous float64 buffer (ModelParams.flat).  The
+Parameters live in one contiguous float32 buffer (ModelParams.flat).  The
 layout, built from the ModelConfig by param_layout, lists every trainable
 array's name, shape and offset; each array is a named view into the
 buffer, and the GRU gates are stored stacked.  Gradients share the layout,
 so one Adam call updates the whole model, and the checkpoint stores the
-buffer as a single blob in layout order.
+buffer as a single blob in layout order.  The model computes in the
+buffer's dtype, with no setting for it: _forward casts the code matrix to
+it once and the GRU casts the series in its time-major copy, and every
+stage then allocates in its input's dtype.  init_params and the checkpoint
+make float32 buffers; the tests' finite-difference checks build float64
+ones, which run the same code.
 """
 
 from __future__ import annotations
@@ -91,8 +96,8 @@ class ModelConfig:
 def param_layout(config: ModelConfig) -> tuple[tuple[str, tuple[int, ...], int], ...]:
     """(name, shape, offset) of every trainable array, in buffer order.
 
-    Offsets count float64 elements and run contiguously from 0.  This is
-    also the checkpoint's parameter table, so names and order are fixed.
+    Offsets count the buffer's elements and run contiguously from 0.  This
+    is also the checkpoint's parameter table, so names and order are fixed.
     """
     d, m, w, q = config.hidden_size, config.n_variables, config.fused_width, config.phi_width
     h1, h2 = config.ffn_hidden
@@ -111,9 +116,11 @@ def param_layout(config: ModelConfig) -> tuple[tuple[str, tuple[int, ...], int],
 
 
 class ModelParams:
-    """Every trainable array as a named view into one flat float64 buffer.
+    """Every trainable array as a named view into one flat buffer.
 
-    Gradients use the same class, so an optimizer can update ``flat`` in
+    The buffer is float32, or float64 when the caller passes one (the
+    tests' gradient checks do); the model computes in its dtype.  Gradients
+    use the same class and dtype, so an optimizer can update ``flat`` in
     one call.  Writing through any view writes ``flat`` and vice versa; the
     layer functions receive the views grouped as plain dicts and lists.
     """
@@ -122,10 +129,10 @@ class ModelParams:
         self.config = config
         self.layout = param_layout(config)
         size = sum(math.prod(shape) for _, shape, _ in self.layout)
-        self.flat = np.zeros(size) if flat is None else flat
-        if self.flat.shape != (size,) or self.flat.dtype != np.float64:
+        self.flat = np.zeros(size, np.float32) if flat is None else flat
+        if self.flat.shape != (size,) or self.flat.dtype not in (np.float32, np.float64):
             raise ShapeError(f"parameter buffer is {self.flat.dtype}{self.flat.shape}, "
-                             f"expected float64({size},)")
+                             f"expected float32 or float64 ({size},)")
         self._views = {name: self.flat[offset:offset + math.prod(shape)].reshape(shape)
                        for name, shape, offset in self.layout}
         groups: dict[str, dict[str, Array]] = {}
@@ -146,7 +153,7 @@ class ModelParams:
         return ModelParams(self.config, self.flat.copy())
 
     def zeros_like(self) -> "ModelParams":
-        return ModelParams(self.config)
+        return ModelParams(self.config, np.zeros_like(self.flat))
 
 
 def init_params(config: ModelConfig, rng: Rng) -> ModelParams:
@@ -172,6 +179,8 @@ def make_dropout_masks(params: ModelParams, n_rows: int, rng: Rng):
 
 
 def _forward(params: ModelParams, series: Array, icd: Array, mode: str, masks):
+    # the GRU casts the series in its time-major copy; the codes are cast here
+    icd = np.asarray(icd, dtype=params.flat.dtype)
     h, gru_cache = encoder.encode_batch(series, params.gru, keep_cache=mode != "eval")
     fused = encoder.fuse_batch(h, icd)
     hg = hypergraph.build_hypergraph(icd)
@@ -223,7 +232,8 @@ def backward(params: ModelParams, cache) -> ModelParams:
 
 def forward_eval(params: ModelParams, series: Array, icd: Array) -> tuple[Array, dict[str, Array]]:
     """Hard-threshold adjacency, no dropout; returns (scores, stages): each
-    patient's death probability (N,) and the intermediate stages by name.
+    patient's death probability (N,) and the intermediate stages by name,
+    in the parameter buffer's dtype.
 
     The only (N, N) array is the bool adjacency, N^2 bytes, so scoring does
     not set the peak memory of a process that also trains: the training

@@ -1,4 +1,4 @@
-"""Dense float64 numerics shared by every layer.
+"""Dense floating-point numerics shared by every layer.
 
 The logistic sigmoid, softmax, Adam, inverted dropout, Glorot initialization,
 a splittable deterministic RNG, a finite-difference gradient checker that
@@ -10,7 +10,11 @@ two-thread pipeline that overlaps the training GRU's weight gradients with
 its backward recurrence.  The layers' one nonlinearity is numpy's tanh,
 which each layer calls directly.
 
-All arrays are ``numpy.float64``.  Reductions are delegated to numpy/BLAS,
+Every function computes in the floating dtype of its array inputs
+(``dropout_mask`` and ``AdamState.zeros``, which have none, take it as an
+argument), so the model runs in the dtype of its parameter buffer: float32
+in training and scoring, float64 where the tests check gradients against
+finite differences.  Reductions are delegated to numpy/BLAS,
 which is deterministic for a fixed platform and thread count; all randomness
 flows through :class:`Rng`.  Which thread runs a row block or a pipeline's
 side changes none of its arithmetic, so the worker count changes no result.
@@ -80,7 +84,7 @@ class Rng:
 def sigmoid(x: Array, out: Array | None = None) -> Array:
     """Logistic in tanh form, 0.5 * (1 + tanh(x / 2)); cannot overflow.  ``out`` may be x."""
     if out is None:
-        out = np.empty(np.shape(x))
+        out = np.empty_like(x, dtype=np.result_type(x, 0.5))
     np.tanh(np.multiply(x, 0.5, out=out), out=out)
     out += 1.0
     out *= 0.5
@@ -89,7 +93,7 @@ def sigmoid(x: Array, out: Array | None = None) -> Array:
 
 def softmax(x: Array, axis: int = -1) -> Array:
     """Max-subtracted softmax along ``axis``; rows sum to 1."""
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x)
     if x.shape[axis] == 0:
         raise ShapeError("softmax: empty input")
     shifted = x - np.max(x, axis=axis, keepdims=True)
@@ -116,11 +120,12 @@ def row_blocks(n: int, most: int = _EVAL_BLOCK_ROWS) -> list[slice]:
     product (``a @ b``, both C-ordered) through a small-matrix kernel when
     M·N·K <= 10**6, and that kernel rounds differently in the last bit: the
     GRU backward's (N, 118) @ (118, 59) ``da_zr @ u_zr`` rows change below
-    144 rows.  The NT products of the GRU forward (``x @ w.T``) gave equal
-    rows for every N from 2 to 700 in blocks of 64 rows or more (they part
-    only in blocks of about 10 rows or fewer), and equal blocks of an n
-    above ``most`` hold at least ``most // 2`` rows.  An empty range is one
-    empty block.
+    144 rows in float64 (in float32 only a 1-row block's do).  The NT
+    products of the GRU forward (``x @ w.T``) gave equal rows for every N
+    from 2 to 700 in blocks of 64 rows or more (they part only in blocks of
+    about 10 rows or fewer, and in either dtype the input and state products
+    part in none above 20 rows), and equal blocks of an n above ``most``
+    hold at least ``most // 2`` rows.  An empty range is one empty block.
     """
     n_blocks = max(1, -(-n // most))
     size, extra = divmod(n, n_blocks)
@@ -299,8 +304,10 @@ class AdamState:
     step: int = 0
 
     @classmethod
-    def zeros(cls, shape, learning_rate: float) -> "AdamState":
-        return cls(first_moment=np.zeros(shape), second_moment=np.zeros(shape),
+    def zeros(cls, shape, dtype, learning_rate: float) -> "AdamState":
+        """Zero moments of the parameters' shape and dtype, so every update
+        computes in the parameters' dtype."""
+        return cls(first_moment=np.zeros(shape, dtype), second_moment=np.zeros(shape, dtype),
                    learning_rate=learning_rate)
 
 
@@ -322,8 +329,8 @@ def adam_step(param: Array, grad: Array, state: AdamState) -> tuple[Array, AdamS
 # ------------------------------------------------------- dropout and init
 
 
-def dropout_mask(shape, rate: float, rng: Rng) -> Array:
-    """Inverted-dropout mask: entries are 0 or 1/(1-rate), expected value 1.
+def dropout_mask(shape, rate: float, rng: Rng, dtype) -> Array:
+    """Inverted-dropout mask of ``dtype``: entries are 0 or 1/(1-rate), expected value 1.
 
     Evaluation mode is a pass-through and never calls this; callers simply
     skip the mask.
@@ -331,7 +338,7 @@ def dropout_mask(shape, rate: float, rng: Rng) -> Array:
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
     keep = rng.random(shape) >= rate
-    return keep.astype(np.float64) / (1.0 - rate)
+    return keep.astype(dtype) / (1.0 - rate)
 
 
 def glorot_init(fan_in: int, fan_out: int, rng: Rng) -> Array:

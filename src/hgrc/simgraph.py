@@ -13,14 +13,15 @@ with Dt the row-sum degrees of A' + I; the cached output X* gives the tanh
 derivative 1 - X*^2.  Every backward pass here is hand-derived and covered
 by finite-difference checks.
 
-Training builds every stage as a dense (N, N) float64 array and caches it
-for the backward pass; N is at most the batch size.  Evaluation scores
-whole cohorts and needs no backward, so hard_adjacency builds the graph as
-one symmetric (N, N) bool array a row block at a time
-(``numeric.row_blocks``): each block's similarities with its own and later
-rows are computed and thresholded once, then mirrored into the block's
-columns.  When the Cauchy-Schwarz bound max |z|^2 / w^2, widened by a
-margin for rounding, cannot exceed zeta, no pair can be an edge: each
+Every stage computes in the features' dtype.  Training builds every stage
+as a dense (N, N) array and caches it for the backward pass; N is at most
+the batch size.  Evaluation scores whole cohorts and needs no backward,
+so hard_adjacency builds the graph as one symmetric (N, N) bool array a
+row block at a time (``numeric.row_blocks``): each block's similarities
+with its own and later rows are computed and thresholded once, then
+mirrored into the block's columns.  When the Cauchy-Schwarz bound
+max |z|^2 / w^2, widened by a margin for rounding, cannot exceed zeta, no
+pair can be an edge: each
 block then scores only its own rows and the adjacency is all False.  This
 is the norm pruning of all-pairs similarity search (Bayardo, Ma & Srikant,
 WWW 2007), taken at the whole cohort's largest norm.  The bound is at most
@@ -61,8 +62,8 @@ def similarity(x: Array, y: Array | None = None) -> Array:
     rows as X, and as Y the rows from the block's first onward (or the
     block's own rows alone, when the norm bound rules out every edge).
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = x if y is None else np.asarray(y, dtype=np.float64)
+    x = np.asarray(x)
+    y = x if y is None else np.asarray(y)
     if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[1]:
         raise ShapeError(f"similarity expects (N, width) rows, got {x.shape} and {y.shape}")
     width = x.shape[1]
@@ -86,7 +87,7 @@ def threshold(a: Array, zeta: float, mode: str) -> Array:
     train: sigmoid(TEMPERATURE * (a - zeta)), float entries in (0, 1).
     eval:  strict indicator (a > zeta) as bools; a == zeta maps to False.
     """
-    a = np.asarray(a, dtype=np.float64)
+    a = np.asarray(a)
     if mode == "train":
         return sigmoid(TEMPERATURE * (a - zeta))
     if mode == "eval":
@@ -104,8 +105,9 @@ def hard_adjacency(x: Array, zeta: float) -> Array:
     (rows, rows) square is mirrored from its strict upper triangle.
 
     When the cohort's Cauchy-Schwarz bound c max |z|^2 cannot exceed zeta,
-    with c = (1 + 8 w eps) / w^2 and eps = 2^-52, no pair is an edge (the
-    diagonal included) and the adjacency is all False.  Each block then
+    with c = (1 + 8 w eps) / w^2 and eps the machine epsilon of x's dtype
+    (2^-52 in float64, 2^-23 in float32), no pair is an edge (the diagonal
+    included) and the adjacency is all False.  Each block then
     scores only its own (rows, rows) square, so the traced similarity and
     threshold layers still see one call per block.  The margin covers
     rounding.  Let u = eps / 2 and g = w u / (1 - w u).  A width-w dot
@@ -113,23 +115,27 @@ def hard_adjacency(x: Array, zeta: float) -> Array:
     g sum_k |x_k y_k| <= g |x| |y| of the exact one, and the division by
     w^2 rounds once more: a computed similarity is at most
     (1 + u)(1 + g) |z_i| |z_j| / w^2.  A squared norm sums nonnegative
-    terms, so it is computed at least (1 - g) |z|^2.  c takes two roundings
-    (its sum and its quotient) and c max |z|^2 one more, so the computed
-    bound is at least (1 + 16 w u)(1 - u)^3 (1 - g) max |z|^2 / w^2, which
-    exceeds the similarity's ceiling for every width up to 2^33: to first
-    order 15 w u - 3 u > (w + 1) u, true for w >= 1.  Underflow voids these
-    relative bounds, so a cohort whose largest squared norm is below 2^-900
-    (all rows zero, say) is never bounded; nor is one whose bound is NaN.
+    terms, so it is computed at least (1 - g) |z|^2.  c takes two float64
+    roundings (its sum and its quotient), one more into a float32 x's
+    dtype, and c max |z|^2 one more, so the computed bound is at least
+    (1 + 16 w u)(1 - u)^4 (1 - g) max |z|^2 / w^2, which exceeds the
+    similarity's ceiling for every width up to 2^33 in float64 and up to
+    2^12 in float32, where w^2 is exact: to first order 15 w u - 4 u >
+    (w + 1) u, true for w >= 1.  Underflow voids these relative bounds, so
+    a cohort whose largest squared norm is below the square root of the
+    dtype's smallest normal number (2^-511 in float64, 2^-63 in float32;
+    all rows zero, say) is never bounded; nor is one whose bound is NaN.
     Otherwise the graph is built exactly as without the bound.  Its blocks
     keep passing ``x[rows.start:]``, not a copy: numpy computes a one-block
     cohort's ``x @ x.T`` (both operands one buffer) with BLAS syrk, which
     rounds differently from a product against a copy.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x)
     n, width = x.shape
+    limits = np.finfo(x.dtype)
     top = np.einsum("ij,ij->i", x, x).max(initial=0.0)
-    scale = (1.0 + 8.0 * width * np.finfo(np.float64).eps) / float(width * width)
-    if top >= 2.0 ** -900 and scale * top <= zeta:
+    scale = (1.0 + 8.0 * width * float(limits.eps)) / float(width * width)
+    if top >= np.sqrt(limits.tiny) and scale * top <= zeta:
         for rows in row_blocks(n):
             threshold(similarity(x[rows], x[rows]), zeta, "eval")
         return np.zeros((n, n), dtype=bool)
@@ -167,8 +173,8 @@ def gcn_aggregate(x: Array, a_prime: Array, phi: Array, keep_cache: bool = True)
     block whose rows of a_prime are all zero is not built: its degrees are
     1 and its output rows are tanh(X Phi)'s, as the product would give.
     """
-    x = np.asarray(x, dtype=np.float64)
-    phi = np.asarray(phi, dtype=np.float64)
+    x = np.asarray(x)
+    phi = np.asarray(phi)
     a_prime = np.asarray(a_prime)
     n = x.shape[0]
     if a_prime.shape != (n, n):
@@ -178,20 +184,20 @@ def gcn_aggregate(x: Array, a_prime: Array, phi: Array, keep_cache: bool = True)
     m = x @ phi
     if not keep_cache:
         blocks = [rows for rows in row_blocks(n) if a_prime[rows].any()]
-        deg = np.ones(n)
+        deg = np.ones(n, m.dtype)
         for rows in blocks:
-            deg[rows] = _a_tilde_rows(a_prime, rows).sum(axis=1)
+            deg[rows] = _a_tilde_rows(a_prime, rows, m.dtype).sum(axis=1)
         inv_sqrt = _inv_sqrt_degrees(deg)
         out = m.copy()
         for rows in blocks:
-            s_norm = _a_tilde_rows(a_prime, rows)
+            s_norm = _a_tilde_rows(a_prime, rows, m.dtype)
             s_norm *= inv_sqrt[rows, None]
             s_norm *= inv_sqrt[None, :]
             np.matmul(s_norm, m, out=out[rows])
         np.tanh(out, out=out)
         return out, None
     # a fresh copy: a_prime itself stays as given, threshold_backward reads it
-    a_tilde = _a_tilde_rows(a_prime, slice(0, n))
+    a_tilde = _a_tilde_rows(a_prime, slice(0, n), m.dtype)
     deg = a_tilde.sum(axis=1)
     inv_sqrt = _inv_sqrt_degrees(deg)
     s_norm = a_tilde * inv_sqrt[:, None]
@@ -201,9 +207,9 @@ def gcn_aggregate(x: Array, a_prime: Array, phi: Array, keep_cache: bool = True)
     return out, (x, a_tilde, deg, inv_sqrt, s_norm, m, out)
 
 
-def _a_tilde_rows(a_prime: Array, rows: slice) -> Array:
-    """Rows ``rows`` of A' + I as a fresh float64 array."""
-    a_tilde = np.array(a_prime[rows], dtype=np.float64)
+def _a_tilde_rows(a_prime: Array, rows: slice, dtype) -> Array:
+    """Rows ``rows`` of A' + I as a fresh ``dtype`` array."""
+    a_tilde = np.array(a_prime[rows], dtype=dtype)
     a_tilde[np.arange(a_tilde.shape[0]), np.arange(rows.start, rows.stop)] += 1.0
     return a_tilde
 

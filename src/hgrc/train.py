@@ -145,7 +145,8 @@ def train(config: TrainConfig, train_cohort: Cohort, val_cohort: Cohort,
     cfg = config.model_config(len(train_cohort.schema), len(train_cohort.code_vocab))
     _, init_rng, loop_rng = derive_rng_streams(config.seed)
     params = model_mod.init_params(cfg, init_rng)
-    adam_state = AdamState.zeros(params.flat.shape, learning_rate=config.learning_rate)
+    adam_state = AdamState.zeros(params.flat.shape, params.flat.dtype,
+                                 learning_rate=config.learning_rate)
 
     _require_prepared(train_cohort)
     _require_prepared(val_cohort)
@@ -233,11 +234,12 @@ def evaluate(ckpt: Checkpoint, cohort: Cohort) -> MetricsReport:
 
 
 def predict_scores(ckpt: Checkpoint, cohort: Cohort) -> Array:
-    """Per-patient death probabilities in cohort order; (0,) for no patients."""
+    """Per-patient death probabilities in cohort order, as float64; (0,) for
+    no patients."""
     _check_cohort_matches(ckpt, cohort)
     if len(cohort) == 0:
         return np.empty(0)
-    return _score_cohort(ckpt.params, cohort)[0]
+    return _score_cohort(ckpt.params, cohort)[0].astype(np.float64)
 
 
 def export_embeddings(ckpt: Checkpoint, cohort: Cohort, stage: str, out_path) -> str:

@@ -106,7 +106,7 @@ def test_version_1_checkpoint_rejected(tmp_path):
     def mutate(d):
         d[4] = 1
         return d
-    with pytest.raises(CheckpointVersionError, match="version 1, expected 7"):
+    with pytest.raises(CheckpointVersionError, match="version 1, expected 8"):
         load_checkpoint(write_tampered(tmp_path, mutate))
 
 
@@ -115,7 +115,7 @@ def test_version_2_checkpoint_rejected(tmp_path):
     def mutate(d):
         d[4] = 2
         return d
-    with pytest.raises(CheckpointVersionError, match="version 2, expected 7"):
+    with pytest.raises(CheckpointVersionError, match="version 2, expected 8"):
         load_checkpoint(write_tampered(tmp_path, mutate))
 
 
@@ -128,7 +128,7 @@ def test_version_3_checkpoint_rejected(tmp_path):
         d = edit_manifest(d, edit)
         d[4] = 3
         return d
-    with pytest.raises(CheckpointVersionError, match="version 3, expected 7"):
+    with pytest.raises(CheckpointVersionError, match="version 3, expected 8"):
         load_checkpoint(write_tampered(tmp_path, mutate))
 
 
@@ -141,7 +141,7 @@ def test_version_4_checkpoint_rejected(tmp_path):
         d = edit_manifest(d, edit)
         d[4] = 4
         return d
-    with pytest.raises(CheckpointVersionError, match="version 4, expected 7"):
+    with pytest.raises(CheckpointVersionError, match="version 4, expected 8"):
         load_checkpoint(write_tampered(tmp_path, mutate))
 
 
@@ -157,7 +157,7 @@ def test_version_5_checkpoint_rejected(tmp_path):
         d = edit_manifest(d, edit)
         d[4] = 5
         return d
-    with pytest.raises(CheckpointVersionError, match="version 5, expected 7"):
+    with pytest.raises(CheckpointVersionError, match="version 5, expected 8"):
         load_checkpoint(write_tampered(tmp_path, mutate))
 
 
@@ -171,8 +171,39 @@ def test_version_6_checkpoint_rejected(tmp_path):
         d = edit_manifest(d, edit)
         d[4] = 6
         return d
-    with pytest.raises(CheckpointVersionError, match="version 6, expected 7"):
+    with pytest.raises(CheckpointVersionError, match="version 6, expected 8"):
         load_checkpoint(write_tampered(tmp_path, mutate))
+
+
+def test_version_7_checkpoint_rejected(tmp_path):
+    # version 7 stored the buffer as a float64 blob, with offsets counting
+    # 8-byte floats; there is no converter
+    def mutate(d):
+        def edit(m):
+            for entry in m["params"]:
+                entry["offset"] *= 2
+            return m
+        _, _, mlen = HEADER.unpack_from(d)
+        blob = np.frombuffer(bytes(d[HEADER.size + mlen:]), dtype="<f4")
+        d = edit_manifest(d[:HEADER.size + mlen], edit) + blob.astype("<f8").tobytes()
+        d[4] = 7
+        return d
+    with pytest.raises(CheckpointVersionError, match="version 7, expected 8"):
+        load_checkpoint(write_tampered(tmp_path, mutate))
+
+
+def test_blob_is_float32_in_layout_order(tmp_path):
+    ckpt = small_checkpoint()
+    path = tmp_path / "model.hgrc"
+    save_checkpoint(ckpt, path)
+    data = path.read_bytes()
+    _, version, mlen = HEADER.unpack_from(data)
+    manifest = json.loads(data[HEADER.size:HEADER.size + mlen])
+    assert version == VERSION == 8
+    assert [e["offset"] for e in manifest["params"]] == [
+        4 * offset for _, _, offset in ckpt.params.layout]
+    blob = np.frombuffer(data, dtype="<f4", offset=HEADER.size + mlen)
+    assert np.array_equal(blob, ckpt.params.flat)
 
 
 def test_garbled_manifest_rejected(tmp_path):

@@ -24,11 +24,16 @@ def scalar_params():
     )
 
 
-def gru_params(input_size, hidden_size, rng):
-    """Initialised GRU parameters for M inputs and d hidden units."""
+# the model's float32, and the float64 that the oracles and gradient checks use
+DTYPES = (np.float32, np.float64)
+
+
+def gru_params(input_size, hidden_size, rng, dtype=np.float64):
+    """Initialised ``dtype`` GRU parameters for M inputs and d hidden units."""
     d = hidden_size
-    p = {"w": np.full((3 * d, input_size), np.nan), "u_zr": np.full((2 * d, d), np.nan),
-         "u_h": np.full((d, d), np.nan), "b": np.full(3 * d, np.nan)}
+    p = {"w": np.full((3 * d, input_size), np.nan, dtype),
+         "u_zr": np.full((2 * d, d), np.nan, dtype),
+         "u_h": np.full((d, d), np.nan, dtype), "b": np.full(3 * d, np.nan, dtype)}
     init_gru_params(p, rng)
     return p
 
@@ -130,11 +135,12 @@ def test_blocked_eval_equals_the_whole_batch_bitwise(n, monkeypatch):
     # held here to one block of the whole batch.  N = 257 is where a fixed
     # 256-row block would leave a 1-row tail
     monkeypatch.setattr(encoder, "_train_threaded", lambda n: False)
-    p = gru_params(16, 59, Rng(40))
     series = Rng(41).normal(size=(n, 16, 3))
-    cached, _ = encode_batch(series, p, keep_cache=True)
-    blocked, _ = encode_batch(series, p, keep_cache=False)
-    assert np.array_equal(blocked, cached)
+    for dtype in DTYPES:
+        p = gru_params(16, 59, Rng(40), dtype)
+        cached, _ = encode_batch(series, p, keep_cache=True)
+        blocked, _ = encode_batch(series, p, keep_cache=False)
+        assert blocked.dtype == dtype and np.array_equal(blocked, cached), dtype
 
 
 def test_eval_encoder_memory_is_bounded_by_its_blocks(monkeypatch):
@@ -196,19 +202,20 @@ def started_threads(monkeypatch):
 @example(n=385, seed=0)
 def test_the_training_worker_count_changes_no_bit(n, seed, one_blas_thread):
     # the model's widths, so every product takes the kernel path training takes
-    p = gru_params(16, 59, Rng(seed))
-    data = Rng(seed + 1)
-    series, d_h = data.normal(size=(n, 16, 4)), data.normal(size=(n, 59))
-    runs = []
-    for workers in (1, 2, 3):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(numeric, "_workers", lambda n_blocks, w=workers: min(w, n_blocks))
-            threads = started_threads(mp)
-            runs.append(gru_pass(series, p, d_h))
-        assert bool(threads) == (workers > 1 and n > 128), (workers, threads)
-    for run in runs[1:]:
-        assert len(run) == len(runs[0]) == 11
-        assert all(np.array_equal(a, b) for a, b in zip(run, runs[0]))
+    for dtype in DTYPES:
+        p = gru_params(16, 59, Rng(seed), dtype)
+        data = Rng(seed + 1)
+        series, d_h = data.normal(size=(n, 16, 4)), data.normal(size=(n, 59)).astype(dtype)
+        runs = []
+        for workers in (1, 2, 3):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(numeric, "_workers", lambda n_blocks, w=workers: min(w, n_blocks))
+                threads = started_threads(mp)
+                runs.append(gru_pass(series, p, d_h))
+            assert bool(threads) == (workers > 1 and n > 128), (workers, threads)
+        for run in runs[1:]:
+            assert len(run) == len(runs[0]) == 11
+            assert all(a.dtype == dtype and np.array_equal(a, b) for a, b in zip(run, runs[0]))
 
 
 class FailingRead:
@@ -288,9 +295,9 @@ def test_training_starts_no_thread_unless_blas_runs_one(blas_threads, monkeypatc
     # below must equal the whole-batch one
     query = None if blas_threads is None else (lambda: blas_threads)
     monkeypatch.setattr(numeric, "_blas_thread_query", lambda: query)
-    p = gru_params(16, 59, Rng(50))
+    p = gru_params(16, 59, Rng(50), np.float32)  # the model's dtype
     data = Rng(51)
-    series, d_h = data.normal(size=(256, 16, 3)), data.normal(size=(256, 59))
+    series, d_h = data.normal(size=(256, 16, 3)), data.normal(size=(256, 59)).astype(np.float32)
     threads = started_threads(monkeypatch)
     whole = gru_pass(series, p, d_h)
     assert threads == []

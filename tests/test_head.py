@@ -144,8 +144,8 @@ def test_hidden_layers_draw_from_the_first_child_stream():
     assert np.array_equal(ffn["w1"], glorot_init(3, 5, Rng(8).split(2)[0].split(2)[0]))
     mask1, mask2 = make_dropout_masks(6, ffn, 0.5, Rng(9))
     s1, s2 = Rng(9).split(1)[0].split(2)
-    assert np.array_equal(mask1, dropout_mask((6, 5), 0.5, s1))
-    assert np.array_equal(mask2, dropout_mask((6, 4), 0.5, s2))
+    assert np.array_equal(mask1, dropout_mask((6, 5), 0.5, s1, ffn["w1"].dtype))
+    assert np.array_equal(mask2, dropout_mask((6, 4), 0.5, s2, ffn["w1"].dtype))
 
 
 # ------------------------------------------------------------------ losses
@@ -170,6 +170,15 @@ def test_per_patient_losses_clamp_keeps_loss_finite():
     # the negative case goes through 1 - (1 - 1e-12) and picks up rounding
     assert losses[0] == -math.log(1e-12)
     assert np.allclose(losses, -math.log(1e-12), rtol=1e-5)
+
+
+def test_float32_clamp_keeps_the_loss_finite():
+    # 1 - 1e-12 rounds to 1 in float32, so there the clamp's upper end is the
+    # largest float32 below 1, and log(1 - p) stays finite
+    probs = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=np.float32)
+    losses = per_patient_losses(probs, np.array([1, 0]))
+    assert losses.dtype == np.float32 and np.all(np.isfinite(losses))
+    assert np.isclose(losses[1], 24 * math.log(2.0), rtol=1e-6, atol=0)
 
 
 def test_label_validation():

@@ -2,17 +2,21 @@
 
 The fixture nudges every parameter away from its init point: the
 zero-output saddle otherwise leaves gradient entries at exactly zero, where a
-central difference measures only float cancellation noise.
+central difference measures only float cancellation noise.  It holds the
+parameters in a float64 buffer: the model computes in its buffer's dtype,
+and finite differences need float64's precision to resolve the gradients.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
-from hgrc import hypergraph, model
+from hgrc import encoder, head, hypergraph, model, simgraph
 from hgrc.errors import ConfigError, ShapeError
-from hgrc.model import (ModelConfig, backward, forward_eval, forward_train, init_params,
-                        make_dropout_masks)
-from hgrc.numeric import Rng, finite_diff_check
+from hgrc.model import (ModelConfig, ModelParams, backward, forward_eval, forward_train,
+                        init_params, make_dropout_masks)
+from hgrc.numeric import AdamState, Rng, adam_step, finite_diff_check
 from hgrc.simgraph import similarity, threshold
 
 TINY = dict(n_variables=2, n_codes=4, hidden_size=3,
@@ -32,6 +36,11 @@ def gate_blocks(params):
                      if not name.startswith("gru.")]
 
 
+def float64_params(cfg, rng):
+    """init_params' values in a float64 buffer."""
+    return ModelParams(cfg, init_params(cfg, rng).flat.astype(np.float64))
+
+
 def tiny_fixture(seed=236, nudge_scale=0.3, **overrides):
     """Nudged parameters plus one batch, (series, codes, labels), with an
     isolated (code-free) patient.
@@ -40,7 +49,7 @@ def tiny_fixture(seed=236, nudge_scale=0.3, **overrides):
     GRU's gates are stacked in the parameter layout.
     """
     cfg = ModelConfig(**{**TINY, **overrides})
-    params = init_params(cfg, Rng(seed))
+    params = float64_params(cfg, Rng(seed))
     nudge = Rng(seed + 1000)
     for arr in gate_blocks(params):
         if arr.ndim:
@@ -118,7 +127,6 @@ def test_series_gradient_matches_finite_differences():
 
 def analytic_series_grad(params, series, icd, labels):
     """Analytic d(series) via the encoder backward, wired like the model."""
-    from hgrc import encoder, head, hypergraph, simgraph
     _, cache = forward_train(params, series, icd, labels)
     gru_cache, hconv_cache, z, a_prime, gcn_cache, head_cache, labels = cache
     grads = params.zeros_like()
@@ -218,8 +226,9 @@ def probe(params, series, icd, mode):
 
 
 def test_initial_loss_is_ln_two():
+    # in float64; the float32 model's start loss is acceptance criterion 8
     cfg = ModelConfig(**TINY)
-    params = init_params(cfg, Rng(0))
+    params = float64_params(cfg, Rng(0))
     rng = Rng(1)
     loss, _ = forward_train(params, rng.normal(size=(6, 2, 3)),
                             (rng.random((6, 4)) < 0.5).astype(np.float64),
@@ -242,3 +251,105 @@ def test_model_config_validation():
     for knob in ("use_similarity", "temperature", "zeta_init"):
         with pytest.raises(TypeError, match=knob):
             ModelConfig(**{knob: 1.0})
+
+
+# ------------------------------------------------------------------ dtype
+
+# the stage functions the model calls through their modules, forward and
+# backward; their outputs are every intermediate array of a call
+STAGES = [(encoder, "encode_batch"), (encoder, "fuse_batch"),
+          (encoder, "encode_batch_backward"), (hypergraph, "build_hypergraph"),
+          (hypergraph, "hconv_operator"), (hypergraph, "hconv_stack"),
+          (hypergraph, "hconv_stack_backward"), (simgraph, "similarity"),
+          (simgraph, "threshold"), (simgraph, "hard_adjacency"), (simgraph, "gcn_aggregate"),
+          (simgraph, "similarity_backward"), (simgraph, "threshold_backward"),
+          (simgraph, "gcn_aggregate_backward"), (head, "head_forward"),
+          (head, "head_backward")]
+
+
+def floating_arrays(value):
+    """Every floating-point array in a nest of tuples, lists, dicts and dataclasses."""
+    if isinstance(value, np.ndarray):
+        return [value] if value.dtype.kind == "f" else []
+    if dataclasses.is_dataclass(value):
+        value = [getattr(value, f.name) for f in dataclasses.fields(value)]
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (tuple, list)):
+        return [a for item in value for a in floating_arrays(item)]
+    return []
+
+
+def record_stage_outputs(monkeypatch) -> list:
+    """A list that receives the result of every STAGES call from here on."""
+    outputs = []
+    for module, name in STAGES:
+        def recording(*args, _fn=getattr(module, name), **kwargs):
+            result = _fn(*args, **kwargs)
+            outputs.append(result)
+            return result
+        monkeypatch.setattr(module, name, recording)
+    return outputs
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_every_stage_computes_in_the_buffers_dtype(dtype, monkeypatch):
+    # a float64 mask, incidence or moment would silently double the work of
+    # every stage after it, while the assignments into the buffer cast the
+    # results back, so no value would show it
+    params, (series, icd, labels) = tiny_fixture(dropout=0.2)
+    params = ModelParams(params.config, params.flat.astype(dtype))
+    masks = make_dropout_masks(params, len(labels), Rng(0))
+    outputs = record_stage_outputs(monkeypatch)
+    loss, cache = forward_train(params, series, icd, labels, masks)
+    grads = backward(params, cache)
+    scores, stages = forward_eval(params, series, icd)
+    state = AdamState.zeros(params.flat.shape, params.flat.dtype, learning_rate=0.01)
+    new_flat, state = adam_step(params.flat, grads.flat, state)
+    arrays = floating_arrays([outputs, cache, grads.flat, masks, scores, stages,
+                              new_flat, state])
+    assert all(floating_arrays(x) for x in (cache, masks, stages, state))
+    assert {a.dtype for a in arrays} == {np.dtype(dtype)}
+    assert len(outputs) > len(STAGES)  # every stage ran, hard_adjacency's similarity too
+    assert type(loss) is float
+
+
+def test_float32_agrees_with_float64():
+    # One parameter set, cast to float32 and to float64, at the default
+    # widths over 48 hours.  A float32 operation rounds with relative error
+    # at most u = eps / 2, and to first order the errors of a chain of
+    # operations add.  Each GRU step takes every state element through about
+    # a dozen operations (three products, two gate sigmoids, the candidate's
+    # tanh and the update), the backward retraces them, and the stages after
+    # the GRU add fewer than one more step, so the float32 results lie within
+    # about 2 * 12 * (T + 1) * u of the float64 ones.  Every gradient entry is
+    # a sum of terms of either sign, whose rounding is bounded by the terms'
+    # sizes rather than by the sum (zeta's sums N^2 of them), so gradients
+    # are compared against the whole gradient's largest entry.
+    t = 48
+    rtol = 2 * 12 * (t + 1) * float(np.finfo(np.float32).eps) / 2
+    cfg = ModelConfig()
+    data = Rng(301)
+    series = data.normal(size=(64, cfg.n_variables, t))
+    icd = (data.random((64, cfg.n_codes)) < 0.15).astype(np.float64)
+    labels = (data.random(64) < 0.3).astype(np.int64)
+    single = init_params(cfg, Rng(300))
+    single.ffn["wy"][...] = data.normal(size=single.ffn["wy"].shape)  # every gradient flows
+    double = ModelParams(cfg, single.flat.astype(np.float64))
+    # the graph live in training, with the sigmoid's steepest pairs near
+    # 0.27, and no edge at evaluation in either dtype
+    z = forward_eval(double, series, icd)[1]["hconv"]
+    single.zeta[...] = float(similarity(z).max()) + 0.02
+    double.zeta[...] = single.zeta
+    results = []
+    for params in (single, double):
+        masks = make_dropout_masks(params, len(labels), Rng(302))
+        loss, cache = forward_train(params, series, icd, labels, masks)
+        grads = backward(params, cache).flat
+        results.append((loss, grads, forward_eval(params, series, icd)[0]))
+    (loss32, grads32, scores32), (loss64, grads64, scores64) = results
+    assert grads32.dtype == scores32.dtype == np.float32
+    assert abs(loss32 - loss64) <= rtol * abs(loss64)
+    assert np.abs(grads32 - grads64).max() <= rtol * np.abs(grads64).max()
+    assert np.abs(scores32 - scores64).max() <= rtol * np.abs(scores64).max()
+    assert not np.array_equal(scores32, scores64)

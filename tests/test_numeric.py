@@ -311,7 +311,7 @@ def test_adam_two_steps_frozen_values():
     # derived by hand from the bias-corrected update, lr 0.01,
     # gradient sequence [0.5, -0.25] on a scalar starting at 1.0
     p = np.array([1.0])
-    state = AdamState.zeros((1,), learning_rate=0.01)
+    state = AdamState.zeros((1,), np.float64, learning_rate=0.01)
     p, state = adam_step(p, np.array([0.5]), state)
     assert np.allclose(p, [0.9900000002], rtol=0, atol=1e-12)
     p, state = adam_step(p, np.array([-0.25]), state)
@@ -323,7 +323,7 @@ def test_adam_first_step_is_signed_learning_rate():
     # bias correction makes m_hat = g and v_hat = g^2 on step one
     g = np.array([3.0, -0.2, 1e-3])
     p = np.zeros(3)
-    state = AdamState.zeros((3,), learning_rate=0.05)
+    state = AdamState.zeros((3,), np.float64, learning_rate=0.05)
     p, _ = adam_step(p, g, state)
     expected = -0.05 * g / (np.abs(g) + 1e-8)
     assert np.allclose(p, expected, rtol=0, atol=1e-12)
@@ -331,14 +331,14 @@ def test_adam_first_step_is_signed_learning_rate():
 
 def test_adam_descends_a_quadratic():
     p = np.array([5.0])
-    state = AdamState.zeros((1,), learning_rate=0.1)
+    state = AdamState.zeros((1,), np.float64, learning_rate=0.1)
     for _ in range(300):
         p, state = adam_step(p, 2.0 * p, state)
     assert abs(p[0]) < 0.05
 
 
 def test_adam_shape_mismatch_rejected():
-    state = AdamState.zeros((2,), learning_rate=0.01)
+    state = AdamState.zeros((2,), np.float64, learning_rate=0.01)
     with pytest.raises(ShapeError):
         adam_step(np.zeros(3), np.zeros(3), state)
     with pytest.raises(ShapeError):
@@ -346,7 +346,7 @@ def test_adam_shape_mismatch_rejected():
 
 
 def test_adam_state_is_not_mutated():
-    state = AdamState.zeros((2,), learning_rate=0.01)
+    state = AdamState.zeros((2,), np.float64, learning_rate=0.01)
     adam_step(np.ones(2), np.ones(2), state)
     assert state.step == 0
     assert np.array_equal(state.first_moment, np.zeros(2))
@@ -357,26 +357,26 @@ def test_adam_state_is_not_mutated():
 
 def test_dropout_mask_values_and_mean():
     rate = 0.2
-    mask = dropout_mask((200, 50), rate, Rng(11))
+    mask = dropout_mask((200, 50), rate, Rng(11), np.float64)
     assert set(np.unique(mask)).issubset({0.0, 1.0 / (1.0 - rate)})
     # inverted dropout keeps the expectation at 1
     assert abs(mask.mean() - 1.0) < 0.02
 
 
 def test_dropout_mask_rate_zero_is_identity():
-    assert np.array_equal(dropout_mask((3, 4), 0.0, Rng(0)), np.ones((3, 4)))
+    assert np.array_equal(dropout_mask((3, 4), 0.0, Rng(0), np.float64), np.ones((3, 4)))
 
 
 def test_dropout_mask_invalid_rate():
     with pytest.raises(ConfigError):
-        dropout_mask((2,), 1.0, Rng(0))
+        dropout_mask((2,), 1.0, Rng(0), np.float64)
     with pytest.raises(ConfigError):
-        dropout_mask((2,), -0.1, Rng(0))
+        dropout_mask((2,), -0.1, Rng(0), np.float64)
 
 
 def test_dropout_mask_deterministic():
-    assert np.array_equal(dropout_mask((8, 8), 0.5, Rng(3)),
-                          dropout_mask((8, 8), 0.5, Rng(3)))
+    assert np.array_equal(dropout_mask((8, 8), 0.5, Rng(3), np.float64),
+                          dropout_mask((8, 8), 0.5, Rng(3), np.float64))
 
 
 # --------------------------------------------------------------------- init

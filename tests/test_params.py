@@ -88,8 +88,14 @@ def test_buffer_must_match_the_layout():
     size = ModelParams(cfg).flat.size
     with pytest.raises(ShapeError):
         ModelParams(cfg, np.zeros(size + 1))
-    with pytest.raises(ShapeError):
-        ModelParams(cfg, np.zeros(size, dtype=np.float32))
+    for dtype in (np.float16, np.int64, ">f4"):
+        with pytest.raises(ShapeError):
+            ModelParams(cfg, np.zeros(size, dtype=dtype))
+    # the model runs in float32; the gradient checks build float64 buffers
+    assert ModelParams(cfg).flat.dtype == np.float32
+    for dtype in (np.float32, np.float64):
+        params = ModelParams(cfg, np.zeros(size, dtype=dtype))
+        assert params.zeros_like().flat.dtype == params.copy().flat.dtype == dtype
 
 
 def test_one_flat_adam_step_equals_per_array_steps():
@@ -97,8 +103,8 @@ def test_one_flat_adam_step_equals_per_array_steps():
     cfg = ModelConfig(**TINY)
     flat_params = init_params(cfg, Rng(6))
     ref_params = flat_params.copy()
-    flat_state = AdamState.zeros(flat_params.flat.shape, learning_rate=0.01)
-    ref_states = {name: AdamState.zeros(arr.shape, learning_rate=0.01)
+    flat_state = AdamState.zeros(flat_params.flat.shape, np.float32, learning_rate=0.01)
+    ref_states = {name: AdamState.zeros(arr.shape, np.float32, learning_rate=0.01)
                   for name, arr in ref_params.named_arrays().items()}
     data = Rng(7)
     for step in range(6):

@@ -11,9 +11,14 @@ a default to a parameter named after a config field.
 
 The architecture travels with the parameters (``ModelParams.config``), so no
 function takes both a ``ModelParams`` and a ``ModelConfig``.
+
+No name the package exports hides one of its modules: ``hgrc.train`` is the
+module, and the function is ``hgrc.train.train``.
 """
 
 import ast
+import importlib
+import types
 from dataclasses import fields
 from pathlib import Path
 
@@ -105,3 +110,13 @@ def test_no_function_takes_both_parameters_and_their_config():
                 if {"ModelParams", "ModelConfig"} <= names:
                     both.append(f"{path.stem}.{node.name}")
     assert both == [], f"read the architecture from params.config instead: {both}"
+
+
+def test_every_module_is_reached_by_its_name_on_the_package():
+    names = sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "__init__")
+    assert "train" in names
+    for name in names:
+        module = importlib.import_module(f"hgrc.{name}")
+        assert isinstance(getattr(hgrc, name), types.ModuleType), name
+        assert getattr(hgrc, name) is module, name
+    assert hgrc.train.derive_rng_streams is hgrc.derive_rng_streams

@@ -1,5 +1,7 @@
 """Similarity graph: pairwise scores, learnable threshold, GCN aggregation."""
 
+import itertools
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 from hgrc import head, simgraph
 from hgrc.data import impute_mean, standardize
 from hgrc.errors import ConfigError, ShapeError
-from hgrc.model import ModelConfig, forward_eval, init_params
+from hgrc.model import ModelConfig, ModelParams, forward_eval, init_params
 from hgrc.numeric import Rng, finite_diff_check, row_blocks, sigmoid
 from hgrc.simgraph import (gcn_aggregate, gcn_aggregate_backward, hard_adjacency,
                            similarity, similarity_backward, threshold, threshold_backward)
@@ -20,7 +22,7 @@ from hgrc.train import Checkpoint, TrainConfig, predict_scores
 
 
 def dense_eval_graph(z, zeta, phi):
-    """The eval-mode graph as whole (N, N) float64 arrays: the bit-for-bit oracle.
+    """The eval-mode graph as whole (N, N) arrays of z's dtype: the bit-for-bit oracle.
 
     This is how evaluation built A, 1[A > zeta], A' + I and its normalization
     before it moved to row blocks; the blocked path must equal it exactly.
@@ -28,7 +30,7 @@ def dense_eval_graph(z, zeta, phi):
     n, width = z.shape
     a = z @ z.T
     a /= float(width * width)
-    a_tilde = (a > zeta).astype(np.float64)
+    a_tilde = (a > zeta).astype(z.dtype)
     a_tilde[np.diag_indices(n)] += 1.0
     inv_sqrt = 1.0 / np.sqrt(a_tilde.sum(axis=1))
     s_norm = a_tilde * inv_sqrt[:, None]
@@ -308,9 +310,15 @@ def small_batch(n, seed):
     return rng.normal(size=(n, 3, 4)), (rng.random((n, 20)) < 0.15).astype(np.float64)
 
 
-def model_params(cfg, seed):
-    """Initial parameters with a random FFN output layer, so scores vary."""
-    params = init_params(cfg, Rng(seed))
+# the model's float32, and the float64 that the gradient checks run in: the
+# bound's margin and the blocked graph's rounding both depend on the dtype
+DTYPES = (np.float32, np.float64)
+
+
+def model_params(cfg, seed, dtype=np.float32):
+    """Initial parameters in a ``dtype`` buffer, with a random FFN output
+    layer, so scores vary."""
+    params = ModelParams(cfg, init_params(cfg, Rng(seed)).flat.astype(dtype))
     params.ffn["wy"][...] = Rng(seed + 1).normal(size=params.ffn["wy"].shape)
     return params
 
@@ -319,30 +327,31 @@ def model_params(cfg, seed):
 def test_blocked_eval_graph_equals_the_dense_one_bitwise(n):
     # row blocks of at most 256; N = 21 is the smallest a block may hold,
     # 257 the first N with two blocks and 513 the first with three
-    params = model_params(SMALL_MODEL, n)
-    batch = small_batch(n, 1000 + n)
-    z = forward_eval(params, *batch)[1]["hconv"]
-    edges = {"none": np.inf, "some": zeta_between_similarities(z), "all": -np.inf}
-    for name, zeta in edges.items():
-        params.zeta[...] = zeta
-        scores, stages = forward_eval(params, *batch)
-        assert np.array_equal(stages["hconv"], z)
-        n_edges = int(hard_adjacency(z, zeta).sum())
-        if name == "some":
-            assert n == 1 or 0 < n_edges < n * n
-        else:
-            assert n_edges == {"none": 0, "all": n * n}[name]
-        x_star = dense_eval_graph(z, zeta, params.phi)
-        assert np.array_equal(stages["aggregated"], x_star), name
-        assert np.array_equal(scores, oracle_scores(params, x_star)), name
-    # a row of zero norm bounds nothing, so its block rules out no row,
-    # and at zeta = 0 it has no edge
-    z0 = z.copy()
-    z0[::7] = 0.0
-    for zeta in (*edges.values(), 0.0):
-        adjacency = hard_adjacency(z0, zeta)
-        x_star, _ = gcn_aggregate(z0, adjacency, params.phi, keep_cache=False)
-        assert np.array_equal(x_star, dense_eval_graph(z0, zeta, params.phi)), zeta
+    for dtype in DTYPES:
+        params = model_params(SMALL_MODEL, n, dtype)
+        batch = small_batch(n, 1000 + n)
+        z = forward_eval(params, *batch)[1]["hconv"]
+        edges = {"none": np.inf, "some": zeta_between_similarities(z), "all": -np.inf}
+        for name, zeta in edges.items():
+            params.zeta[...] = zeta
+            scores, stages = forward_eval(params, *batch)
+            assert np.array_equal(stages["hconv"], z)
+            n_edges = int(hard_adjacency(z, zeta).sum())
+            if name == "some":
+                assert n == 1 or 0 < n_edges < n * n
+            else:
+                assert n_edges == {"none": 0, "all": n * n}[name]
+            x_star = dense_eval_graph(z, zeta, params.phi)
+            assert np.array_equal(stages["aggregated"], x_star), name
+            assert np.array_equal(scores, oracle_scores(params, x_star)), name
+        # a row of zero norm bounds nothing, so its block rules out no row,
+        # and at zeta = 0 it has no edge
+        z0 = z.copy()
+        z0[::7] = 0.0
+        for zeta in (*edges.values(), 0.0):
+            adjacency = hard_adjacency(z0, zeta)
+            x_star, _ = gcn_aggregate(z0, adjacency, params.phi, keep_cache=False)
+            assert np.array_equal(x_star, dense_eval_graph(z0, zeta, params.phi)), zeta
 
 
 @pytest.mark.parametrize("n", [257, 1089, 1500, 4097])
@@ -365,11 +374,11 @@ def test_eval_graph_computes_each_similarity_once(monkeypatch):
     # rows start_k onward; with zeta above the cohort's norm bound
     # max |z|^2 / w^2, block k against its own rows alone
     n = 700
-    z = Rng(21).normal(size=(n, 79))
     similarity_fn, threshold_fn = simgraph.similarity, simgraph.threshold
     blocks = row_blocks(n)
     assert len(blocks) == 3
-    for bounded in (False, True):
+    for dtype, bounded in itertools.product(DTYPES, (False, True)):
+        z = Rng(21).normal(size=(n, 79)).astype(dtype)
         calls = {"similarity": [], "threshold": 0}
 
         def similarity_spy(x, y=None):
@@ -423,21 +432,22 @@ def test_eval_graph_keeps_parallel_rows_that_reach_the_bound(monkeypatch):
         return adjacency, a[i - blocks[k].start, col]
 
     monkeypatch.setattr(simgraph, "similarity", similarity_spy)
-    rng = Rng(23)
-    base = 0.1 * rng.normal(size=(n, width))
-    for i, j in [(10, 300), (240, 600), (100, n - 1)]:
-        candidates = []
-        for _ in range(50):
-            z = base.copy()
-            z[i] = rng.normal(size=width)
-            z[j] = z[i]
-            _, s = pair_similarity(z, i, j, 0.5 * float(z[i] @ z[j]) / width**2)
-            bare = np.einsum("ij,ij->i", z, z).max() / width**2
-            candidates.append(((s - bare) / np.spacing(s), z, s))
-        _, z, s = max(candidates, key=lambda c: c[0])
-        adjacency, s_edge = pair_similarity(z, i, j, float(np.nextafter(s, -np.inf)))
-        assert s_edge == s
-        assert adjacency[i, j] and adjacency[j, i]
+    for dtype in DTYPES:
+        rng = Rng(23)
+        base = (0.1 * rng.normal(size=(n, width))).astype(dtype)
+        for i, j in [(10, 300), (240, 600), (100, n - 1)]:
+            candidates = []
+            for _ in range(50):
+                z = base.copy()
+                z[i] = rng.normal(size=width)
+                z[j] = z[i]
+                _, s = pair_similarity(z, i, j, 0.5 * float(z[i] @ z[j]) / width**2)
+                bare = np.einsum("ij,ij->i", z, z).max() / width**2
+                candidates.append(((s - bare) / np.spacing(s), z, s))
+            _, z, s = max(candidates, key=lambda c: c[0])
+            adjacency, s_edge = pair_similarity(z, i, j, float(np.nextafter(s, -np.inf)))
+            assert s_edge == s
+            assert adjacency[i, j] and adjacency[j, i], dtype
 
 
 def test_one_block_eval_graph_rounds_like_the_whole_product():
@@ -454,17 +464,19 @@ def test_one_block_eval_graph_rounds_like_the_whole_product():
 
 
 def test_eval_graph_keeps_rows_whose_squares_underflow():
-    # subnormal products round to whole units t = 2^-1074: p^2 and q^2 below
-    # round to 2t and 3t and pq to 3t, so (p, q).(q, p) = 6t exceeds both
-    # squared norms, 5t.  The similarity 6t / 4 rounds to 2t and the bound
-    # c 5t to t: a bound taken below 2^-900 would rule out an edge
-    t = 2.0 ** -1074
-    p, q = np.sqrt(2.49) * 2.0 ** -537, np.sqrt(2.52) * 2.0 ** -537
-    z = np.zeros((700, 2))
-    z[5], z[650] = (p, q), (q, p)
-    assert similarity(z[5:6], z[650:651])[0, 0] == 2 * t
-    adjacency = hard_adjacency(z, t)
-    assert adjacency[5, 650] and adjacency[650, 5]
+    # subnormal products round to whole units t (2^-1074 in float64, 2^-149
+    # in float32): p^2 and q^2 below round to 2t and 3t and pq to 3t, so
+    # (p, q).(q, p) = 6t exceeds both squared norms, 5t.  The similarity
+    # 6t / 4 rounds to 2t and the bound c 5t to t: a bound taken on squared
+    # norms this small would rule out an edge
+    for dtype in DTYPES:
+        t = float(np.finfo(dtype).smallest_subnormal)
+        p, q = np.sqrt(2.49) * math.sqrt(t), np.sqrt(2.52) * math.sqrt(t)
+        z = np.zeros((700, 2), dtype)
+        z[5], z[650] = (p, q), (q, p)
+        assert similarity(z[5:6], z[650:651])[0, 0] == 2 * t
+        adjacency = hard_adjacency(z, t)
+        assert adjacency[5, 650] and adjacency[650, 5], dtype
 
 
 def test_eval_graph_takes_each_diagonal_square_from_its_upper_triangle(monkeypatch):

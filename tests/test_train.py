@@ -11,13 +11,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import hgrc.train as train_module
 from hgrc import numeric
 from hgrc.checkpoint import save_checkpoint
 from hgrc.data import impute_mean, load_cohort, split, standardize
 from hgrc.encoder import encode_batch
 from hgrc.errors import ConfigError, TrainingError, UndefinedMetricError
 from hgrc.model import ModelConfig, init_params
-from hgrc.numeric import Rng
+from hgrc.numeric import Rng, adam_step
 from hgrc.synthetic import SyntheticSpec, gen_synthetic, write_cohort_files
 from hgrc.train import (Checkpoint, TrainConfig, _batch_slices, derive_rng_streams,
                         evaluate, export_embeddings, predict_scores, train)
@@ -123,6 +124,22 @@ def test_training_is_bit_reproducible(splits):
         assert np.array_equal(left[name], right[name]), name
 
 
+def test_training_runs_the_model_and_adam_in_float32(splits, monkeypatch):
+    tr, va, _ = splits
+    steps = []
+
+    def recording_adam(param, grad, state):
+        new, state = adam_step(param, grad, state)
+        steps.append((param, grad, new, state.first_moment, state.second_moment))
+        return new, state
+
+    monkeypatch.setattr(train_module, "adam_step", recording_adam)
+    ckpt = train(TrainConfig(**{**SMALL_CONFIG, "epochs": 1}), tr, va)
+    assert len(steps) == 3
+    assert {a.dtype for step in steps for a in step} == {np.dtype(np.float32)}
+    assert ckpt.params.flat.dtype == np.float32
+
+
 def test_progress_callback_sees_each_epoch(splits):
     tr, va, _ = splits
     seen = []
@@ -151,9 +168,10 @@ def test_patience_stops_training_early(splits):
 
 def test_exploding_step_raises_training_error(splits):
     tr, va, _ = splits
-    # tanh bounds every activation, so a merely huge step (1e200) leaves the
-    # loss finite, clamped at -ln 1e-12; a step of the float maximum makes
-    # the weights' products overflow to inf, and the loss becomes nan
+    # tanh bounds every activation, so a merely huge step leaves the loss
+    # finite, clamped at -ln 1e-12; a step of the float64 maximum, which
+    # rounds to inf in the float32 update, makes the weights infinite, and
+    # the loss becomes nan
     lr = float(np.finfo(np.float64).max)
     cfg = TrainConfig(**{**SMALL_CONFIG, "learning_rate": lr, "epochs": 5})
     with np.errstate(all="ignore"), pytest.raises(
