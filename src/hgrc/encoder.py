@@ -20,14 +20,20 @@ One recurrence, _gru_block, serves training and scoring.  It runs a block
 of rows to its last step; training writes every step to a cache for the
 backward pass, and scoring keeps none.  ``numeric.run_row_blocks`` runs
 the blocks on one thread per core when BLAS runs one thread, and on the
-calling thread otherwise.  Scoring cuts blocks of at most 256 rows, so a
-block's working set stays in L2.  Training cuts blocks of at most 128 rows
-for a batch of more than 128 on two cores or more, and otherwise runs the
-whole batch as one block; under the same rule its backward runs on two
-threads, one for the recurrence and one for the weight gradients (see
+calling thread otherwise.  Scoring cuts blocks of at most 512 rows (see
+_SCORE_BLOCK_ROWS).  Training cuts blocks of at most 128 rows for a batch
+of more than 128 on two cores or more, and otherwise runs the whole batch
+as one block; under the same rule its backward runs on two threads, one
+for the recurrence and one for the weight gradients (see
 encode_batch_backward).  Every block size and thread count gives the same
 arithmetic, so training logs, checkpoints and scores are the same bit for
 bit.
+
+The gates' logistic is 0.5 * (1 + tanh(a / 2)).  Each call halves the z/r
+rows of ``w`` and ``b`` and all of ``u_zr`` once, so a step's products give
+a / 2 directly and the logistic costs three passes, not four.  Halving is
+exact for every value that is not subnormal, so z and r are the same bit
+for bit as the logistic of the unhalved sum.
 
 The GRU computes in its parameters' dtype, float32 in the model: the cache,
 every buffer, the final states and the backward's gradients take it, and
@@ -41,7 +47,7 @@ import numpy as np
 
 from . import numeric
 from .errors import ShapeError
-from .numeric import Array, Rng, glorot_init, run_pipelined, run_row_blocks, sigmoid
+from .numeric import Array, Rng, glorot_init, run_pipelined, run_row_blocks
 
 # most rows a training-mode GRU block holds, and the largest batch that runs
 # on the calling thread alone.  With one BLAS thread on a shared 2-core
@@ -54,6 +60,17 @@ from .numeric import Array, Rng, glorot_init, run_pipelined, run_row_blocks, sig
 _TRAIN_BLOCK_ROWS = 128
 # slots in the backward's ring of per-step gate gradients (numeric.run_pipelined)
 _RING_SLOTS = 4
+# most rows a scoring-mode GRU block holds; a cohort of at most this many
+# runs on the calling thread alone.  Every numpy call of a step takes the
+# interpreter lock, which the scoring threads share, so a larger block makes
+# fewer calls per patient and the threads wait less for the lock.  Scoring
+# 4096 patients in float32 (d = 59, 48 hours, one BLAS thread, shared
+# 2-core Xeon, medians of 30 runs), one thread took 186-200 ms at every
+# block size from 256 to 1024 rows, and two threads took 202 / 129 / 113 /
+# 114 / 110 / 116 ms in blocks of 128 / 256 / 384 / 512 / 768 / 1024 rows.
+# A 300-patient cohort took 14.8 ms as one block on one thread and as two
+# 150-row blocks on two.
+_SCORE_BLOCK_ROWS = 512
 
 
 def init_gru_params(p: dict[str, Array], rng: Rng) -> None:
@@ -80,9 +97,8 @@ def encode_batch(series_batch: Array, p: dict[str, Array], keep_cache: bool = Tr
     through the one recurrence of _gru_block, on the threads of
     ``numeric.run_row_blocks``; only the block size differs:
 
-    - without a cache, blocks of at most 256 rows, each run to its last
-      step in one thread's own buffers, so its working set stays in L2
-      instead of streaming (N, 3d) temporaries through L3 at every step;
+    - without a cache, blocks of at most _SCORE_BLOCK_ROWS, each run to
+      its last step in one thread's own buffers;
     - with a cache, blocks of at most 128 rows when _train_threaded, and
       otherwise one block of the whole batch, which runs on the calling
       thread.  Each block writes its own rows of the cache arrays.
@@ -90,7 +106,8 @@ def encode_batch(series_batch: Array, p: dict[str, Array], keep_cache: bool = Tr
     Each row's products round as in the whole batch (see the row_blocks
     docstring), so states and cache are the same bit for bit for any block
     size and thread count.  Every buffer is allocated before any block
-    starts, so no step allocates.
+    starts, so no step allocates.  Each block checks its rows for absent
+    (NaN) cells in its time-major copy.
     """
     series_batch = np.asarray(series_batch)
     if series_batch.ndim != 3:
@@ -101,9 +118,9 @@ def encode_batch(series_batch: Array, p: dict[str, Array], keep_cache: bool = Tr
         raise ShapeError(f"encode_batch: {m} variables vs input size {input_size}")
     if t == 0:
         raise ShapeError("encode_batch: empty time axis")
-    if np.isnan(series_batch).any():
-        raise ShapeError("encode_batch: absent cells remain; impute first")
-    cache, most = None, numeric._EVAL_BLOCK_ROWS
+    scale = np.repeat(np.array([0.5, 0.5, 1.0], dtype), d)  # halves the z/r rows
+    halved = dict(p, w=p["w"] * scale[:, None], b=p["b"] * scale, u_zr=p["u_zr"] * 0.5)
+    cache, most = None, _SCORE_BLOCK_ROWS
     if keep_cache:  # xs, hs (hs[step] is the state that step reads), zs, rs, cs
         cache = (np.empty((t, n, m), dtype), np.empty((t + 1, n, d), dtype),
                  *(np.empty((t, n, d), dtype) for _ in range(3)))
@@ -111,7 +128,7 @@ def encode_batch(series_batch: Array, p: dict[str, Array], keep_cache: bool = Tr
     final = np.empty((n, d), dtype)
     run_row_blocks(
         n, lambda rows, bufs: _gru_block(
-            series_batch[rows], p, final[rows], bufs,
+            series_batch[rows], halved, final[rows], bufs,
             None if cache is None else [a[:, rows] for a in cache]),
         lambda rows: _gru_buffers(rows, m, t, d, dtype, keep_cache), most=most)
     return final, cache
@@ -143,15 +160,16 @@ def _gru_block(series: Array, p: dict[str, Array], out: Array, bufs: tuple[Array
                cache: list[Array] | None = None) -> None:
     """The recurrence over the rows of ``series``; final states go to ``out``.
 
-    ``cache`` is those rows of encode_batch's cache arrays, and each step
-    writes its input, state and gates there.  Without it they go to the
-    leading rows of ``bufs`` (see _gru_buffers): two state buffers take
-    turns, and the same c buffer serves every step.  z and r are then views
-    of the gate buffer zr, and numpy skips a copy onto the same memory, so
-    the step's copy of the gates costs nothing; separate z and r buffers
-    made a 2000-patient scoring call 3% slower.  Scratch products always go to
-    ``bufs``.  Each step reads its inputs from the contiguous time-major
-    copy ``xs``.
+    ``p`` holds the GRU's parameters with the z/r rows halved (see the
+    module docstring).  ``cache`` is those rows of encode_batch's cache
+    arrays, and each step writes its input, state and gates there.  Without
+    it they go to the leading rows of ``bufs`` (see _gru_buffers): two state
+    buffers take turns, and the same c buffer serves every step.  z and r
+    are then views of the gate buffer zr, and numpy skips a copy onto the
+    same memory, so the step's copy of the gates costs nothing; separate z
+    and r buffers made a 2000-patient scoring call 3% slower.  Scratch
+    products always go to ``bufs``.  Each step reads its inputs from the
+    contiguous time-major copy ``xs``; a NaN there raises ShapeError.
     """
     n, d = out.shape
     t = series.shape[2]
@@ -165,11 +183,15 @@ def _gru_block(series: Array, p: dict[str, Array], out: Array, bufs: tuple[Array
         xs, hs, zs, rs, cs = cache
     # each xs[step] is a contiguous (n, M) block, cast to the parameters' dtype
     np.copyto(xs, series.transpose(2, 0, 1))
+    if np.isnan(xs).any():
+        raise ShapeError("encode_batch: absent cells remain; impute first")
     hs[0][...] = 0.0
     for x, h, h_next, z, r, c in zip(xs, hs, hs[1:], zs, rs, cs):
         np.add(np.matmul(x, p["w"].T, out=a), p["b"], out=a)
         np.add(np.matmul(h, p["u_zr"].T, out=zr), a[:, :2 * d], out=zr)
-        sigmoid(zr, out=zr)
+        np.tanh(zr, out=zr)  # the gate sums come halved: 0.5 * (1 + tanh(a / 2))
+        zr += 1.0
+        zr *= 0.5
         z[...], r[...] = zr[:, :d], zr[:, d:]
         np.add(np.matmul(np.multiply(r, h, out=tmp), p["u_h"].T, out=c), a[:, 2 * d:], out=c)
         np.tanh(c, out=c)
@@ -228,9 +250,10 @@ def encode_batch_backward(d_h: Array, cache, p: dict[str, Array], grads: dict[st
         h_prev, z, r, c = hs[step], zs[step], rs[step], cs[step]
         np.multiply(dh * z, 1.0 - c * c, out=da_h)
         d_rh = da_h @ p["u_h"]
-        np.multiply(dh * (c - h_prev), z * (1.0 - z), out=da_z)
+        one_minus_z = 1.0 - z
+        np.multiply(dh * (c - h_prev), z * one_minus_z, out=da_z)
         np.multiply(d_rh * h_prev, r * (1.0 - r), out=da_r)
-        dh = dh * (1.0 - z) + d_rh * r + da_zr @ p["u_zr"]
+        dh = dh * one_minus_z + d_rh * r + da_zr @ p["u_zr"]
 
     def add_step(step: int, gates: tuple[Array, ...]) -> None:
         da, da_zr, da_h, _, _ = gates

@@ -12,12 +12,13 @@ Training mode uses the sigmoid-relaxed threshold and dropout masks, and
 holds A' and its normalization as dense (N, N) float arrays for the
 backward pass.  Evaluation mode uses the strict hard threshold and no
 dropout: A' is a symmetric (N, N) bool array whose every similarity is
-computed at most once, and the GRU, the similarities and the aggregation
-run in row blocks of at most 256 patients, so no (N, N) float array
-exists.  When the Cauchy-Schwarz bound rules out every edge, as it does
-at the trained zeta, each block computes only its own rows' similarities
-and A' is all False; aggregation skips a block with no edge (the simgraph
-docstring says when the result equals a dense computation's bit for bit).
+computed at most once, the similarities and the aggregation run in row
+blocks of at most 256 patients, so no (N, N) float array exists, and the
+GRU runs in row blocks of at most 512.  When the Cauchy-Schwarz bound
+rules out every edge, as it does at the trained zeta, each block computes
+only its own rows' similarities and A' is all False; aggregation skips a
+block with no edge (the simgraph docstring says when the result equals a
+dense computation's bit for bit).
 No stage keeps a cache, and the GRU's blocks run on every core a
 one-thread BLAS leaves idle; the graph stages' blocks run on the calling
 thread.  In training only the GRU uses those cores, on batches of more

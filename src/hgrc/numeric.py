@@ -104,7 +104,10 @@ def softmax(x: Array, axis: int = -1) -> Array:
 # -------------------------------------------------------------- row blocks
 
 
-# most rows an evaluation-mode block holds; see row_blocks
+# most rows an evaluation-mode similarity-graph block holds.  At the trained
+# zeta each block computes the square of its own rows' similarities (see
+# simgraph), so larger blocks would compute more.  The scoring GRU cuts its
+# own blocks (encoder._SCORE_BLOCK_ROWS)
 _EVAL_BLOCK_ROWS = 256
 
 
@@ -112,9 +115,9 @@ def row_blocks(n: int, most: int = _EVAL_BLOCK_ROWS) -> list[slice]:
     """ceil(n / most) contiguous, near-equal row windows covering range(n).
 
     Evaluation keeps no cache for a backward pass, so the GRU and the
-    similarity graph work through the rows one block at a time and a
-    block's working set stays in cache; training's GRU forward splits a
-    large batch the same way, in smaller blocks, to spread it over threads.
+    similarity graph work through the rows one block at a time, each with
+    its own ``most``; training's GRU forward splits a large batch the same
+    way, in smaller blocks, to spread it over threads.
     The split is equal rather than ``most`` rows plus a ragged tail because
     a block's rows must round like the whole batch's.  OpenBLAS runs an NN
     product (``a @ b``, both C-ordered) through a small-matrix kernel when

@@ -243,7 +243,11 @@ def predict_scores(ckpt: Checkpoint, cohort: Cohort) -> Array:
 
 
 def export_embeddings(ckpt: Checkpoint, cohort: Cohort, stage: str, out_path) -> str:
-    """Write `patient_id,label,e0..` CSV of an intermediate representation."""
+    """Write `patient_id,label,e0..` CSV of an intermediate representation.
+
+    Each value is written as the shortest decimal that reads back as the
+    same value of the stage's dtype (at most 9 significant digits in
+    float32)."""
     if stage not in EMBED_STAGES:
         raise ConfigError(f"stage must be one of {EMBED_STAGES}, got {stage!r}")
     if len(cohort) == 0:
@@ -254,5 +258,5 @@ def export_embeddings(ckpt: Checkpoint, cohort: Cohort, stage: str, out_path) ->
     with open(out_path, "w", newline="") as fh:
         fh.write("patient_id,label," + ",".join(f"e{k}" for k in range(width)) + "\n")
         for pid, label, row in zip(cohort.patient_ids, cohort.y, matrix):
-            fh.write(f"{pid},{label}," + ",".join(map(repr, row.tolist())) + "\n")
+            fh.write(f"{pid},{label}," + ",".join(map(str, row)) + "\n")
     return str(out_path)

@@ -128,12 +128,12 @@ def test_encode_batch_without_cache_gives_the_same_states():
     assert np.array_equal(alone, cached)
 
 
-@pytest.mark.parametrize("n", [257, 300, 4097])
+@pytest.mark.parametrize("n", [513, 1025, 4097])
 def test_blocked_eval_equals_the_whole_batch_bitwise(n, monkeypatch):
-    # without a cache the rows run in near-equal blocks of at most 256; rows
+    # without a cache the rows run in near-equal blocks of at most 512; rows
     # are independent, so every state must equal that of the cached pass,
-    # held here to one block of the whole batch.  N = 257 is where a fixed
-    # 256-row block would leave a 1-row tail
+    # held here to one block of the whole batch.  N = 513 is where a fixed
+    # 512-row block would leave a 1-row tail
     monkeypatch.setattr(encoder, "_train_threaded", lambda n: False)
     series = Rng(41).normal(size=(n, 16, 3))
     for dtype in DTYPES:
@@ -158,6 +158,35 @@ def test_eval_encoder_memory_is_bounded_by_its_blocks(monkeypatch):
         finally:
             tracemalloc.stop()
         assert peak < 4 * n * d * 8, (workers, peak)
+
+
+@pytest.mark.parametrize("n, threads", [(512, []), (513, ["hgrc-row-block"])])
+def test_scoring_runs_a_cohort_of_one_block_on_the_calling_thread(n, threads, monkeypatch,
+                                                                  one_blas_thread):
+    # two cores: a second thread starts only for a second block of 512 rows
+    monkeypatch.setattr(numeric, "_workers", lambda n_blocks: min(2, n_blocks))
+    p = gru_params(16, 59, Rng(52), np.float32)
+    series = Rng(53).normal(size=(n, 16, 3))
+    started = started_threads(monkeypatch)
+    encode_batch(series, p, keep_cache=False)
+    assert started == threads
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_the_halved_gate_rows_give_the_logistic_of_the_whole_sum_bitwise(dtype):
+    # the encoder halves the z/r rows of w, b and u_zr so that each step's
+    # products give a / 2; z and r must equal the logistic of the unhalved
+    # sum, computed in the order of numeric.sigmoid, bit for bit
+    d = 59
+    p = gru_params(16, d, Rng(54), dtype)
+    p["b"][...] = Rng(55).normal(size=3 * d)  # init leaves the biases at 0
+    series = Rng(56).normal(size=(64, 16, 6))
+    _, (xs, hs, zs, rs, _) = encode_batch(series, p)
+    for x, h_prev, z, r in zip(xs, hs, zs, rs):
+        a = np.add(np.matmul(x, p["w"].T), p["b"])
+        zr = numeric.sigmoid(np.add(np.matmul(h_prev, p["u_zr"].T), a[:, :2 * d]))
+        assert zr.dtype == dtype
+        assert np.array_equal(z, zr[:, :d]) and np.array_equal(r, zr[:, d:])
 
 
 # batch sizes at and around the training block edges: one block of 128 rows
@@ -254,8 +283,8 @@ def test_a_failing_gru_block_raises_its_error_and_joins_every_thread(keep_cache,
     p = gru_params(3, 4, Rng(44))
     if keep_cache:  # four blocks of 97, 96, 96 and 96 rows
         series, failing_rows = Rng(47).normal(size=(385, 3, 2)), slice(193, 289)
-    else:  # five blocks of 205 rows
-        series, failing_rows = Rng(45).normal(size=(1025, 3, 2)), slice(410, 615)
+    else:  # three blocks of 342, 342 and 341 rows
+        series, failing_rows = Rng(45).normal(size=(1025, 3, 2)), slice(342, 684)
     gru_block = encoder._gru_block
 
     def failing(block, *args):
